@@ -12,11 +12,15 @@
 #ifndef RETSIM_BENCH_BENCH_COMMON_HH
 #define RETSIM_BENCH_BENCH_COMMON_HH
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/motion.hh"
@@ -33,6 +37,20 @@
 
 namespace retsim {
 namespace bench {
+
+/** CPUs this process may run on: its affinity mask, what `nproc`
+ *  prints.  std::thread::hardware_concurrency() counts the machine's
+ *  CPUs even under `taskset -c 0`, so the bench JSONs record this. */
+inline int
+availableCpus()
+{
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        return static_cast<int>(
+            std::max(1u, std::thread::hardware_concurrency()));
+    return CPU_COUNT(&allowed);
+}
 
 /** Fresh-sampler factory so parallel runs never share state. */
 using SamplerFactory =

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "apps/stereo.hh"
@@ -572,8 +571,7 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const std::string out =
         args.getString("out", "BENCH_sampler_kernel.json");
-    const int hw = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    const int hw = bench::availableCpus();
     const char *backend =
         simd::backendName(simd::backendFromCli(args));
 

@@ -24,12 +24,17 @@
  * records overlap_halo, threads and the halo_wait_ns counter delta,
  * so the JSON shows how much ghost-row latency the overlap hides
  * even on a single-core container.
+ *
+ * Every run row also records memo_bytes_per_clone: the fast-path
+ * memo bytes its stripe clones held (the core.race_fastpath.memo_bytes
+ * delta over the run, per stripe; forked socket ranks' clones are not
+ * counted).  hardware_threads is the CPUs the process may run on, so
+ * a run under `taskset -c 0` records 1.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <set>
-#include <thread>
 
 #include "apps/denoising.hh"
 #include "apps/stereo.hh"
@@ -57,6 +62,7 @@ struct RunResult
     double pixelsPerSec = 0.0;
     double cacheHitRate = 0.0;      ///< energy planes served clean
     std::uint64_t haloWaitNs = 0;   ///< time blocked on ghost rows
+    std::uint64_t memoBytes = 0;    ///< fast-path memo per sampler
 };
 
 /** Energy-plane cache traffic of one run, read back from the global
@@ -87,6 +93,18 @@ haloWaitNow()
     obs::Registry &reg = obs::Registry::global();
     static const obs::MetricId id =
         reg.counter("shard.halo.wait_ns");
+    return reg.counterValue(id);
+}
+
+/** Fast-path memo bytes of every RaceFastPath destroyed so far
+ *  (core.race_fastpath.memo_bytes): a run's delta covers the samplers
+ *  it built, which are gone when timeSolve returns. */
+std::uint64_t
+memoBytesNow()
+{
+    obs::Registry &reg = obs::Registry::global();
+    static const obs::MetricId id =
+        reg.counter("core.race_fastpath.memo_bytes");
     return reg.counterValue(id);
 }
 
@@ -131,8 +149,13 @@ measure(const mrf::MrfProblem &problem,
     }
     const CacheCounters before = CacheCounters::now();
     const std::uint64_t waitBefore = haloWaitNow();
+    const std::uint64_t memoBefore = memoBytesNow();
     r.seconds = timeSolve(problem, factory, cfg, shards);
     r.haloWaitNs = haloWaitNow() - waitBefore;
+    // Serial runs draw through the one sampler; striped and sharded
+    // runs through one clone per stripe.
+    r.memoBytes = (memoBytesNow() - memoBefore) /
+                  static_cast<std::uint64_t>(std::max(1, stripes));
     const CacheCounters after = CacheCounters::now();
     const double served =
         static_cast<double>((after.hits - before.hits) +
@@ -153,17 +176,22 @@ printRun(const RunResult &r, double serial_s)
     if (r.shards > 1)
         std::printf("  shards=%2d (%s) stripes=%2d threads=%d "
                     "overlap=%s  %8.3f s  %12.0f px/s  "
-                    "halo-wait %6.2f ms  cache-hit %5.1f%%  %.2fx\n",
+                    "halo-wait %6.2f ms  cache-hit %5.1f%%  "
+                    "memo %7.1f KiB/clone  %.2fx\n",
                     r.shards, r.transport, r.stripes, r.threads,
                     r.overlapHalo ? "on" : "off", r.seconds,
                     r.pixelsPerSec,
                     static_cast<double>(r.haloWaitNs) / 1e6,
-                    100.0 * r.cacheHitRate, serial_s / r.seconds);
+                    100.0 * r.cacheHitRate,
+                    static_cast<double>(r.memoBytes) / 1024.0,
+                    serial_s / r.seconds);
     else
         std::printf("  threads=%2d stripes=%2d  %8.3f s  %12.0f px/s  "
-                    "cache-hit %5.1f%%  %.2fx\n",
+                    "cache-hit %5.1f%%  memo %7.1f KiB/clone  %.2fx\n",
                     r.threads, r.stripes, r.seconds, r.pixelsPerSec,
-                    100.0 * r.cacheHitRate, serial_s / r.seconds);
+                    100.0 * r.cacheHitRate,
+                    static_cast<double>(r.memoBytes) / 1024.0,
+                    serial_s / r.seconds);
 }
 
 } // namespace
@@ -187,8 +215,7 @@ main(int argc, char **argv)
     // same perf trajectory file.
     const shard::ShardOptions shard_options =
         shard::shardOptionsFromCli(args);
-    const int hw = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
+    const int hw = bench::availableCpus();
     const char *backend =
         simd::backendName(simd::backendFromCli(args));
 
@@ -322,9 +349,10 @@ main(int argc, char **argv)
         RunResult serial =
             measure(*w.problem, w.factory, w.cfg, 1, 0);
         std::printf("  serial (reference)   %8.3f s  %12.0f px/s  "
-                    "cache-hit %5.1f%%\n",
+                    "cache-hit %5.1f%%  memo %7.1f KiB\n",
                     serial.seconds, serial.pixelsPerSec,
-                    100.0 * serial.cacheHitRate);
+                    100.0 * serial.cacheHitRate,
+                    static_cast<double>(serial.memoBytes) / 1024.0);
 
         std::vector<RunResult> runs;
         for (int t : thread_set)
@@ -356,10 +384,12 @@ main(int argc, char **argv)
             "      \"race_mode\": \"%s\",\n"
             "      \"serial\": {\"seconds\": %.6f, "
             "\"pixels_per_s\": %.1f, "
-            "\"energy_cache_hit_rate\": %.4f},\n      \"runs\": [",
+            "\"energy_cache_hit_rate\": %.4f, "
+            "\"memo_bytes\": %llu},\n      \"runs\": [",
             first_workload ? "" : ",", w.name,
             w.problem->numLabels(), w.sampler, w.raceMode,
-            serial.seconds, serial.pixelsPerSec, serial.cacheHitRate);
+            serial.seconds, serial.pixelsPerSec, serial.cacheHitRate,
+            static_cast<unsigned long long>(serial.memoBytes));
         first_workload = false;
         for (std::size_t i = 0; i < runs.size(); ++i) {
             const RunResult &r = runs[i];
@@ -370,11 +400,13 @@ main(int argc, char **argv)
                 "\"overlap_halo\": %s, \"halo_wait_ns\": %llu, "
                 "\"seconds\": %.6f, \"pixels_per_s\": %.1f, "
                 "\"energy_cache_hit_rate\": %.4f, "
+                "\"memo_bytes_per_clone\": %llu, "
                 "\"speedup_vs_serial\": %.3f}",
                 i == 0 ? "" : ",", r.threads, r.stripes, r.shards,
                 r.transport, r.overlapHalo ? "true" : "false",
                 static_cast<unsigned long long>(r.haloWaitNs),
                 r.seconds, r.pixelsPerSec, r.cacheHitRate,
+                static_cast<unsigned long long>(r.memoBytes),
                 serial.seconds / r.seconds);
         }
         std::fprintf(f, "\n      ]\n    }");

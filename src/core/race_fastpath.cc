@@ -127,6 +127,7 @@ struct RaceCacheMetricIds
     obs::MetricId hits;
     obs::MetricId misses;
     obs::MetricId tables;
+    obs::MetricId memoBytes; ///< summed over destroyed RaceFastPaths
 
     static const RaceCacheMetricIds &get()
     {
@@ -136,6 +137,7 @@ struct RaceCacheMetricIds
                 r.counter("core.race_fastpath.hits"),
                 r.counter("core.race_fastpath.misses"),
                 r.gauge("core.race_fastpath.tables"),
+                r.counter("core.race_fastpath.memo_bytes"),
             };
         }();
         return ids;
@@ -165,6 +167,16 @@ mix64(std::uint64_t h)
     h ^= h >> 33;
     h *= 0xc4ceb9fe1a85ec53ULL;
     h ^= h >> 33;
+    return h;
+}
+
+/** Fold of a canonical table key, for the table memo's slots. */
+std::uint64_t
+hashKey(const RaceTableCache::Key &key)
+{
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::uint64_t w : key)
+        h = mix64(h ^ w);
     return h;
 }
 
@@ -298,7 +310,19 @@ RaceFastPath::RaceFastPath(const RsuConfig &cfg) : cfg_(cfg)
     drawsPerPixel_ = cfg.timeQuant == TimeQuant::Float ? 1u : 3u;
     tMax_ = static_cast<double>(cfg.tMaxBins());
     modeWord_ = RaceTableCache::modeWord(cfg);
-    memo_.resize(kMemoSlots);
+}
+
+RaceFastPath::~RaceFastPath()
+{
+    obs::Registry::global().add(RaceCacheMetricIds::get().memoBytes,
+                                memoBytes());
+}
+
+std::size_t
+RaceFastPath::memoBytes() const
+{
+    return packedMemo_.bytes() + memo_.bytes() + expMemo_.bytes() +
+           tableMemo_.bytes();
 }
 
 bool
@@ -400,14 +424,11 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
             if (alphabet_[c] > 0.0)
                 firingMask_ |= 0xffULL << (8 * c);
         counts_.assign(alphabet_.size(), 0);
-        // Class indices changed meaning; drop the memos (the global
-        // cache keeps the tables — its keys are canonical).
-        if (packedOk_)
-            packedMemo_.assign(kPackedSlots, PackedEntry{});
-        else
-            packedMemo_.clear();
-        tableMemo_.clear();
-        memo_.assign(kMemoSlots, MemoEntry{});
+        // Class indices changed meaning; drop the memos keyed by them
+        // (the table memo and the global cache keep their tables —
+        // their keys are canonical).  Each regrows from its first use.
+        packedMemo_.release();
+        memo_.release();
     }
     classOf_.resize(rate_table.size());
     for (std::size_t i = 0; i < rate_table.size(); ++i) {
@@ -469,9 +490,11 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
 const RaceTable *
 RaceFastPath::lookupClassTable()
 {
-    MemoEntry &e = memo_[hashCounts(counts_) & (kMemoSlots - 1)];
+    memo_.fit([](const MemoEntry &e) { return hashCounts(e.counts); });
+    MemoEntry &e = memo_[memo_.set(hashCounts(counts_))];
     if (e.table && e.counts == counts_)
         return e.table.get();
+    memo_.claim(e);
     key_.clear();
     key_.push_back(modeWord_);
     for (std::size_t c = 0; c < counts_.size(); ++c) {
@@ -492,13 +515,11 @@ RaceFastPath::fetchTable()
     // same canonical key (word 0 mode, then rate/count pairs), so a
     // packed-memo refill usually touches no mutex and no std::map.
     // The full key is compared — a slot hit can never alias.
-    if (tableMemo_.empty())
-        tableMemo_.resize(kTableMemoSlots);
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t w : key_)
-        h = mix64(h ^ w);
-    TableMemoEntry &e = tableMemo_[h & (kTableMemoSlots - 1)];
+    tableMemo_.fit(
+        [](const TableMemoEntry &e) { return hashKey(e.key); });
+    TableMemoEntry &e = tableMemo_[tableMemo_.set(hashKey(key_))];
     if (!e.table || e.key != key_) {
+        tableMemo_.claim(e);
         e.table = RaceTableCache::global().get(key_);
         e.key = key_;
     }
@@ -511,15 +532,23 @@ RaceFastPath::raceBinned(const double *q, double base, std::size_t m,
 {
     RETSIM_ASSERT(!classOf_.empty(),
                   "raceBinned before bindRateTable");
-    if (packedOk_ && m <= 16)
+    if (packedOk_ && m <= 16) {
+        fitPacked();
         return racePacked(q, base, m, u);
+    }
     return raceGeneral(q, base, m, u);
 }
 
-std::size_t
-RaceFastPath::packedSlot(std::uint64_t word)
+void
+RaceFastPath::fitPacked()
 {
-    return (mix64(word) & (kPackedSlots - 1)) & ~std::size_t{1};
+    packedMemo_.fit([](const PackedEntry &e) { return mix64(e.key); });
+}
+
+std::size_t
+RaceFastPath::packedSlot(std::uint64_t word) const
+{
+    return packedMemo_.set(mix64(word));
 }
 
 RaceFastPath::PackedEntry &
@@ -527,16 +556,17 @@ RaceFastPath::packedLookup(std::uint64_t word, std::size_t s)
 {
     // 2-way: a colliding pair of hot multisets costs a rebuild per
     // visit in a direct-mapped memo; giving each hash two slots makes
-    // that vanishingly rare at our occupancy.
+    // that rare at the occupancy fitPacked() keeps.
     PackedEntry &e0 = packedMemo_[s];
     if (e0.key == word)
         return e0;
     PackedEntry &e1 = packedMemo_[s + 1];
     if (e1.key == word)
         return e1;
-    PackedEntry &victim = e0.key == 0 ? e0 : e1.key == 0 ? e1
-                          : (word & 1) ? e1
-                                       : e0;
+    PackedEntry &victim = e0.empty() ? e0 : e1.empty() ? e1
+                          : (word & 1)  ? e1
+                                        : e0;
+    packedMemo_.claim(victim);
     // Fill: decode the counts, rebuild the transcendental gates, and
     // (Random lane) fetch the class table from the global cache.
     double r_tot = 0.0;
@@ -550,11 +580,11 @@ RaceFastPath::packedLookup(std::uint64_t word, std::size_t s)
     // and distinct count words collapse onto far fewer r_tot values,
     // so a direct-mapped memo on the exact sum bits replaces both
     // sexp() calls on most refills.
-    if (expMemo_.empty())
-        expMemo_.resize(kExpMemoSlots);
+    expMemo_.fit([](const ExpMemoEntry &e) { return mix64(e.key); });
     const std::uint64_t rbits = std::bit_cast<std::uint64_t>(r_tot);
-    ExpMemoEntry &xe = expMemo_[mix64(rbits) & (kExpMemoSlots - 1)];
+    ExpMemoEntry &xe = expMemo_[expMemo_.set(mix64(rbits))];
     if (xe.key != rbits) {
+        expMemo_.claim(xe);
         xe.qAll = simd::sexp(-r_tot);
         xe.gate = drop_ ? 1.0 - simd::sexp(-r_tot * tMax_)
                         : 1.0 - simd::sexp(-r_tot * (tMax_ - 1.0));
@@ -639,6 +669,7 @@ RaceFastPath::raceBinnedRow(const double *q, const double *bases,
                                  m, u + p * draws);
         return;
     }
+    fitPacked();
     rowWords_.resize(3 * n);
     rowSlot_.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
@@ -686,6 +717,7 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
         }
         return;
     }
+    fitPacked();
     rowWords_.resize(3 * n);
     rowSlot_.resize(n);
     kern.quantizeClassifyRow(energies, top, subtract_min,
@@ -725,6 +757,7 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
     enum : std::uint8_t { kDraw = 0, kClassify = 1, kMiss = 2 };
     const unsigned draws = drawsPerPixel_;
     const auto &kern = simd::kernels();
+    fitPacked();
     rowWords_.resize(3 * n);
     rowSlot_.resize(n);
     rowState_.resize(n);

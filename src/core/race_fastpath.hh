@@ -160,12 +160,22 @@ class RaceTableCache
  * probabilities, a direct-mapped count-vector memo in front of the
  * global cache (no mutex, no canonical-key build on the per-pixel
  * hot path), and the per-pixel draw routines.  One instance per
- * RsuSampler; stripe clones each own theirs.
+ * RsuSampler; stripe clones each own theirs, because a memo shared by
+ * concurrent stripes would need synchronization on the per-pixel
+ * path, and a memo sized to its working set keeps that cheap.
  */
 class RaceFastPath
 {
   public:
     explicit RaceFastPath(const RsuConfig &cfg);
+    /** Adds memoBytes() to the core.race_fastpath.memo_bytes
+     *  counter. */
+    ~RaceFastPath();
+
+    /** Bytes of memo slots this instance holds now.  Every memo is
+     *  allocated on first use and grows with its working set (see
+     *  Memo), so this measures what the draws actually needed. */
+    std::size_t memoBytes() const;
 
     /** Words per pixel of the caller-owned row cache consumed by
      *  raceEnergiesRowCached(): magic, bind generation, two packed
@@ -312,6 +322,82 @@ class RaceFastPath
 
   private:
     /**
+     * Slot storage of one per-instance memo, sized to its working
+     * set: no slots until first use, then kInitialSlots, doubled (up
+     * to Cap) whenever the live entries pass half the slots.  A key
+     * hashes to a set of Ways adjacent slots; doubling re-places each
+     * live entry by its key hash and drops one whose new set is full.
+     * Entries are self-contained and keyed by content, so where one
+     * lives, or whether a resize dropped it, never changes a draw.
+     * Entry provides empty().
+     */
+    template <typename Entry, std::size_t Cap, std::size_t Ways = 1>
+    class Memo
+    {
+      public:
+        static constexpr std::size_t kInitialSlots = 256;
+        static_assert(kInitialSlots <= Cap && (Cap & (Cap - 1)) == 0,
+                      "memo sizes are powers of two from 256");
+
+        /** Allocate on first use, or double past half occupancy.
+         *  Moves entries, so call it only while no slot index is
+         *  held; @p hash maps a live entry to its key hash. */
+        template <typename Hash>
+        void
+        fit(Hash hash)
+        {
+            if (slots_.empty()) {
+                slots_.resize(kInitialSlots);
+                return;
+            }
+            if (2 * live_ <= slots_.size() || slots_.size() >= Cap)
+                return;
+            std::vector<Entry> old(2 * slots_.size());
+            old.swap(slots_);
+            live_ = 0;
+            for (Entry &e : old) {
+                if (e.empty())
+                    continue;
+                const std::size_t s = set(hash(e));
+                for (std::size_t w = s; w < s + Ways; ++w) {
+                    if (slots_[w].empty()) {
+                        slots_[w] = std::move(e);
+                        ++live_;
+                        break;
+                    }
+                }
+            }
+        }
+
+        /** First slot of the set key hash @p h maps to. */
+        std::size_t
+        set(std::uint64_t h) const
+        {
+            return (h & (slots_.size() - 1)) & ~(Ways - 1);
+        }
+
+        Entry &operator[](std::size_t i) { return slots_[i]; }
+
+        /** Call just before (re)filling @p e: counts it live if it
+         *  held no entry. */
+        void claim(const Entry &e) { live_ += e.empty() ? 1 : 0; }
+
+        /** Drop every entry and the storage. */
+        void
+        release()
+        {
+            slots_ = std::vector<Entry>();
+            live_ = 0;
+        }
+
+        std::size_t bytes() const { return slots_.size() * sizeof(Entry); }
+
+      private:
+        std::vector<Entry> slots_;
+        std::size_t live_ = 0; ///< non-empty slots
+    };
+
+    /**
      * Fast lane for small pixels over small alphabets (<= 8 rate
      * classes, m <= 16 labels — every quantized design): the pixel's
      * per-class counts accumulate into one u64 (one byte per class,
@@ -394,13 +480,18 @@ class RaceFastPath
         std::uint8_t slotClass[8] = {};
         std::uint8_t alias[16] = {};
         float aliasProb[16] = {};
+
+        bool empty() const { return key == 0; }
     };
-    static constexpr std::size_t kPackedSlots = 65536;
-    std::vector<PackedEntry> packedMemo_;
+    /** 2-way (see packedLookup).  Grown only by fitPacked(), at the
+     *  pixel and row entries, because the row passes hash every
+     *  pixel's slot before their draws. */
+    Memo<PackedEntry, 65536, 2> packedMemo_;
+    void fitPacked();
     PackedEntry &packedLookup(std::uint64_t word, std::size_t slot);
     /** Memo pair index of a count word (always even; the pair is
-     *  {slot, slot + 1}). */
-    static std::size_t packedSlot(std::uint64_t word);
+     *  {slot, slot + 1}).  Valid until the next fitPacked(). */
+    std::size_t packedSlot(std::uint64_t word) const;
     // Row-pass scratch: per-pixel classify words (word/cw0/cw1
     // triples, the quantizeClassifyRow kernel layout) + memo slots.
     std::vector<std::uint64_t> rowWords_;
@@ -418,10 +509,11 @@ class RaceFastPath
     struct MemoEntry
     {
         std::vector<std::uint32_t> counts;
-        std::shared_ptr<const RaceTable> table;
+        std::shared_ptr<const RaceTable> table; ///< null = empty
+
+        bool empty() const { return !table; }
     };
-    static constexpr std::size_t kMemoSlots = 4096;
-    std::vector<MemoEntry> memo_;
+    Memo<MemoEntry, 4096> memo_;
 
     // ---- packed-fill accelerators ------------------------------------
     // High temperatures make the count word nearly unique per pixel,
@@ -429,24 +521,27 @@ class RaceFastPath
     // refill cost itself.  Neither needs invalidation: the exp memo
     // is keyed by the exact r_tot bits (tMax_/drop_ are fixed per
     // instance) and the table memo compares the full canonical key.
+    // Both grow at their lookup: no slot of theirs outlives one.
     /** r_tot bit pattern -> the two transcendental gates. */
     struct ExpMemoEntry
     {
         std::uint64_t key = ~std::uint64_t{0}; ///< never a finite sum
         double qAll = 1.0;
         double gate = 0.0;
+
+        bool empty() const { return key == ~std::uint64_t{0}; }
     };
-    static constexpr std::size_t kExpMemoSlots = 16384;
-    std::vector<ExpMemoEntry> expMemo_;
+    Memo<ExpMemoEntry, 16384> expMemo_;
     /** Canonical table key -> shared table, bypassing the global
      *  cache's mutex + ordered map on the hot refill path. */
     struct TableMemoEntry
     {
-        RaceTableCache::Key key; ///< empty = unused slot
-        std::shared_ptr<const RaceTable> table;
+        RaceTableCache::Key key;
+        std::shared_ptr<const RaceTable> table; ///< null = empty
+
+        bool empty() const { return !table; }
     };
-    static constexpr std::size_t kTableMemoSlots = 4096;
-    std::vector<TableMemoEntry> tableMemo_;
+    Memo<TableMemoEntry, 4096> tableMemo_;
     /** Fetch the race table for key_, through tableMemo_. */
     const RaceTable *fetchTable();
 };

@@ -53,6 +53,7 @@ EnergyPlaneCache::markFlip(int x, int y, Neighborhood neighborhood,
                            int rowLo, int rowHi,
                            std::vector<std::uint64_t> *deferred)
 {
+    std::uint64_t marks = 0;
     auto touch = [&](int nx, int ny) {
         if (nx < 0 || nx >= width_ || ny < 0 || ny >= height_)
             return;
@@ -65,6 +66,7 @@ EnergyPlaneCache::markFlip(int x, int y, Neighborhood neighborhood,
             return;
         }
         mark(nx, ny);
+        ++marks;
     };
     touch(x, y);
     touch(x - 1, y);
@@ -77,6 +79,7 @@ EnergyPlaneCache::markFlip(int x, int y, Neighborhood neighborhood,
         touch(x - 1, y + 1);
         touch(x + 1, y + 1);
     }
+    stats_.invalidations.fetch_add(marks, std::memory_order_relaxed);
 }
 
 void
@@ -85,6 +88,8 @@ EnergyPlaneCache::applyDeferred(std::vector<std::uint64_t> &deferred)
     for (std::uint64_t p : deferred)
         mark(static_cast<int>(p >> 32),
              static_cast<int>(p & 0xffffffffu));
+    stats_.invalidations.fetch_add(deferred.size(),
+                                   std::memory_order_relaxed);
     deferred.clear();
 }
 

@@ -60,8 +60,11 @@ namespace mrf {
  *  counters are relaxed atomics: striped checkerboard workers bump
  *  them concurrently (the dirty words themselves are stripe-disjoint,
  *  these totals are the only shared writes), and relaxed increments
- *  keep them exact under threading.  Readers (telemetry folds at the
- *  sweep join) see totals only from outside the parallel region. */
+ *  keep them exact under threading.  Marks are counted per call, not
+ *  per mark: markFlip and applyDeferred tally their marks locally and
+ *  add the tally once, so a flip costs one atomic add, not five or
+ *  nine.  Readers (telemetry folds at the sweep join) see totals only
+ *  from outside the parallel region. */
 struct EnergyCacheStats
 {
     std::atomic<std::uint64_t> cleanHits{0}; ///< pixels served cached
@@ -126,29 +129,20 @@ class EnergyPlaneCache
             w[k] = 0;
     }
 
-    /** Mark one pixel's own plane dirty. */
-    void
-    mark(int x, int y)
-    {
-        const std::size_t i =
-            phases_ == 1 ? static_cast<std::size_t>(x)
-                         : static_cast<std::size_t>(x >> 1);
-        dirty_[slab(y, colorOf(x, y)) * wordsPerSlab_ + (i >> 6)] |=
-            std::uint64_t{1} << (i & 63);
-        stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
-    }
-
     /**
      * A flip happened at (x, y): dirty its own plane and every 4/8
      * neighbor's.  Marks for rows outside [rowLo, rowHi) are appended
      * to @p deferred (packed (x << 32) | y) instead of written —
      * that's the stripe-boundary exchange; pass the full row range
-     * and nullptr on serial paths.
+     * and nullptr on serial paths.  The written marks are counted
+     * with one add; deferred ones count when they are applied.
      */
     void markFlip(int x, int y, Neighborhood neighborhood, int rowLo,
                   int rowHi, std::vector<std::uint64_t> *deferred);
 
-    /** Apply (and drain) marks deferred across a stripe boundary. */
+    /** Apply (and drain) marks packed like markFlip's deferred ones
+     *  — stripe-boundary marks, or a shard's ghost-row marks —
+     *  counting them with one add. */
     void applyDeferred(std::vector<std::uint64_t> &deferred);
 
     /**
@@ -185,6 +179,17 @@ class EnergyPlaneCache
     void syncShadow(const img::LabelMap &labels);
 
   private:
+    /** Mark one pixel's own plane dirty; the caller counts it. */
+    void
+    mark(int x, int y)
+    {
+        const std::size_t i =
+            phases_ == 1 ? static_cast<std::size_t>(x)
+                         : static_cast<std::size_t>(x >> 1);
+        dirty_[slab(y, colorOf(x, y)) * wordsPerSlab_ + (i >> 6)] |=
+            std::uint64_t{1} << (i & 63);
+    }
+
     std::size_t
     slab(int y, int color) const
     {

@@ -153,6 +153,8 @@ struct TileWork
     std::vector<RowArena> scratch;
     std::vector<StripeCounters> counters;
     std::vector<std::vector<std::uint64_t>> deferred;
+    /** One ghost row's inner-row marks, landed by applyDeferred. */
+    std::vector<std::uint64_t> ghostMarks;
     std::vector<obs::MetricShard> shards;
 
     /** Boundary-first overlapped schedule (SolverConfig::overlapHalo):
@@ -345,9 +347,13 @@ struct TileWork
             if (shadow &&
                 shadow[x] != static_cast<std::uint8_t>(nv)) {
                 cache->setShadow(x, yg, nv);
-                cache->mark(x, inner);
+                ghostMarks.push_back(
+                    (static_cast<std::uint64_t>(x) << 32) |
+                    static_cast<std::uint32_t>(inner));
             }
         }
+        if (cache)
+            cache->applyDeferred(ghostMarks);
         RETSIM_ASSERT(rd.ok() && rd.atEnd(),
                       "halo: malformed payload");
     }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/rsu_config.hh"
 #include "core/sampler_cdf.hh"
@@ -101,8 +102,13 @@ class SnapshotContainerTest : public ::testing::Test
     void
     SetUp() override
     {
+        // One directory per case: ctest runs cases as separate
+        // processes in parallel, and TearDown removes the directory.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         dir_ = std::filesystem::temp_directory_path() /
-               "retsim_checkpoint_test";
+               ("retsim_checkpoint_test_" + std::string(info->name()) +
+                "_" + std::to_string(::getpid()));
         std::filesystem::create_directories(dir_);
         path_ = (dir_ / "snap.bin").string();
     }

@@ -6,6 +6,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -27,8 +28,13 @@ class DatasetIoTest : public ::testing::Test
     void
     SetUp() override
     {
+        // One directory per case: ctest runs cases as separate
+        // processes in parallel, and TearDown removes the directory.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         dir_ = (std::filesystem::temp_directory_path() /
-                "retsim_dataset_io")
+                ("retsim_dataset_io_" + std::string(info->name()) + "_" +
+                 std::to_string(::getpid())))
                    .string();
         std::filesystem::create_directories(dir_);
     }

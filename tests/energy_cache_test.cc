@@ -10,6 +10,7 @@
  * tie-break modes, boundary-heavy tiny grids, and label alphabets
  * wide enough to leave the packed lane.  On top of the equivalence
  * sweep: the cache must actually engage (clean-hit counters advance),
+ * its invalidation total must count every dirty mark exactly once,
  * and a run killed and resumed with the cache on must replay to the
  * same bytes as an uninterrupted run with the cache off (cache state
  * is per-run, never checkpointed).
@@ -312,6 +313,71 @@ TEST(EnergyCache, CountersAdvanceWhenEnabled)
                                              "cache never engaged";
     EXPECT_GT(reg.counterValue(invals), i0);
     EXPECT_GT(reg.counterValue(rebuilds), r0);
+}
+
+// ------------------------------------- dirty-mark totals are exact
+
+/** Run @p solve with randomInit off and demand the exact invalidation
+ *  total: every flip marks the flipped pixel and its in-grid
+ *  4-neighbours once.  Each pixel is updated once per sweep, so a
+ *  label that differs between consecutive sweepObserver maps (the
+ *  first against the all-zero start) is exactly one flip. */
+template <typename Solve>
+void
+expectExactInvalidations(const mrf::MrfProblem &p, mrf::SolverConfig cfg,
+                         Solve solve, const char *what)
+{
+    const int w = p.width(), h = p.height();
+    std::vector<int> prev(static_cast<std::size_t>(w) * h, 0);
+    std::uint64_t expected = 0;
+    cfg.randomInit = false;
+    cfg.sweepObserver = [&](int, double, const img::LabelMap &labels) {
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x) {
+                int &old = prev[static_cast<std::size_t>(y) * w + x];
+                if (labels(x, y) == old)
+                    continue;
+                old = labels(x, y);
+                expected += 1 + (x > 0) + (x + 1 < w) + (y > 0) +
+                            (y + 1 < h);
+            }
+        }
+    };
+    obs::Registry &reg = obs::Registry::global();
+    const obs::MetricId invals =
+        reg.counter("mrf.energy_cache.invalidations");
+    const std::uint64_t before = reg.counterValue(invals);
+    solve(cfg);
+    EXPECT_GT(expected, 0u) << what;
+    EXPECT_EQ(reg.counterValue(invals) - before, expected) << what;
+}
+
+TEST(EnergyCache, InvalidationTotalsCountEveryMarkOnce)
+{
+    // 3-row stripes put two rows in three on a stripe boundary, so
+    // many marks are deferred and counted when applied.
+    mrf::MrfProblem p = randomProblem(19, 24, 8, 211);
+    for (int threads : {1, 4}) {
+        mrf::SolverConfig cfg = annealConfig(6, 5);
+        cfg.threads = threads;
+        cfg.stripes = 8;
+        expectExactInvalidations(
+            p, cfg,
+            [&](const mrf::SolverConfig &c) {
+                RsuConfig rc = RsuConfig::newDesign();
+                rc.raceMode = RaceMode::FastPath;
+                RsuSampler s(rc);
+                mrf::CheckerboardGibbsSolver(c).run(p, s);
+            },
+            threads == 1 ? "striped/1 thread" : "striped/4 threads");
+    }
+    expectExactInvalidations(
+        p, annealConfig(6, 5),
+        [&](const mrf::SolverConfig &c) {
+            SoftwareSampler s;
+            mrf::GibbsSolver(c).run(p, s);
+        },
+        "raster");
 }
 
 // ------------------------------------------ resume crosses the knob

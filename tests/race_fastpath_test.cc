@@ -10,19 +10,25 @@
  * inputs the table builder must survive (cut-off labels, a single
  * firing label, all-zero rows, one-bin windows), cross-temperature
  * cache-key sharing, scalar-vs-row bit-exactness of the fast-path
- * samplers, and the RaceMode::Auto selection rules.
+ * samplers, memos sized to their working set (no draw depends on a
+ * memo's history or size), and the RaceMode::Auto selection rules.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "apps/stereo.hh"
 #include "core/race_fastpath.hh"
 #include "core/sampler_rsu.hh"
 #include "core/ttf_race.hh"
+#include "img/synthetic.hh"
+#include "mrf/checkerboard.hh"
+#include "obs/metrics.hh"
 #include "rng/rng.hh"
 #include "util/chi_square.hh"
 
@@ -405,6 +411,146 @@ TEST(RaceFastPathSampler, ScalarAndRowBitIdenticalFloatTime)
     cfg.timeQuant = TimeQuant::Float;
     cfg.raceMode = RaceMode::FastPath;
     expectScalarRowIdentical(cfg, 41);
+}
+
+// --------------------------------------------------------- memo sizing
+
+/** 8-bit quantized energy -> rate table decaying in bands, like the
+ *  quantized designs' tables: six firing rates, then a cut-off band.
+ *  @p split adds a seventh rate, growing the bound alphabet. */
+std::vector<double>
+bandedRates(bool split)
+{
+    std::vector<double> t(256, 0.0);
+    for (std::size_t e = 0; e < 200; ++e)
+        t[e] = 0.32 / static_cast<double>(
+                          1u << std::min<std::size_t>(e / 32, 5));
+    if (split)
+        for (std::size_t e = 180; e < 200; ++e)
+            t[e] = 0.005;
+    return t;
+}
+
+TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
+{
+    // One instance fills ~1500 distinct count words per bind, so its
+    // packed memo doubles from 256 slots at least three times, then
+    // loses its memos to a rebind that grows the alphabet, regrows,
+    // and keeps them across a subset rebind.  Every pixel must draw
+    // what a fresh instance replaying the same binds draws from a
+    // cold memo on the same uniforms.
+    constexpr std::size_t kM = 16, kN = 32, kRows = 48;
+    constexpr double kTop = 255.0;
+    // A packed memo entry is two cache lines; 2048 slots is three
+    // doublings of the initial 256.
+    constexpr std::size_t kThreeDoublings = 2048 * 128;
+    const std::vector<std::vector<double>> binds = {
+        bandedRates(false), bandedRates(true), bandedRates(false)};
+    for (TruncationPolicy policy : {TruncationPolicy::InfiniteTtf,
+                                    TruncationPolicy::ClampToLastBin}) {
+        for (TieBreak tie : {TieBreak::Random, TieBreak::First}) {
+            const RsuConfig cfg = binnedCfg(tie, 5, policy);
+            const std::size_t draws = RaceFastPath(cfg).drawsPerPixel();
+            auto cold = [&](std::size_t phase, int entry, const float *e,
+                            const double *q, const double *u) {
+                RaceFastPath fresh(cfg);
+                for (std::size_t b = 0; b <= phase; ++b)
+                    fresh.bindRateTable(binds[b]);
+                RaceOutcome oc;
+                if (entry == 0) {
+                    oc = fresh.raceBinned(q, 0.0, kM, u);
+                } else if (entry == 1) {
+                    fresh.raceBinnedRow(q, nullptr, 1, kM, u, &oc);
+                } else {
+                    std::uint64_t slab[RaceFastPath::kRowCacheWords] = {};
+                    fresh.raceEnergiesRowCached(e, kTop, false, 1, kM, u,
+                                                &oc, slab, nullptr);
+                }
+                return oc;
+            };
+
+            RaceFastPath warm(cfg);
+            rng::Xoshiro256 gen(43);
+            std::vector<float> e(kN * kM);
+            std::vector<double> q(kN * kM), u(kN * draws);
+            std::vector<RaceOutcome> got(kN);
+            std::vector<std::uint64_t> slab(
+                kN * RaceFastPath::kRowCacheWords, 0);
+            const std::uint64_t all_dirty = (std::uint64_t{1} << kN) - 1;
+            std::size_t mismatches = 0, pixels = 0;
+            for (std::size_t phase = 0; phase < binds.size(); ++phase) {
+                warm.bindRateTable(binds[phase]);
+                for (std::size_t row = 0; row < kRows; ++row) {
+                    for (std::size_t i = 0; i < e.size(); ++i) {
+                        e[i] = static_cast<float>(gen.nextBounded(256));
+                        q[i] = e[i];
+                    }
+                    for (double &x : u)
+                        x = gen.nextDouble();
+                    const int entry = static_cast<int>(row % 3);
+                    if (entry == 0) {
+                        for (std::size_t p = 0; p < kN; ++p)
+                            got[p] = warm.raceBinned(
+                                q.data() + p * kM, 0.0, kM,
+                                u.data() + p * draws);
+                    } else if (entry == 1) {
+                        warm.raceBinnedRow(q.data(), nullptr, kN, kM,
+                                           u.data(), got.data());
+                    } else {
+                        warm.raceEnergiesRowCached(
+                            e.data(), kTop, false, kN, kM, u.data(),
+                            got.data(), slab.data(), &all_dirty);
+                    }
+                    for (std::size_t p = 0; p < kN; ++p, ++pixels) {
+                        const RaceOutcome ref =
+                            cold(phase, entry, e.data() + p * kM,
+                                 q.data() + p * kM, u.data() + p * draws);
+                        if (got[p].winner != ref.winner ||
+                            got[p].tie != ref.tie)
+                            ++mismatches;
+                    }
+                }
+                if (phase == 0 || phase + 1 == binds.size()) {
+                    EXPECT_GE(warm.memoBytes(), kThreeDoublings)
+                        << cfg.toString() << " phase " << phase;
+                }
+            }
+            EXPECT_EQ(mismatches, 0u)
+                << cfg.toString() << ": " << mismatches << " of "
+                << pixels << " draws depended on the memo's history";
+        }
+    }
+}
+
+TEST(RaceFastPathMemo, StereoAnnealFitsInOneMebibyte)
+{
+    // A serial checkerboard fast-path anneal of a 128x96, 16-label
+    // stereo problem touches a few thousand count words; the memos
+    // sized to that working set stay under 1 MiB (the fixed-size
+    // memos held 8.7 MiB).  Destroying the sampler publishes exactly
+    // its footprint on the registry counter.
+    img::StereoSceneSpec spec;
+    spec.width = 128;
+    spec.height = 96;
+    spec.numLabels = 16;
+    const mrf::MrfProblem problem =
+        apps::buildStereoProblem(img::makeStereoScene(spec, 18));
+    obs::Registry &reg = obs::Registry::global();
+    const obs::MetricId memo_bytes =
+        reg.counter("core.race_fastpath.memo_bytes");
+    const std::uint64_t before = reg.counterValue(memo_bytes);
+    std::size_t held = 0;
+    {
+        RsuConfig cfg = RsuConfig::newDesign();
+        cfg.raceMode = RaceMode::FastPath;
+        RsuSampler sampler(cfg);
+        mrf::CheckerboardGibbsSolver(apps::defaultStereoSolver(96, 1))
+            .run(problem, sampler);
+        held = sampler.memoBytes();
+    }
+    EXPECT_GT(held, 0u);
+    EXPECT_LE(held, std::size_t{1} << 20);
+    EXPECT_EQ(reg.counterValue(memo_bytes) - before, held);
 }
 
 // -------------------------------------------------------- mode wiring
