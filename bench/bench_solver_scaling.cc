@@ -18,11 +18,10 @@
  * the software baseline.  Each run reports the incremental
  * energy-plane cache's hit rate (--energy-cache=0 disables it).
  *
- * With --shards=N the sharded solver is timed three ways per
- * workload — synchronous halo exchange, overlapped (boundary-first)
- * serial, and overlapped at 4 intra-rank threads — and every run row
- * records overlap_halo, threads and the halo_wait_ns counter delta,
- * so the JSON shows how much ghost-row latency the overlap hides
+ * With --shards=N the sharded solver is timed twice per workload —
+ * at 1 and at 4 intra-rank threads — and every run row records
+ * threads and the halo_wait_ns counter delta, so the JSON shows how
+ * much ghost-row latency the boundary-first schedule leaves exposed
  * even on a single-core container.
  *
  * Every run row also records memo_bytes_per_clone: the fast-path
@@ -57,7 +56,6 @@ struct RunResult
     int stripes = 0;
     int shards = 1;                 ///< 1 = single-process solver
     const char *transport = "none"; ///< loopback|socket when sharded
-    bool overlapHalo = false;       ///< boundary-first schedule
     double seconds = 0.0;
     double pixelsPerSec = 0.0;
     double cacheHitRate = 0.0;      ///< energy planes served clean
@@ -85,8 +83,8 @@ struct CacheCounters
 
 /** Cumulative time the shard layer spent blocked on inbound ghost
  *  rows (shard.halo.wait_ns), read back like the cache counters; the
- *  per-run delta shows how much halo latency the overlapped schedule
- *  actually hides. */
+ *  per-run delta shows how much halo latency the interior compute
+ *  failed to hide. */
 std::uint64_t
 haloWaitNow()
 {
@@ -130,16 +128,13 @@ RunResult
 measure(const mrf::MrfProblem &problem,
         const bench::SamplerFactory &factory, mrf::SolverConfig cfg,
         int threads, int stripes,
-        const shard::ShardOptions &shards = {},
-        bool overlapHalo = false)
+        const shard::ShardOptions &shards = {})
 {
     cfg.threads = threads;
     cfg.stripes = stripes;
-    cfg.overlapHalo = overlapHalo;
     RunResult r;
     r.threads = threads;
     r.stripes = stripes;
-    r.overlapHalo = overlapHalo;
     if (shards.shards > 1) {
         r.shards = shards.shards;
         r.transport =
@@ -174,13 +169,12 @@ void
 printRun(const RunResult &r, double serial_s)
 {
     if (r.shards > 1)
-        std::printf("  shards=%2d (%s) stripes=%2d threads=%d "
-                    "overlap=%s  %8.3f s  %12.0f px/s  "
+        std::printf("  shards=%2d (%s) stripes=%2d threads=%d  "
+                    "%8.3f s  %12.0f px/s  "
                     "halo-wait %6.2f ms  cache-hit %5.1f%%  "
                     "memo %7.1f KiB/clone  %.2fx\n",
                     r.shards, r.transport, r.stripes, r.threads,
-                    r.overlapHalo ? "on" : "off", r.seconds,
-                    r.pixelsPerSec,
+                    r.seconds, r.pixelsPerSec,
                     static_cast<double>(r.haloWaitNs) / 1e6,
                     100.0 * r.cacheHitRate,
                     static_cast<double>(r.memoBytes) / 1024.0,
@@ -359,19 +353,11 @@ main(int argc, char **argv)
             runs.push_back(
                 measure(*w.problem, w.factory, w.cfg, t, stripes));
         if (shard_options.shards > 1) {
-            // Synchronous (PR 8 reference), then the boundary-first
-            // overlapped schedule serial and threaded — same results
-            // byte for byte, so the deltas are pure communication
-            // hiding + intra-rank scaling.
-            runs.push_back(measure(*w.problem, w.factory, w.cfg, 1,
-                                   stripes, shard_options,
-                                   /*overlapHalo=*/false));
-            runs.push_back(measure(*w.problem, w.factory, w.cfg, 1,
-                                   stripes, shard_options,
-                                   /*overlapHalo=*/true));
-            runs.push_back(measure(*w.problem, w.factory, w.cfg, 4,
-                                   stripes, shard_options,
-                                   /*overlapHalo=*/true));
+            // Sharded serial and threaded — same results byte for
+            // byte, so the delta is pure intra-rank scaling.
+            for (int t : {1, 4})
+                runs.push_back(measure(*w.problem, w.factory, w.cfg,
+                                       t, stripes, shard_options));
         }
         for (const RunResult &r : runs)
             printRun(r, serial.seconds);
@@ -397,14 +383,13 @@ main(int argc, char **argv)
                 f,
                 "%s\n        {\"threads\": %d, \"stripes\": %d, "
                 "\"shards\": %d, \"transport\": \"%s\", "
-                "\"overlap_halo\": %s, \"halo_wait_ns\": %llu, "
+                "\"halo_wait_ns\": %llu, "
                 "\"seconds\": %.6f, \"pixels_per_s\": %.1f, "
                 "\"energy_cache_hit_rate\": %.4f, "
                 "\"memo_bytes_per_clone\": %llu, "
                 "\"speedup_vs_serial\": %.3f}",
                 i == 0 ? "" : ",", r.threads, r.stripes, r.shards,
-                r.transport, r.overlapHalo ? "true" : "false",
-                static_cast<unsigned long long>(r.haloWaitNs),
+                r.transport, static_cast<unsigned long long>(r.haloWaitNs),
                 r.seconds, r.pixelsPerSec, r.cacheHitRate,
                 static_cast<unsigned long long>(r.memoBytes),
                 serial.seconds / r.seconds);

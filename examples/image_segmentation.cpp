@@ -9,9 +9,8 @@
  *                        [--outdir=.]
  *
  * Sharded runs (shard/shard_cli.hh) take [--shards=N]
- * [--shard-transport=loopback|socket] [--threads=N]
- * [--overlap-halo=on|off]; every combination produces the
- * byte-identical result.
+ * [--shard-transport=loopback|socket] [--threads=N]; every
+ * combination produces the byte-identical result.
  */
 
 #include <cstdio>

@@ -117,13 +117,12 @@ RsuConfig::describe() const
         << (decayRateScaling ? ",scaled" : "")
         << (probabilityCutoff ? ",cutoff" : "")
         << ",T=" << timeBits << '/' << tq(timeQuant)
-        << ",trunc=" << truncation
-        // Only a non-default race mode is part of the name: existing
-        // sampler names (telemetry keys, report rows) stay stable.
-        << (raceMode == RaceMode::Race
-                ? std::string()
-                : "," + retsim::core::toString(raceMode))
-        << '}';
+        << ",trunc=" << truncation;
+    // Only a non-default race mode is part of the name: existing
+    // sampler names (telemetry keys, report rows) stay stable.
+    if (raceMode != RaceMode::Race)
+        oss << ',' << retsim::core::toString(raceMode);
+    oss << '}';
     return oss.str();
 }
 

@@ -47,10 +47,10 @@ struct RaceRowScratch
 
 /** Elements per ttfBins dispatch in the bulk binned row race.  The
  *  deterministic-draw row path batches the whole plane's draw +
- *  bin-quantize through dispatches of this length — long bursts keep
- *  wide (AVX-512) vector units warm where the old per-pixel
- *  expDrawBin bursts of m elements left them cold — while the three
- *  staged buffers (uniforms, rates, bins) stay L1-resident. */
+ *  bin-quantize through dispatches of this length — one indirect call
+ *  and one vector tail per batch instead of per pixel — while the
+ *  three staged buffers (uniforms, rates, bins; 32 KiB each) stay
+ *  cache-resident. */
 constexpr std::size_t kRaceBatchElements = 4096;
 
 /** Nominal pixels whose draws share one dispatch at @p m labels per

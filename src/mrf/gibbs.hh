@@ -85,17 +85,11 @@ struct SolverConfig
      */
     int stripes = 0;
     /**
-     * Sharded runs only (shard/sharded_solver.hh): schedule each
-     * color phase boundary-first — compute the stripes owning the
-     * rank's boundary rows, post their ghost rows to the neighbor
-     * ranks asynchronously, and overlap the interior stripes with the
-     * halo transfer, waiting on inbound ghosts only right before the
-     * next phase consumes them.  Results are byte-identical either
-     * way (stripe order is free to change: every stripe draws from
-     * its own (seed, sweep, color, stripe) RNG stream and all
-     * neighbor reads within a phase are frozen other-color pixels),
-     * so this is purely a communication-hiding knob.  Off by default;
-     * the single-process solvers have no halos and ignore it.
+     * Unused: every sharded run (shard/sharded_solver.hh) schedules
+     * its color phases boundary-first, and nothing in the solvers
+     * reads this field.  It stays declared only because the
+     * benchmark program (perfbench/perfbench.cc) still sets it; it
+     * goes away together with that assignment.
      */
     bool overlapHalo = false;
     /**

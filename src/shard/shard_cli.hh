@@ -16,10 +16,6 @@
  *   --threads=N                intra-rank worker threads for the
  *                              chromatic stripe dispatch (0 = one per
  *                              hardware core; default 1)
- *   --overlap-halo=on|off      boundary-first schedule: post ghost
- *                              rows asynchronously and overlap the
- *                              transfer with interior-stripe compute
- *                              (default off = synchronous exchange)
  *
  * shardOptionsFromCli() parses the flags; applyShardBackend() installs
  * a makeShardBackend() on the SolverConfig when shards > 1 (or a drill
@@ -27,9 +23,9 @@
  * sharding without knowing this layer exists.  Sharding implies the
  * chromatic checkerboard schedule — apps defaulting to the raster
  * GibbsSolver produce their serial results only at --shards=1.
- * Threads and overlap are schedule-only knobs: every {shards} x
- * {transport} x {threads} x {overlap} combination yields the
- * byte-identical labels, trace and final snapshot.
+ * Threads is a schedule-only knob: every {shards} x {transport} x
+ * {threads} combination yields the byte-identical labels, trace and
+ * final snapshot.
  */
 
 #ifndef RETSIM_SHARD_SHARD_CLI_HH
@@ -71,7 +67,6 @@ shardOptionsFromCli(const util::CliArgs &args)
 struct SolverTuning
 {
     int threads = -1;
-    int overlapHalo = -1; ///< tri-state: -1 default, 0 off, 1 on
 };
 
 inline SolverTuning
@@ -84,16 +79,6 @@ solverTuningFromCli(const util::CliArgs &args)
         RETSIM_ASSERT(tuning.threads >= 0,
                       "--threads must be >= 0 (0 = one per core)");
     }
-    if (args.has("overlap-halo")) {
-        const std::string v = args.getString("overlap-halo", "off");
-        if (v == "on" || v == "1" || v == "true")
-            tuning.overlapHalo = 1;
-        else if (v == "off" || v == "0" || v == "false")
-            tuning.overlapHalo = 0;
-        else
-            RETSIM_FATAL("unknown --overlap-halo '", v,
-                         "' (expected on|off)");
-    }
     return tuning;
 }
 
@@ -103,8 +88,6 @@ applySolverTuning(const SolverTuning &tuning,
 {
     if (tuning.threads >= 0)
         config->threads = tuning.threads;
-    if (tuning.overlapHalo >= 0)
-        config->overlapHalo = tuning.overlapHalo != 0;
 }
 
 /** Route the config's solves through the sharded solver when the

@@ -157,10 +157,6 @@ struct TileWork
     std::vector<std::uint64_t> ghostMarks;
     std::vector<obs::MetricShard> shards;
 
-    /** Boundary-first overlapped schedule (SolverConfig::overlapHalo):
-     *  ghost rows posted asynchronously after the boundary stripes,
-     *  consumed at the start of the NEXT phase. */
-    bool overlap = false;
     /** True while a posted halo has not been consumed yet (cleared on
      *  (re)start, so the first phase after resume never waits). */
     bool ghostsInFlight = false;
@@ -216,7 +212,6 @@ struct TileWork
         shards.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
             shards.push_back(reg.makeShard());
-        overlap = config.overlapHalo;
         // parallelFor's caller participates, so a pool of threads-1
         // workers yields exactly `threads` concurrent executors —
         // the single-process solver's sizing rule, capped at this
@@ -299,19 +294,15 @@ struct TileWork
     }
 
     void
-    postBoundaryRow(int peer, int y, bool async)
+    postBoundaryRow(int peer, int y)
     {
         util::ByteWriter w;
         w.u32(static_cast<std::uint32_t>(y));
         for (int x = 0; x < problem.width(); ++x)
             w.i32(labels(x, y));
         const auto t0 = std::chrono::steady_clock::now();
-        if (async)
-            tr.sendAsync(peer, tag::kHalo, w.bytes().data(),
-                         w.bytes().size());
-        else
-            tr.send(peer, tag::kHalo, w.bytes().data(),
-                    w.bytes().size());
+        tr.sendAsync(peer, tag::kHalo, w.bytes().data(),
+                     w.bytes().size());
         haloSendNs += nsSince(t0);
         haloBytesSent += w.bytes().size();
     }
@@ -358,33 +349,6 @@ struct TileWork
                       "halo: malformed payload");
     }
 
-    void
-    recvGhostRow(int peer, int yg)
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-        std::vector<unsigned char> payload =
-            tr.recv(peer, tag::kHalo);
-        haloWaitNs += nsSince(t0);
-        applyGhostRow(peer, yg, payload);
-    }
-
-    /** Synchronous ghost-row refresh at a color-phase boundary (the
-     *  reference schedule).  Sends complete before receives; the
-     *  frames are a single row, far below any transport buffering, so
-     *  the symmetric exchange cannot deadlock. */
-    void
-    haloExchange()
-    {
-        if (up >= 0)
-            postBoundaryRow(up, lo, /*async=*/false);
-        if (down >= 0)
-            postBoundaryRow(down, hi - 1, /*async=*/false);
-        if (up >= 0)
-            recvGhostRow(up, lo - 1);
-        if (down >= 0)
-            recvGhostRow(down, hi);
-    }
-
     /** Consume the ghost rows posted by the neighbors' previous
      *  phase.  tryRecv first, so halo.wait_ns accrues only when the
      *  transfer did NOT finish behind the interior compute. */
@@ -409,22 +373,6 @@ struct TileWork
         }
     }
 
-    /** Receive-and-drop any posted-but-unconsumed ghosts, so a rank
-     *  exiting mid-run (the crash drill) closes its links with empty
-     *  receive buffers — FIN, not RST, which could discard in-flight
-     *  frames rank 0 has not read yet. */
-    void
-    drainGhosts()
-    {
-        if (!ghostsInFlight)
-            return;
-        ghostsInFlight = false;
-        if (up >= 0)
-            tr.recv(up, tag::kHalo);
-        if (down >= 0)
-            tr.recv(down, tag::kHalo);
-    }
-
     /** Run stripes [ka, kb) of this phase, across the pool when one
      *  exists.  Any stripe order (and any thread interleaving) yields
      *  byte-identical results: each stripe draws from its own (seed,
@@ -447,39 +395,29 @@ struct TileWork
     }
 
     /**
-     * One color phase.  Synchronous schedule (the PR 8 reference):
-     * all stripes, then a blocking halo exchange.  Boundary-first
-     * overlapped schedule (config.overlapHalo): consume the ghosts
-     * posted by the previous phase, run the stripes owning this
-     * rank's boundary rows, post their ghost rows WITHOUT blocking,
-     * and hide the transfer behind the interior stripes; the next
-     * consumption point's waitGhosts() — the following phase, or the
-     * sweep join whose row energies read ghost rows — is the only
-     * point that may block.  Every sweep join consumes the ghosts its
-     * phases posted, so no halo frame is ever left unread at
-     * teardown (an unread frame would RST the connection).
+     * One color phase, boundary-first: consume the ghosts posted by
+     * the previous phase, run the stripes owning this rank's boundary
+     * rows, post their ghost rows WITHOUT blocking, and hide the
+     * transfer behind the interior stripes.  The next consumption
+     * point's waitGhosts() — the following phase, or the sweep join
+     * whose row energies read ghost rows — is the only point that may
+     * block.  Every sweep join consumes the ghosts its phases posted,
+     * so no halo frame is ever left unread at teardown (an unread
+     * frame would RST the connection).
      */
     void
     runPhase(int sweep, int color, double temperature)
     {
         if (empty())
             return;
-        if (!overlap) {
-            const auto t0 = std::chrono::steady_clock::now();
-            runStripes(sweep, color, k0, k1, temperature);
-            interiorNs += nsSince(t0);
-            applyOwnDeferred();
-            haloExchange();
-            return;
-        }
         waitGhosts();
         runStripe(sweep, color, k0, temperature);
         if (k1 - k0 > 1)
             runStripe(sweep, color, k1 - 1, temperature);
         if (up >= 0)
-            postBoundaryRow(up, lo, /*async=*/true);
+            postBoundaryRow(up, lo);
         if (down >= 0)
-            postBoundaryRow(down, hi - 1, /*async=*/true);
+            postBoundaryRow(down, hi - 1);
         if (up >= 0 || down >= 0)
             ghostsInFlight = true;
         const auto t0 = std::chrono::steady_clock::now();
@@ -702,7 +640,7 @@ runWorkerRank(const mrf::SolverConfig &config,
             for (int color = 0; color < 2; ++color)
                 work.runPhase(s, color, temperature);
             // The JOIN's per-row energies read the ghost rows, so the
-            // overlapped halos must land before they are computed.
+            // posted halos must land before they are computed.
             work.waitGhosts();
             work.foldShards();
             StripeCounters tot = work.takeSweepCounters();
@@ -719,13 +657,10 @@ runWorkerRank(const mrf::SolverConfig &config,
                 dieSweep(options, spec, config, s)) {
                 // Crash drill: this rank's sweep state is fully in
                 // flight to rank 0; vanish like a lost machine whose
-                // last checkpoint survived.  Drain any ghosts still
-                // unconsumed first (none on the normal schedule — the
-                // join above waited — but cheap insurance), so the
-                // links close clean: FIN, not an RST that could
-                // discard the JOIN/GATHER/DIE frames rank 0 has not
-                // read yet.
-                work.drainGhosts();
+                // last checkpoint survived.  The join above consumed
+                // every posted ghost, so the links close clean: FIN,
+                // not an RST that could discard the JOIN/GATHER/DIE
+                // frames rank 0 has not read yet.
                 tr.send(0, tag::kDie, nullptr, 0);
                 std::_Exit(17);
             }
@@ -750,6 +685,8 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                img::LabelMap &labels,
                                mrf::SolverTrace *caller_trace) const
 {
+    RETSIM_ASSERT(config_.threads >= 0 && config_.stripes >= 0,
+                  "threads/stripes cannot be negative");
     if (options_.shards <= 1 && options_.dieRank < 0) {
         // Single shard: the striped single-process solver IS the
         // reference semantics; no transport needed.
@@ -964,7 +901,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         for (int color = 0; color < 2; ++color)
             work.runPhase(s, color, temperature);
         // The join's per-row energies read the ghost rows, so the
-        // overlapped halos must land before they are computed.
+        // posted halos must land before they are computed.
         work.waitGhosts();
 
         // ---- sweep join ------------------------------------------

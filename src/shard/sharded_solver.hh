@@ -10,7 +10,11 @@
  * replaces shared memory with explicit messages: one-row ghost zones
  * refreshed at every color-phase boundary, and per-shard counter /
  * SamplerStats / obs-metric folds at the sweep join (plain sums, so
- * every total equals the serial run's).
+ * every total equals the serial run's).  Each color phase runs
+ * boundary-first: a rank computes the stripes owning its boundary
+ * rows, posts their ghost rows without blocking, and hides the
+ * transfer behind its interior stripes; the ghosts are consumed only
+ * when the next phase (or the sweep join) reads them.
  *
  * Determinism contract (enforced by tools/shard_check + the CI
  * shard-equivalence leg): for ANY shard count N and either transport,
@@ -30,10 +34,7 @@
  * of record — while workers own only their tile's row range.  Within
  * a rank, stripes dispatch across SolverConfig::threads (the
  * single-process solver's sizing rule, capped at the rank's stripe
- * count), and SolverConfig::overlapHalo switches each color phase to
- * a boundary-first schedule that posts ghost rows asynchronously and
- * hides the transfer behind the interior stripes.  Both knobs are
- * schedule-only: any {threads} x {overlap on,off} combination
+ * count); the thread count is schedule-only, so every setting
  * produces the byte-identical result.
  */
 

@@ -24,12 +24,12 @@
  * from the expectation is a fatal protocol error, which turns any
  * desynchronization into an immediate diagnostic instead of silently
  * misinterpreted bytes.  One deliberate exception: kHalo frames may
- * be OVERTAKEN by a matched recv for another tag.  With the
- * overlapped (boundary-first) schedule, a ghost row posted at the end
- * of a color phase is consumed only at the start of the NEXT phase,
- * so on channels that carry both halo and join traffic (the star link
- * when rank 0 is a tile neighbor) the next frame ahead of an expected
- * kJoin is legitimately a kHalo for the following phase.  Matched
+ * be OVERTAKEN by a matched recv for another tag.  The solver's
+ * boundary-first schedule consumes a ghost row posted at the end of
+ * a color phase only at the start of the NEXT phase, so on channels
+ * that carry both halo and join traffic (the star link when rank 0
+ * is a tile neighbor) the next frame ahead of an expected kJoin is
+ * legitimately a kHalo for the following phase.  Matched
  * recvs park such frames in a per-peer FIFO stash that halo recvs
  * drain first; any other unexpected tag is still fatal.
  *
@@ -134,8 +134,7 @@ class ShardTransport
 /**
  * In-process transport: one mesh shared by all rank threads; call
  * transport(r) to get rank r's endpoint.  Queues are unbounded, so
- * sends never block and the halo send-before-recv ordering is
- * trivially deadlock-free.
+ * sends never block.
  */
 class LoopbackMesh
 {

@@ -42,13 +42,6 @@ cpuSupports(Backend b)
 #else
         return false;
 #endif
-    case Backend::Avx512:
-#if defined(__x86_64__) || defined(__i386__)
-        // Checks the OS saves ZMM state too, not just the CPU bit.
-        return __builtin_cpu_supports("avx512f") != 0;
-#else
-        return false;
-#endif
     case Backend::Neon:
 #if defined(__aarch64__)
         return true; // AdvSIMD is AArch64 baseline.
@@ -79,12 +72,6 @@ tableIfRunnable(Backend b)
 #else
         return nullptr;
 #endif
-    case Backend::Avx512:
-#if defined(RETSIM_SIMD_HAVE_AVX512)
-        return &detail::tableAvx512();
-#else
-        return nullptr;
-#endif
     case Backend::Neon:
 #if defined(RETSIM_SIMD_HAVE_NEON)
         return &detail::tableNeon();
@@ -99,15 +86,7 @@ const KernelTable &
 bestTable()
 {
     // Widest first; tableIfRunnable() filters both compile-time
-    // availability and CPU support.  Avx512 is deliberately NOT in
-    // the auto-dispatch order even though it is the widest: the
-    // sampling kernels run in short 16-element bursts between serial
-    // RNG segments, and on the CPUs measured the 512-bit units never
-    // stay warm — the same kernel that wins ~30% in a back-to-back
-    // loop loses ~10% in the interleaved samplers.  It stays
-    // compiled, tested for bit-identity and selectable by explicit
-    // request (RETSIM_SIMD=avx512 / --simd=avx512) for wide batch
-    // workloads.
+    // availability and CPU support.
     for (Backend b : {Backend::Avx2, Backend::Neon, Backend::Sse42}) {
         if (const KernelTable *t = tableIfRunnable(b))
             return *t;
@@ -130,8 +109,6 @@ resolveSpec(const char *spec)
         want = Backend::Sse42;
     else if (std::strcmp(spec, "avx2") == 0)
         want = Backend::Avx2;
-    else if (std::strcmp(spec, "avx512") == 0)
-        want = Backend::Avx512;
     else if (std::strcmp(spec, "neon") == 0)
         want = Backend::Neon;
     else
@@ -156,8 +133,7 @@ initialTable()
             return *t;
         std::fprintf(stderr,
                      "retsim: ignoring unrecognized RETSIM_SIMD='%s' "
-                     "(want off|scalar|sse42|avx2|avx512|neon|auto)"
-                     "\n",
+                     "(want off|scalar|sse42|avx2|neon|auto)\n",
                      env);
     }
     return bestTable();
@@ -194,8 +170,6 @@ backendName(Backend b)
         return "sse42";
     case Backend::Avx2:
         return "avx2";
-    case Backend::Avx512:
-        return "avx512";
     case Backend::Neon:
         return "neon";
     }
@@ -209,8 +183,7 @@ setBackend(const std::string &spec)
     if (t == nullptr) {
         std::fprintf(stderr,
                      "retsim: ignoring unrecognized SIMD backend "
-                     "'%s' (want off|scalar|sse42|avx2|avx512|neon|"
-                     "auto)\n",
+                     "'%s' (want off|scalar|sse42|avx2|neon|auto)\n",
                      spec.c_str());
         t = &kernels();
     }
@@ -222,8 +195,7 @@ std::vector<Backend>
 runnableBackends()
 {
     std::vector<Backend> out{Backend::Scalar};
-    for (Backend b : {Backend::Sse42, Backend::Avx2, Backend::Avx512,
-                      Backend::Neon}) {
+    for (Backend b : {Backend::Sse42, Backend::Avx2, Backend::Neon}) {
         if (tableIfRunnable(b) != nullptr)
             out.push_back(b);
     }

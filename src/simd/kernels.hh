@@ -12,15 +12,13 @@
  *
  * Dispatch: `activeBackend()` is resolved once on first use from (in
  * priority order) a `setBackend()` override, the `RETSIM_SIMD`
- * environment variable (`off|sse42|avx2|avx512|neon|auto`), and runtime CPU
- * feature detection, falling back to the scalar backend.  Backends
- * not compiled in (CMake `RETSIM_SIMD=OFF`, or a foreign ISA) are
- * never selected; requesting one explicitly falls back to scalar
- * with a warning.  The avx512 backend is never auto-selected (short
- * kernel bursts between serial RNG segments keep the 512-bit units
- * cold and net-slower on measured parts — see dispatch.cc); it runs
- * only on explicit request.  `kernelsFor()` exposes every compiled backend so
- * the equivalence tests can compare them without re-execing.
+ * environment variable (`off|scalar|sse42|avx2|neon|auto`), and
+ * runtime CPU feature detection, falling back to the scalar backend.
+ * Backends not compiled in (CMake `RETSIM_SIMD=OFF`, or a foreign
+ * ISA) are never selected; requesting one explicitly falls back to
+ * scalar with a warning, and an unrecognized spec is ignored with a
+ * warning.  `kernelsFor()` exposes every compiled backend so the
+ * equivalence tests can compare them without re-execing.
  */
 
 #ifndef RETSIM_SIMD_KERNELS_HH
@@ -38,7 +36,6 @@ enum class Backend {
     Scalar,
     Sse42,
     Avx2,
-    Avx512,
     Neon,
 };
 
@@ -122,8 +119,8 @@ struct KernelTable
                                 bool drop_truncated, double *bins);
     /** Elementwise half of expDrawBin: draw and bin-quantize without
      *  the per-pixel reduction, so many pixels' draws batch through
-     *  one dispatch (long bursts keep wide vector units warm — the
-     *  per-pixel expDrawBin bursts are what left AVX-512 cold).
+     *  one dispatch (one indirect call and one vector tail per batch
+     *  instead of per pixel).
      *  bins[i] is bit-identical to expDrawBin's in-place bins output
      *  for the same inputs; a scalar min-scan over a pixel's slice
      *  therefore reproduces its BinRaceResult exactly.  In-place
@@ -226,11 +223,12 @@ Backend activeBackend();
 const char *backendName(Backend b);
 
 /**
- * Force a backend.  Unknown/uncompiled/unsupported requests fall back
- * to the best available level (for "auto") or to scalar (for a named
- * backend that can't run), returning the backend actually selected.
- * Accepts the same spellings as the RETSIM_SIMD env var:
- * off|scalar|sse42|avx2|avx512|neon|auto.  Not thread-safe against
+ * Force a backend.  "auto" selects the best available level; a named
+ * backend that is not compiled in or cannot run falls back to scalar;
+ * an unrecognized spec is ignored with a warning and the active
+ * backend stays.  Returns the backend actually selected.  Accepts the
+ * same spellings as the RETSIM_SIMD env var:
+ * off|scalar|sse42|avx2|neon|auto.  Not thread-safe against
  * concurrent kernel use; call it at startup.
  */
 Backend setBackend(const std::string &spec);

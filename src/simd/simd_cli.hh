@@ -1,7 +1,7 @@
 /**
  * @file
  * Glue between util::CliArgs and the SIMD dispatcher: the
- * `--simd=off|sse42|avx2|avx512|neon|auto` override flag for debugging
+ * `--simd=off|scalar|sse42|avx2|neon|auto` override flag for debugging
  * dispatch issues.  Header-only so simd does not link retsim_util —
  * the caller already does.  Usage:
  *

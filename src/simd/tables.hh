@@ -23,9 +23,6 @@ const KernelTable &tableSse42();
 #if defined(RETSIM_SIMD_HAVE_AVX2)
 const KernelTable &tableAvx2();
 #endif
-#if defined(RETSIM_SIMD_HAVE_AVX512)
-const KernelTable &tableAvx512();
-#endif
 #if defined(RETSIM_SIMD_HAVE_NEON)
 const KernelTable &tableNeon();
 #endif

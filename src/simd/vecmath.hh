@@ -971,8 +971,7 @@ classifyRangeRowT(const RangeClassifier &rc,
 }
 
 #if defined(RETSIM_SIMD_BACKEND_SSE42) ||                             \
-    defined(RETSIM_SIMD_BACKEND_AVX2) ||                              \
-    defined(RETSIM_SIMD_BACKEND_AVX512)
+    defined(RETSIM_SIMD_BACKEND_AVX2)
 /**
  * SSE2-width classifyRangeRowT: one 16-byte register holds the whole
  * pixel's quantized bytes, each boundary is one unsigned byte-compare
@@ -1117,8 +1116,7 @@ gibbsWeightsRowT(const float *e, std::size_t n, std::size_t m,
     expBatchT<V>(w, w, n * m);
 }
 
-#if defined(RETSIM_SIMD_BACKEND_AVX2) ||                              \
-    defined(RETSIM_SIMD_BACKEND_AVX512)
+#if defined(RETSIM_SIMD_BACKEND_AVX2)
 /*
  * AVX2 16-label cores of quantizeClassifyT / classifyPackedT.  The
  * quantization runs in the float domain: float -> double widening is
@@ -1258,7 +1256,7 @@ classifyPacked16Avx2(std::uint64_t qlo, std::uint64_t qhi,
         _mm_cvtsi64_si128(static_cast<long long>(qhi)));
     classifyDwords16Avx2(i0, i1, cls, word, cw0, cw1);
 }
-#endif // AVX2 / AVX512 backend TU
+#endif // RETSIM_SIMD_BACKEND_AVX2
 
 } // namespace detail
 } // namespace simd

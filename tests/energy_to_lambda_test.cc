@@ -249,6 +249,15 @@ TEST(RsuConfig, DescribeMentionsKeyFields)
     EXPECT_NE(d.find("E=8"), std::string::npos);
     EXPECT_NE(d.find("scaled"), std::string::npos);
     EXPECT_NE(d.find("cutoff"), std::string::npos);
+    // The exact strings are sampler names, telemetry keys and
+    // checkpoint samplerNames, so they must never drift.
+    EXPECT_EQ(d, "RSU-G{E=8,L=4/pow2,scaled,cutoff,T=5/binned,"
+                 "trunc=0.5}");
+    RsuConfig fast = RsuConfig::newDesign();
+    fast.raceMode = RaceMode::FastPath;
+    EXPECT_EQ(fast.describe(),
+              "RSU-G{E=8,L=4/pow2,scaled,cutoff,T=5/binned,"
+              "trunc=0.5,fastpath}");
 }
 
 TEST(RsuConfig, SerializationRoundTrip)

@@ -4,12 +4,11 @@
  * the rank threads exchange ghost rows and sweep results through the
  * in-memory mesh while rank 0 folds traces, telemetry and sampler
  * stats, so a full sharded anneal under TSan exercises every
- * cross-rank synchronization point the transport has.  The overlapped
- * case additionally runs the boundary-first schedule with an
- * intra-rank thread pool, putting the async halo posts, the deferred
- * ghost waits and the pool's stripe dispatch under TSan at once.
- * Runs in the "concurrency" ctest label alongside the striped-solver
- * suite.
+ * cross-rank synchronization point the transport has.  The threaded
+ * case additionally runs an intra-rank thread pool, putting the async
+ * halo posts, the deferred ghost waits and the pool's stripe dispatch
+ * under TSan at once.  Runs in the "concurrency" ctest label
+ * alongside the striped-solver suite.
  */
 
 #include <string>
@@ -42,7 +41,10 @@ makeProblem(int width, int height, int num_labels)
     return p;
 }
 
-TEST(ShardedSolverConcurrency, LoopbackRanksRaceFreeAndDeterministic)
+// Runs the sharded anneal on `threads` intra-rank threads at 2 and 4
+// loopback shards and expects the serial striped run's bytes.
+void
+expectLoopbackMatchesStriped(int threads)
 {
     const mrf::MrfProblem problem = makeProblem(24, 20, 4);
     mrf::SolverConfig cfg;
@@ -57,6 +59,7 @@ TEST(ShardedSolverConcurrency, LoopbackRanksRaceFreeAndDeterministic)
     img::LabelMap ref = mrf::CheckerboardGibbsSolver(cfg).run(
         problem, refSampler, &refTrace);
 
+    cfg.threads = threads;
     for (int shards : {2, 4}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         shard::ShardOptions options;
@@ -74,39 +77,15 @@ TEST(ShardedSolverConcurrency, LoopbackRanksRaceFreeAndDeterministic)
     }
 }
 
+TEST(ShardedSolverConcurrency, LoopbackRanksRaceFreeAndDeterministic)
+{
+    expectLoopbackMatchesStriped(1);
+}
+
 TEST(ShardedSolverConcurrency,
      OverlappedThreadedLoopbackRaceFreeAndDeterministic)
 {
-    const mrf::MrfProblem problem = makeProblem(24, 20, 4);
-    mrf::SolverConfig cfg;
-    cfg.annealing.t0 = 10.0;
-    cfg.annealing.tEnd = 0.9;
-    cfg.annealing.sweeps = 6;
-    cfg.seed = 1234;
-    cfg.stripes = 5;
-
-    mrf::SolverTrace refTrace;
-    core::SoftwareSampler refSampler;
-    img::LabelMap ref = mrf::CheckerboardGibbsSolver(cfg).run(
-        problem, refSampler, &refTrace);
-
-    cfg.overlapHalo = true;
-    cfg.threads = 2;
-    for (int shards : {2, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        shard::ShardOptions options;
-        options.shards = shards;
-        options.transport = shard::ShardOptions::Transport::Loopback;
-        mrf::SolverTrace trace;
-        core::SoftwareSampler sampler;
-        img::LabelMap got =
-            shard::ShardedCheckerboardSolver(cfg, options)
-                .run(problem, sampler, &trace);
-        EXPECT_EQ(got.data(), ref.data());
-        EXPECT_EQ(trace.energyPerSweep, refTrace.energyPerSweep);
-        EXPECT_EQ(trace.labelChanges, refTrace.labelChanges);
-        EXPECT_EQ(trace.pixelUpdates, refTrace.pixelUpdates);
-    }
+    expectLoopbackMatchesStriped(2);
 }
 
 } // namespace

@@ -6,14 +6,14 @@
  * stream keys, frame round-trips over a socketpair, and the headline
  * equivalence contract on the loopback transport — a run sharded N
  * ways is byte-identical (labels, trace, final snapshot) to the
- * serial striped run, for the synchronous AND the overlapped
- * (boundary-first) halo schedule at several intra-rank thread counts.
+ * serial striped run at several intra-rank thread counts.
  * Socket-transport equivalence and the crash drill live in
  * tools/shard_check (forking inside the gtest process is off the
  * table: the suite is multi-threaded).
  */
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -356,11 +356,10 @@ runReference(const mrf::MrfProblem &problem, int stripes)
 
 RunResult
 runLoopback(const mrf::MrfProblem &problem, int stripes, int shards,
-            bool overlapHalo = false, int threads = 1)
+            int threads = 1)
 {
     RunResult r;
     mrf::SolverConfig cfg = solverConfig(stripes);
-    cfg.overlapHalo = overlapHalo;
     cfg.threads = threads;
     cfg.checkpointSink = [&](const mrf::SolverCheckpoint &cp) {
         if (cp.sweepsDone == cp.sweepsTotal)
@@ -414,21 +413,23 @@ TEST(ShardedSolver, SingleShardDelegatesToSerialSolver)
 }
 
 // ------------------------------------------------------------------
-// Overlapped (boundary-first) schedule equivalence
+// Boundary-first (overlapped) schedule with intra-rank threads
 
 TEST(ShardedSolver, OverlapOnIsByteIdenticalToOverlapOff)
 {
     // The headline schedule-invariance contract: overlapping the halo
     // exchange with interior compute, at any intra-rank thread count,
     // must not change a single byte of labels, trace or snapshot.
+    // The 1-thread cases are LoopbackMatchesSerialStripedByteForByte
+    // and SingleShardDelegatesToSerialSolver.
     const mrf::MrfProblem problem = makeProblem();
     const RunResult ref = runReference(problem, 4);
-    for (int shards : {1, 2, 4}) {
-        for (int threads : {1, 2, 4}) {
+    for (int shards : {1, 2, 3, 4}) {
+        for (int threads : {2, 4}) {
             SCOPED_TRACE("shards=" + std::to_string(shards) +
                          " threads=" + std::to_string(threads));
-            expectSameRun(
-                ref, runLoopback(problem, 4, shards, true, threads));
+            expectSameRun(ref,
+                          runLoopback(problem, 4, shards, threads));
         }
     }
 }
@@ -438,11 +439,11 @@ TEST(ShardedSolver, OverlapWithOneRowTiles)
     // height == stripes == shards: every tile is one row, so a rank's
     // "boundary" stripes and its whole tile coincide (k0 == k1 - 1)
     // and there is no interior left to overlap with.  The schedule
-    // must degrade to the synchronous result, not deadlock or
-    // double-run the single stripe.
+    // must still match the striped result, not deadlock or double-run
+    // the single stripe.
     const mrf::MrfProblem problem = makeProblem(12, 6);
     const RunResult ref = runReference(problem, 6);
-    expectSameRun(ref, runLoopback(problem, 6, 6, true, 2));
+    expectSameRun(ref, runLoopback(problem, 6, 6, 2));
 }
 
 TEST(ShardedSolver, OverlapWithMoreShardsThanStripes)
@@ -451,7 +452,30 @@ TEST(ShardedSolver, OverlapWithMoreShardsThanStripes)
     // halos must only flow between the non-empty neighbors.
     const mrf::MrfProblem problem = makeProblem(10, 9);
     const RunResult ref = runReference(problem, 3);
-    expectSameRun(ref, runLoopback(problem, 3, 5, true, 2));
+    expectSameRun(ref, runLoopback(problem, 3, 5, 2));
+}
+
+TEST(ShardedSolverDeathTest, NegativeThreadsOrStripesAreFatal)
+{
+    // Same contract as the single-process solver: a negative count is
+    // rejected before any rank is spawned, never read as "auto".
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const mrf::MrfProblem problem = makeProblem();
+    shard::ShardOptions options;
+    options.shards = 2;
+    options.transport = shard::ShardOptions::Transport::Loopback;
+    for (const auto &[threads, stripes] :
+         {std::pair{1, -3}, std::pair{-1, 4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " stripes=" + std::to_string(stripes));
+        mrf::SolverConfig cfg = solverConfig(stripes);
+        cfg.threads = threads;
+        cfg.checkpointEvery = 0; // no sink: fail only on the counts
+        core::SoftwareSampler sampler;
+        EXPECT_DEATH(shard::ShardedCheckerboardSolver(cfg, options)
+                         .run(problem, sampler),
+                     "threads/stripes cannot be negative");
+    }
 }
 
 } // namespace

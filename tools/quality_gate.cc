@@ -26,9 +26,9 @@
  *                          runs that started before K)
  *   --values-out=P         dump the observed metric values as JSON
  *
- * Sharded runs additionally honor the schedule knobs --threads= and
- * --overlap-halo=on|off (shard/shard_cli.hh); the CI leg proves the
- * values file stays byte-identical across every combination.
+ * Sharded runs additionally honor the schedule knob --threads=
+ * (shard/shard_cli.hh); the values file stays byte-identical for
+ * every setting.
  *
  * Looping "run until exit 0" with --resume and --die-at-sweep kills
  * and resumes each app in turn; because resume is bit-exact, the
@@ -101,9 +101,9 @@ core::RaceMode g_race_mode = core::RaceMode::Race;
  *  shard-equivalence leg). */
 shard::ShardOptions g_shard_options;
 
-/** `--threads=` / `--overlap-halo=`: schedule-only solver knobs
- *  applied to every app config; results are byte-identical for any
- *  setting, so the gated metrics must not move. */
+/** `--threads=`: schedule-only solver knob applied to every app
+ *  config; results are byte-identical for any setting, so the gated
+ *  metrics must not move. */
 shard::SolverTuning g_solver_tuning;
 
 core::RsuSampler

@@ -26,12 +26,11 @@
  *
  *   --tmpdir=D   scratch directory for drill snapshots (default ".")
  *
- * The schedule knobs --overlap-halo=on|off and --threads=N
- * (shard/shard_cli.hh) apply to every SHARDED run and to the crash
- * drill, while the serial reference stays the pristine striped
- * solver — so a `--overlap-halo=on --threads=2` invocation proves the
- * overlapped, threaded schedule byte-identical to the very same
- * synchronous serial goldens.
+ * The schedule knob --threads=N (shard/shard_cli.hh) applies to
+ * every SHARDED run and to the crash drill, while the serial
+ * reference stays the pristine striped solver — so a `--threads=2`
+ * invocation proves the threaded sharded schedule byte-identical to
+ * the very same serial goldens.
  */
 
 #include <cstdio>
@@ -60,7 +59,7 @@ namespace {
 
 using namespace retsim;
 
-/** --overlap-halo= / --threads=, applied to sharded runs only. */
+/** --threads=, applied to sharded runs only. */
 shard::SolverTuning g_tuning;
 
 core::RsuSampler
@@ -302,11 +301,9 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     const std::string tmpdir = args.getString("tmpdir", ".");
     g_tuning = shard::solverTuningFromCli(args);
-    if (g_tuning.overlapHalo >= 0 || g_tuning.threads >= 0)
-        std::printf("shard_check: sharded runs use overlap-halo=%s "
-                    "threads=%d\n",
-                    g_tuning.overlapHalo == 1 ? "on" : "off",
-                    g_tuning.threads < 0 ? 1 : g_tuning.threads);
+    if (g_tuning.threads >= 0)
+        std::printf("shard_check: sharded runs use threads=%d\n",
+                    g_tuning.threads);
 
     std::vector<Miniature> minis = buildMiniatures();
     for (const Miniature &m : minis) {
