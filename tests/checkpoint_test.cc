@@ -8,9 +8,11 @@
  * every runnable SIMD backend.
  */
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -315,6 +317,44 @@ TEST(SamplerState, RsuSamplerRoundTrips)
     core::RsuSampler a(core::RsuConfig::newDesign());
     core::RsuSampler b(core::RsuConfig::newDesign());
     expectSamplerRoundTrip(a, b);
+}
+
+/** RsuSampler state words: four counters, then the conversion and
+ *  rate-table temperatures. */
+std::vector<std::uint64_t>
+rsuState(double conversion_t, double rate_table_t)
+{
+    return {25, 1, 2, 1, std::bit_cast<std::uint64_t>(conversion_t),
+            std::bit_cast<std::uint64_t>(rate_table_t)};
+}
+
+TEST(SamplerState, RsuSamplerRejectsTemperatureWordsSaveCannotWrite)
+{
+    const core::RsuConfig quantized = core::RsuConfig::newDesign();
+    core::RsuConfig float_energy = quantized;
+    float_energy.floatEnergy = true;
+
+    // saveState() writes -1 (never converted) or a positive
+    // temperature; zero, negative and NaN words are corrupt.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double bad : {0.0, -0.0, -2.0, nan}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(
+            core::RsuSampler(quantized).loadState(rsuState(bad, -1.0)));
+        EXPECT_FALSE(
+            core::RsuSampler(quantized).loadState(rsuState(2.0, bad)));
+    }
+    // Float energies never build a rate table, so a snapshot that
+    // claims one is corrupt too.
+    EXPECT_FALSE(
+        core::RsuSampler(float_energy).loadState(rsuState(2.0, 2.0)));
+
+    EXPECT_TRUE(
+        core::RsuSampler(quantized).loadState(rsuState(-1.0, -1.0)));
+    EXPECT_TRUE(
+        core::RsuSampler(quantized).loadState(rsuState(2.0, 2.0)));
+    EXPECT_TRUE(
+        core::RsuSampler(float_energy).loadState(rsuState(2.0, -1.0)));
 }
 
 TEST(SamplerState, SoftwareSamplerRoundTrips)
@@ -629,6 +669,42 @@ TEST(KillAndResume, RsuSamplerStateSurvivesResume)
     EXPECT_EQ(resumed.finalBytes, whole.finalBytes);
 }
 
+TEST(KillAndResume, RasterRsuResumesSnapshotWithoutRateTable)
+{
+    // The raster solver's RSU draw builds the per-temperature rate
+    // table, so its snapshots carry that temperature.  Snapshots
+    // without one (word -1, as written before the raster draw used
+    // the table) must resume to the same bytes: the table is derived
+    // data and the first draw rebuilds it.
+    const int sweeps = 8, kill_at = 3;
+    const mrf::MrfProblem problem = makeProblem();
+    core::RsuSampler s1(core::RsuConfig::newDesign());
+    ReplayRun whole =
+        runWithSink(Mode::Gibbs, replayConfig(Mode::Gibbs, sweeps),
+                    problem, s1, kill_at);
+    ASSERT_TRUE(whole.haveMid);
+    ASSERT_EQ(whole.mid.samplerState.size(), 6u);
+    EXPECT_GT(std::bit_cast<double>(whole.mid.samplerState[5]), 0.0);
+
+    for (bool legacy : {false, true}) {
+        SCOPED_TRACE(legacy ? "rate word -1" : "rate word as saved");
+        auto restored = std::make_shared<mrf::SolverCheckpoint>();
+        std::string error;
+        ASSERT_TRUE(mrf::SolverCheckpoint::deserialize(
+            whole.mid.serialize(), restored.get(), &error))
+            << error;
+        if (legacy)
+            restored->samplerState[5] =
+                std::bit_cast<std::uint64_t>(-1.0);
+        mrf::SolverConfig cfg2 = replayConfig(Mode::Gibbs, sweeps);
+        cfg2.resume = std::move(restored);
+        core::RsuSampler s2(core::RsuConfig::newDesign());
+        ReplayRun resumed =
+            runWithSink(Mode::Gibbs, cfg2, problem, s2, kill_at);
+        EXPECT_EQ(resumed.finalBytes, whole.finalBytes);
+    }
+}
+
 TEST(KillAndResume, ResumingACompletedRunReturnsItsLabels)
 {
     const int sweeps = 6;
@@ -713,6 +789,33 @@ TEST(ResumeValidationDeathTest, WrongSamplerIsFatal)
     mrf::GibbsSolver solver(cfg);
     EXPECT_EXIT(solver.run(problem, other), ExitedWithCode(1),
                 "resume snapshot sampler");
+}
+
+TEST(ResumeValidationDeathTest, CraftedRsuRateTableWordIsFatal)
+{
+    // A float-energy RSU never builds a rate table (its snapshots
+    // carry -1 there); a crafted word naming a temperature must fail
+    // the resume with a diagnostic, not build a table from a LUT the
+    // sampler does not have.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const mrf::MrfProblem problem = makeProblem();
+    core::RsuConfig rsu = core::RsuConfig::newDesign();
+    rsu.floatEnergy = true;
+    core::RsuSampler s1(rsu);
+    ReplayRun whole = runWithSink(Mode::Gibbs,
+                                  replayConfig(Mode::Gibbs, 10),
+                                  problem, s1, 4);
+    ASSERT_TRUE(whole.haveMid);
+    ASSERT_EQ(whole.mid.samplerState.size(), 6u);
+
+    auto crafted = std::make_shared<mrf::SolverCheckpoint>(whole.mid);
+    crafted->samplerState[5] = std::bit_cast<std::uint64_t>(2.0);
+    mrf::SolverConfig cfg = replayConfig(Mode::Gibbs, 10);
+    cfg.resume = std::move(crafted);
+    core::RsuSampler s2(rsu);
+    mrf::GibbsSolver solver(cfg);
+    EXPECT_EXIT(solver.run(problem, s2), ExitedWithCode(1),
+                "sampler state does not fit");
 }
 
 TEST(ResumeValidationDeathTest, WrongProblemSizeIsFatal)
