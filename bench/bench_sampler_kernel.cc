@@ -637,7 +637,7 @@ main(int argc, char **argv)
          bench::rsuFactory(fastCfg(core::RsuConfig::newDesign()))},
         // Fixed-priority tie arbiter (the cheap hardware choice): no
         // tie draws, so the race consumes exactly one draw per firing
-        // label — the cheapest batched race mode.
+        // label.
         {"rsu-new-design-priority-tie",
          bench::rsuFactory(first_tie_cfg), &schedule,
          bench::rsuFactory(fastCfg(first_tie_cfg))},
@@ -653,13 +653,10 @@ main(int argc, char **argv)
                  "  \"grid\": [%d, %d],\n  \"labels\": %d,\n"
                  "  \"temperatures\": %d,\n  \"reps\": %d,\n"
                  "  \"seed\": %llu,\n  \"hardware_threads\": %d,\n"
-                 "  \"race_batch_pixels\": %zu,\n"
                  "  \"samplers\": [",
                  quick ? "true" : "false", backend, size, size,
                  labels, temps, reps,
-                 static_cast<unsigned long long>(seed), hw,
-                 core::raceBatchPixels(
-                     static_cast<std::size_t>(labels)));
+                 static_cast<unsigned long long>(seed), hw);
 
     bool first = true;
     bool all_match = true;

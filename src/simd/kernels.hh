@@ -117,17 +117,6 @@ struct KernelTable
     BinRaceResult (*expDrawBin)(const double *u, const double *rates,
                                 std::size_t n, double t_max,
                                 bool drop_truncated, double *bins);
-    /** Elementwise half of expDrawBin: draw and bin-quantize without
-     *  the per-pixel reduction, so many pixels' draws batch through
-     *  one dispatch (one indirect call and one vector tail per batch
-     *  instead of per pixel).
-     *  bins[i] is bit-identical to expDrawBin's in-place bins output
-     *  for the same inputs; a scalar min-scan over a pixel's slice
-     *  therefore reproduces its BinRaceResult exactly.  In-place
-     *  (u == bins) is supported. */
-    void (*ttfBins)(const double *u, const double *rates,
-                    std::size_t n, double t_max, bool drop_truncated,
-                    double *bins);
     /** out[i] = table[(size_t)(q[i] - e_min)]: the energy-to-rate
      *  table stage.  Every q[i] - e_min must be an exact non-negative
      *  integer below 2^32 indexing into table.  In-place (q == out)

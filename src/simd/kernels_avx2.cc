@@ -68,14 +68,6 @@ expDrawBin(const double *u, const double *rates, std::size_t n,
 }
 
 void
-ttfBins(const double *u, const double *rates, std::size_t n,
-        double t_max, bool drop_truncated, double *bins)
-{
-    detail::ttfBinsT<VAvx2>(u, rates, n, t_max, drop_truncated, bins);
-}
-
-
-void
 gatherRates(const double *q, double e_min, const double *table,
             double *out, std::size_t n)
 {
@@ -177,7 +169,6 @@ tableAvx2()
     static const KernelTable t{Backend::Avx2, "avx2",    logBatch,
                                expBatch,      expDraw,   expWeights,
                                addRows5,      argmin,      quantizeEnergies,      expDrawBin,
-                               ttfBins,
                                gatherRates,   quantizeGatherRates,
                                quantizeClassifyRow, classifyPackedRow,
                                classifyRangeRow,

@@ -69,14 +69,6 @@ expDrawBin(const double *u, const double *rates, std::size_t n,
 }
 
 void
-ttfBins(const double *u, const double *rates, std::size_t n,
-        double t_max, bool drop_truncated, double *bins)
-{
-    detail::ttfBinsT<VScalar>(u, rates, n, t_max, drop_truncated, bins);
-}
-
-
-void
 gatherRates(const double *q, double e_min, const double *table,
             double *out, std::size_t n)
 {
@@ -158,7 +150,6 @@ tableScalar()
     static const KernelTable t{Backend::Scalar, "scalar",  logBatch,
                                expBatch,        expDraw,   expWeights,
                                addRows5,        argmin,        quantizeEnergies,        expDrawBin,
-                               ttfBins,
                                gatherRates,   quantizeGatherRates,
                                quantizeClassifyRow, classifyPackedRow,
                                classifyRangeRow,

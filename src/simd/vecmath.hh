@@ -772,47 +772,6 @@ expDrawBinT(const double *u, const double *rates, std::size_t n,
 }
 
 /**
- * Elementwise half of expDrawBinT: the same -log(u)/rate draw and
- * 1-based bin quantization (floor(ttf)+1 inside the window, t_max or
- * +inf at/after the window end), without the reduction.  Because the
- * vecmath cores are lane/width invariant, bins[i] here is
- * bit-identical to expDrawBinT's in-place bins output no matter how
- * the caller chunks the plane — which is the point: many pixels'
- * draws can run through one long dispatch and a per-pixel scalar
- * min-scan over the stored bins reproduces each pixel's
- * BinRaceResult exactly.  In-place (u == bins) is supported.
- */
-template <typename V>
-inline void
-ttfBinsT(const double *u, const double *rates, std::size_t n,
-         double t_max, bool drop_truncated, double *bins)
-{
-    constexpr std::size_t w = V::kWidth;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double overflow = drop_truncated ? kInf : t_max;
-    const typename V::vd zero_bias = V::set1(0.0);
-    const typename V::vd vmax = V::set1(t_max);
-    const typename V::vd vover = V::set1(overflow);
-    const typename V::vd vone = V::set1(1.0);
-    std::size_t i = 0;
-    for (; i + w <= n; i += w) {
-        typename V::vd tt =
-            V::div(V::neg(vlogNormalCore<V>(V::load(u + i),
-                                            zero_bias)),
-                   V::load(rates + i));
-        typename V::vd bin =
-            V::select(V::cmplt(tt, vmax),
-                      V::add(V::floor(tt), vone), vover);
-        V::store(bins + i, bin);
-    }
-    for (; i < n; ++i) {
-        double tt = -vlogNormalCore<VScalar>(u[i], 0.0) / rates[i];
-        bins[i] =
-            tt < t_max ? VScalar::floor(tt) + 1.0 : overflow;
-    }
-}
-
-/**
  * out[i] = table[(size_t)(q[i] - e_min)].  The caller guarantees each
  * q[i] - e_min is an exact non-negative integer below 2^32, so the
  * index is recovered from the shifter-pivot bit image (add 1.5*2^52,
