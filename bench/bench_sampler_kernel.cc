@@ -202,6 +202,7 @@ struct FastTiming
 {
     double fastNsPerSample = 0.0; ///< steady state, row cache engaged
     double uncachedNsPerSample = 0.0; ///< steady state, no row cache
+    double scalarNsPerSample = 0.0; ///< steady state, per-pixel sample()
     double coldNsPerSample = 0.0; ///< first pass, tables built inline
     std::size_t aliasTables = 0;  ///< distinct tables this workload needs
     double cacheHitRate = 0.0;    ///< row-cache hits / lookups
@@ -363,15 +364,27 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
         result.fastNsPerSample = result.uncachedNsPerSample;
     }
 
-    // Fixed draws per pixel keep the fast path's scalar and batched
-    // entries on one RNG layout, so their labels must agree exactly —
-    // and the row-cached pass is bit-exact against both.
-    {
+    // The per-pixel entry, the raster solver's path: a one-pixel row
+    // per sample() call.  Fixed draws per pixel keep the fast path's
+    // scalar and batched entries on one RNG layout, so their labels
+    // must agree exactly — and the row-cached pass is bit-exact
+    // against both.
+    scalar_labels.reserve(samples);
+    double scalar_best = 1e300;
+    for (int rep = 0; rep < reps; ++rep) {
         auto sampler = factory();
+        rng::Xoshiro256 warm(seed);
+        scalar_pass(*sampler, warm, nullptr); // warm-up, untimed
         rng::Xoshiro256 gen(seed);
-        scalar_labels.reserve(samples);
-        scalar_pass(*sampler, gen, &scalar_labels);
+        std::vector<int> *rec = rep == 0 ? &scalar_labels : nullptr;
+        auto start = std::chrono::steady_clock::now();
+        scalar_pass(*sampler, gen, rec);
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - start;
+        scalar_best = std::min(scalar_best, dt.count());
     }
+    result.scalarNsPerSample =
+        scalar_best * 1e9 / static_cast<double>(samples);
     result.outputsMatch =
         scalar_labels == batched_labels &&
         (kcw == 0 || cached_labels == batched_labels);
@@ -386,7 +399,7 @@ struct KernelBreakdown
 {
     double expDrawNsPerDraw = 0.0;      ///< -log(u)/lambda conversion
     double energyPlaneNsPerLabel = 0.0; ///< conditionalEnergiesRow
-    double raceNsPerPixel = 0.0;        ///< runTtfRaceRow (binned)
+    double raceNsPerPixel = 0.0;        ///< runTtfRace (binned)
     double eToLambdaNsPerLabel = 0.0;   ///< quantize + table gather
     /** Fast-path split: the fused quantize+classify front half vs the
      *  memo-probe + SWAR alias draw back half (the part a warm row
@@ -478,18 +491,17 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
     };
     bd.eToLambdaNsPerLabel = bestOf(convert_all, set.totalPixels * m);
 
-    // race: the full TTF race rows over those rate planes.
+    // race: the full TTF race of every pixel of those rate planes.
     {
         core::RaceRowScratch scratch;
-        std::vector<core::RaceOutcome> outcomes;
         bd.raceNsPerPixel = bestOf(
             [&] {
                 rng::Xoshiro256 gen(seed + 1);
-                for (const std::vector<double> &rates : rate_planes) {
-                    outcomes.resize(rates.size() / m);
-                    core::runTtfRaceRow(rates, m, cfg, gen, outcomes,
-                                        scratch, all_fire);
-                }
+                for (const std::vector<double> &rates : rate_planes)
+                    for (std::size_t off = 0; off < rates.size();
+                         off += m)
+                        core::runTtfRace({rates.data() + off, m}, cfg,
+                                         gen, scratch, all_fire);
             },
             set.totalPixels);
     }
@@ -684,11 +696,12 @@ main(int argc, char **argv)
                                          *e.schedule, reps, seed);
             all_match = all_match && ft.outputsMatch;
             std::printf("  %-27s fastpath %6.1f ns/sample   "
-                        "uncached %6.1f   cold %8.1f   %zu tables   "
-                        "cache-hit %4.1f%% (draw %4.1f%%)   %.2fx vs "
-                        "race%s\n",
+                        "uncached %6.1f   scalar %6.1f   cold %8.1f   "
+                        "%zu tables   cache-hit %4.1f%% (draw %4.1f%%)"
+                        "   %.2fx vs race%s\n",
                         "  \\- race_mode=fastpath", ft.fastNsPerSample,
-                        ft.uncachedNsPerSample, ft.coldNsPerSample,
+                        ft.uncachedNsPerSample, ft.scalarNsPerSample,
+                        ft.coldNsPerSample,
                         ft.aliasTables, 100.0 * ft.cacheHitRate,
                         100.0 * ft.drawHitRate,
                         t.batchedNsPerSample / ft.fastNsPerSample,
@@ -696,6 +709,7 @@ main(int argc, char **argv)
             std::fprintf(f,
                          ", \"fastpath_ns_per_sample\": %.2f, "
                          "\"fastpath_uncached_ns_per_sample\": %.2f, "
+                         "\"fastpath_scalar_ns_per_sample\": %.2f, "
                          "\"fastpath_cold_ns_per_sample\": %.2f, "
                          "\"fastpath_alias_tables\": %zu, "
                          "\"fastpath_cache_hit_rate\": %.4f, "
@@ -703,7 +717,8 @@ main(int argc, char **argv)
                          "\"fastpath_speedup_vs_scalar\": %.3f, "
                          "\"fastpath_outputs_match\": %s",
                          ft.fastNsPerSample, ft.uncachedNsPerSample,
-                         ft.coldNsPerSample, ft.aliasTables,
+                         ft.scalarNsPerSample, ft.coldNsPerSample,
+                         ft.aliasTables,
                          ft.cacheHitRate, ft.drawHitRate,
                          t.scalarNsPerSample / ft.fastNsPerSample,
                          ft.outputsMatch ? "true" : "false");

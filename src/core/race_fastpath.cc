@@ -526,19 +526,6 @@ RaceFastPath::fetchTable()
     return e.table.get();
 }
 
-RaceOutcome
-RaceFastPath::raceBinned(const double *q, double base, std::size_t m,
-                         const double *u)
-{
-    RETSIM_ASSERT(!classOf_.empty(),
-                  "raceBinned before bindRateTable");
-    if (packedOk_ && m <= 16) {
-        fitPacked();
-        return racePacked(q, base, m, u);
-    }
-    return raceGeneral(q, base, m, u);
-}
-
 void
 RaceFastPath::fitPacked()
 {
@@ -627,76 +614,6 @@ RaceFastPath::packedLookup(std::uint64_t word, std::size_t s)
 }
 
 void
-RaceFastPath::packWords(const double *q, double base, std::size_t m,
-                        std::uint64_t &word, std::uint64_t &cw0,
-                        std::uint64_t &cw1) const
-{
-    // One register add per label: byte c of `word` counts class c.
-    // The label -> class bytes ride along in cw0/cw1 (label i = byte
-    // i), feeding the branch-free SWAR winner scans of drawPacked.
-    word = cw0 = cw1 = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::uint64_t cls =
-            classOf_[static_cast<std::size_t>(q[i] - base)];
-        word += 1ULL << (8 * cls);
-        if (i < 8)
-            cw0 |= cls << (8 * i);
-        else
-            cw1 |= cls << (8 * (i - 8));
-    }
-}
-
-RaceOutcome
-RaceFastPath::racePacked(const double *q, double base, std::size_t m,
-                         const double *u)
-{
-    std::uint64_t word, cw0, cw1;
-    packWords(q, base, m, word, cw0, cw1);
-    return drawPacked(word, cw0, cw1, m, u, packedSlot(word));
-}
-
-void
-RaceFastPath::raceBinnedRow(const double *q, const double *bases,
-                            std::size_t n, std::size_t m,
-                            const double *u, RaceOutcome *out)
-{
-    RETSIM_ASSERT(!classOf_.empty(),
-                  "raceBinnedRow before bindRateTable");
-    const unsigned draws = drawsPerPixel_;
-    if (!(packedOk_ && m <= 16)) {
-        for (std::size_t p = 0; p < n; ++p)
-            out[p] = raceGeneral(q + p * m, bases ? bases[p] : 0.0,
-                                 m, u + p * draws);
-        return;
-    }
-    fitPacked();
-    rowWords_.resize(3 * n);
-    rowSlot_.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        packWords(q + p * m, bases ? bases[p] : 0.0, m,
-                  rowWords_[3 * p], rowWords_[3 * p + 1],
-                  rowWords_[3 * p + 2]);
-        const std::size_t slot = packedSlot(rowWords_[3 * p]);
-        rowSlot_[p] = static_cast<std::uint32_t>(slot);
-#if defined(__GNUC__) || defined(__clang__)
-        // Pull the pixel's memo pair (first entry fully, second's
-        // header) into cache while later pixels classify; by the
-        // draw pass the probe is an L1 hit instead of a serialized
-        // L2/L3 round-trip per pixel.
-        const char *pair = reinterpret_cast<const char *>(
-            &packedMemo_[slot]);
-        __builtin_prefetch(pair);
-        __builtin_prefetch(pair + 64);
-        __builtin_prefetch(pair + 128);
-#endif
-    }
-    for (std::size_t p = 0; p < n; ++p)
-        out[p] = drawPacked(rowWords_[3 * p], rowWords_[3 * p + 1],
-                            rowWords_[3 * p + 2], m, u + p * draws,
-                            rowSlot_[p]);
-}
-
-void
 RaceFastPath::raceEnergiesRow(const float *energies, double top,
                               bool subtract_min, std::size_t n,
                               std::size_t m, const double *u,
@@ -727,7 +644,10 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
         const std::size_t slot = packedSlot(rowWords_[3 * p]);
         rowSlot_[p] = static_cast<std::uint32_t>(slot);
 #if defined(__GNUC__) || defined(__clang__)
-        // Same memo warm-up as raceBinnedRow's classify pass.
+        // Pull the pixel's memo pair (first entry fully, second's
+        // header) into cache while later pixels hash; by the draw
+        // pass the probe is an L1 hit instead of a serialized L2/L3
+        // round-trip per pixel.
         const char *pair = reinterpret_cast<const char *>(
             &packedMemo_[slot]);
         __builtin_prefetch(pair);

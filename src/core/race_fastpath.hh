@@ -46,9 +46,9 @@
  * enumeration of the exact joint law is asserted by
  * race_fastpath_test), not draw-for-draw equal — it consumes a
  * different, fixed number of uniforms per pixel.  That fixed draw
- * count makes every fastpath mode bulk-fillable, so the scalar and
- * batched row entries of RsuSampler remain bit-identical to each
- * other in fastpath mode, and runs checkpoint/replay byte-exactly.
+ * count makes every fastpath mode bulk-fillable, so RsuSampler's
+ * per-pixel entry is its row entry's one-pixel case, and runs
+ * checkpoint/replay byte-exactly.
  * Fastpath RaceOutcomes carry winner/tie/no-fire only; winningBin
  * and contenders (per-draw timing artifacts nothing downstream of
  * the samplers consumes) are reported as zero in binned mode.
@@ -235,53 +235,31 @@ class RaceFastPath
     unsigned drawsPerPixel() const { return drawsPerPixel_; }
 
     /**
-     * Bind the quantized-energy -> absolute-rate table the indices
-     * passed to raceBinned() resolve through (RsuSampler's
-     * rateTable_).  Rebuilds the rate alphabet, class map and tie
-     * probabilities and resets the memo; cheap enough to call on
-     * every temperature change (global cache entries survive — their
-     * keys are canonical rate multisets).
+     * Bind the quantized-energy -> absolute-rate table the quantized
+     * energies resolve through (RsuSampler's rateTable_).  Rebuilds
+     * the rate alphabet, class map and tie probabilities and resets
+     * the memo; cheap enough to call on every temperature change
+     * (global cache entries survive — their keys are canonical rate
+     * multisets).
      */
     void bindRateTable(std::span<const double> rate_table);
 
     /**
-     * Binned-mode race over one pixel's quantized energies @p q
-     * (doubles holding exact integers, as produced by the
-     * quantizeEnergies kernel or util::quantizeUnsigned), offset by
-     * @p base (the pixel's quantized minimum under decay-rate
-     * scaling, 0 otherwise).  @p u must hold drawsPerPixel()
-     * uniforms in [0, 1); all are consumed logically even when an
-     * outcome ignores one (fixed draw layout).
-     */
-    RaceOutcome raceBinned(const double *q, double base,
-                           std::size_t m, const double *u);
-
-    /**
-     * Row entry: races @p n pixels of @p m quantized energies each
-     * (pixel p at @p q + p*m, its base at @p bases[p], or 0 when
-     * @p bases is null), consuming drawsPerPixel() uniforms per
-     * pixel from @p u.  Result-identical to n raceBinned() calls on
-     * the same inputs — the speedup is structural: a classify pass
-     * computes every pixel's count/class words first (prefetching
-     * the memo entries), then a draw pass runs with the entries
-     * already in cache, so one pixel's memo-probe latency overlaps
-     * the next pixel's integer work instead of serializing with it.
-     */
-    void raceBinnedRow(const double *q, const double *bases,
-                       std::size_t n, std::size_t m, const double *u,
-                       RaceOutcome *out);
-
-    /**
-     * Fused row entry straight from the float energy plane: for each
-     * pixel, quantize the energies to [0, @p top] and classify them
-     * in one dispatched quantizeClassify kernel call (packed lane,
-     * m <= 16 — no quantized plane ever materializes), then draw.
-     * @p subtract_min applies decay-rate scaling (indexes the bound
-     * rate table with q - min_j q).  Result-identical to quantizing
-     * each pixel with the quantizeEnergies kernel and racing it
-     * through raceBinned() with base = (subtract_min ? e_min : 0);
-     * pixels outside the packed lane take exactly that fallback
-     * internally.  @p u carries n * drawsPerPixel() uniforms.
+     * Binned-mode race of @p n pixels straight from the float energy
+     * plane (pixel p's @p m labels at @p energies + p*m), the one
+     * binned entry (one pixel is the n == 1 case).  Each pixel's
+     * energies are quantized to [0, @p top] (the quantizeEnergies
+     * rounding) and, under @p subtract_min (decay-rate scaling),
+     * offset by their quantized minimum before they index the bound
+     * rate table.  Packed lane (<= 8 rate classes, m <= 16): one
+     * dispatched quantizeClassifyRow kernel call classifies the row
+     * (no quantized plane ever materializes), the memo entries are
+     * prefetched, then a draw pass runs with them already in cache,
+     * so one pixel's memo-probe latency overlaps the next pixel's
+     * work.  Other pixels quantize with the quantizeEnergies kernel
+     * and take the general lane.  @p u carries drawsPerPixel()
+     * uniforms in [0, 1) per pixel; all are consumed logically even
+     * when an outcome ignores one (fixed draw layout).
      */
     void raceEnergiesRow(const float *energies, double top,
                          bool subtract_min, std::size_t n,
@@ -398,30 +376,23 @@ class RaceFastPath
     };
 
     /**
-     * Fast lane for small pixels over small alphabets (<= 8 rate
-     * classes, m <= 16 labels — every quantized design): the pixel's
-     * per-class counts accumulate into one u64 (one byte per class,
-     * one register add per label, no stores), which is simultaneously
-     * the memo key, while the label -> class bytes accumulate into
-     * two more words so the winner scans are branch-free SWAR
-     * byte-compares.  A 2-way memo entry carries everything
-     * transcendental the draw needs — the fired / window-end uniform
-     * gate and e^{-R} — plus the class table's slot map and raw alias
-     * arrays, so the steady-state pixel does no log/exp, no heap key,
-     * no mutex, and no pointer-chasing through vector headers.
-     * Entries depend only on the count multiset over a stable
-     * alphabet, so they survive temperature rebinds.
+     * Draw one pixel of the fast lane for small pixels over small
+     * alphabets (<= 8 rate classes, m <= 16 labels — every quantized
+     * design) from its classify words: the per-class counts, one
+     * byte per class in @p word, which is simultaneously the memo
+     * key, and the label -> class bytes in @p cw0 / @p cw1 (the
+     * quantizeClassifyRow kernel layout), so the winner scans are
+     * branch-free SWAR byte-compares.  A 2-way memo entry carries
+     * everything transcendental the draw needs — the fired /
+     * window-end uniform gate and e^{-R} — plus the class table's
+     * slot map and raw alias arrays, so the steady-state pixel does
+     * no log/exp, no heap key, no mutex, and no pointer-chasing
+     * through vector headers.  Entries depend only on the count
+     * multiset over a stable alphabet, so they survive temperature
+     * rebinds.  @p slot is the pixel's memo pair index
+     * (packedSlot(word)) — hoisted so the row passes hash once, at
+     * prefetch time.
      */
-    RaceOutcome racePacked(const double *q, double base,
-                           std::size_t m, const double *u);
-    /** Classify one packed-lane pixel: per-class count word and the
-     *  two label -> class byte words. */
-    void packWords(const double *q, double base, std::size_t m,
-                   std::uint64_t &word, std::uint64_t &cw0,
-                   std::uint64_t &cw1) const;
-    /** Draw one packed-lane pixel from its classify words.  @p slot
-     *  is the pixel's memo pair index (packedSlot(word)) — hoisted so
-     *  the row passes hash once, at prefetch time. */
     RaceOutcome drawPacked(std::uint64_t word, std::uint64_t cw0,
                            std::uint64_t cw1, std::size_t m,
                            const double *u, std::size_t slot);
@@ -484,8 +455,8 @@ class RaceFastPath
         bool empty() const { return key == 0; }
     };
     /** 2-way (see packedLookup).  Grown only by fitPacked(), at the
-     *  pixel and row entries, because the row passes hash every
-     *  pixel's slot before their draws. */
+     *  row entries, because the row passes hash every pixel's slot
+     *  before their draws. */
     Memo<PackedEntry, 65536, 2> packedMemo_;
     void fitPacked();
     PackedEntry &packedLookup(std::uint64_t word, std::size_t slot);
@@ -499,7 +470,8 @@ class RaceFastPath
     /** Per-pixel cache disposition of the current cached row
      *  (draw hit / classify hit / miss), run-length batched. */
     std::vector<std::uint8_t> rowState_;
-    // raceEnergiesRow fallback scratch: one pixel's quantized plane.
+    // raceEnergiesRow general-lane scratch: one pixel's quantized
+    // energies.
     std::vector<double> quantScratch_;
 
     // ---- general-lane scratch and memo -------------------------------

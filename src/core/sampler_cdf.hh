@@ -49,20 +49,6 @@ class CdfLutSampler : public mrf::LabelSampler
                    double temperature, std::span<const int> current,
                    std::span<int> out, rng::Rng &gen) override;
 
-    /** Per-pixel cached record: temperature stamp + the m-entry
-     *  prefix-summed cumulative table, so clean pixels at an
-     *  unchanged temperature skip the exp and the prefix sum. */
-    std::size_t rowCacheWords(int numLabels) const override;
-
-    /** Cached row twin; bit-identical outputs and entropy-source
-     *  consumption to sampleRow(). */
-    void sampleRowCached(std::span<const float> energies,
-                         int numLabels, double temperature,
-                         std::span<const int> current,
-                         std::span<int> out, rng::Rng &gen,
-                         std::span<std::uint64_t> cache,
-                         const std::uint64_t *dirty) override;
-
     std::string name() const override;
 
     /** Fold a stripe clone's sample count back into this sampler. */

@@ -163,41 +163,6 @@ RsuSampler::commitOutcome(const RaceOutcome &oc, int current)
     return oc.winner;
 }
 
-int
-RsuSampler::sampleFast(std::span<const float> energies,
-                       double temperature, int current, rng::Rng &gen)
-{
-    const std::size_t m = energies.size();
-    if (cfg_.timeQuant == TimeQuant::Binned) {
-        // Table-driven: stages 1-5 collapse to one quantization pass
-        // and a categorical draw — no per-label rates, exponentials
-        // or argmin.  RaceFastPath::supported() guarantees quantized
-        // energies and a non-float lambda here, so rateTable_ exists.
-        refreshRateTable(temperature);
-        bindFastPath();
-        quant_.resize(m);
-        const double top =
-            static_cast<double>(util::maxUnsigned(cfg_.energyBits));
-        const double e_min = simd::kernels().quantizeEnergies(
-            energies.data(), top, quant_.data(), m);
-        double u[4];
-        const unsigned draws = fast_->drawsPerPixel();
-        for (unsigned k = 0; k < draws; ++k)
-            u[k] = gen.nextDouble();
-        return commitOutcome(
-            fast_->raceBinned(quant_.data(),
-                              cfg_.decayRateScaling ? e_min : 0.0, m,
-                              u),
-            current);
-    }
-    // Float time: the rates are the literal path's (sample() ran
-    // fillRates() before dispatching here); one uniform inverts the
-    // categorical CDF over them.
-    return commitOutcome(
-        RaceFastPath::raceFloat(rates_.data(), m, gen.nextDouble()),
-        current);
-}
-
 void
 RsuSampler::sampleRowFast(std::span<const float> energies,
                           std::size_t n, std::size_t m,
@@ -213,13 +178,14 @@ RsuSampler::sampleRowFast(std::span<const float> energies,
     fastU_.resize(n * draws);
     gen.fillUniform(fastU_);
     if (cfg_.timeQuant == TimeQuant::Binned) {
+        // Table-driven: stages 1-5 collapse to a fused quantize +
+        // classify pass and a categorical draw — no per-label rates,
+        // exponentials or argmin, no quantized plane, and the memo
+        // lookups overlap across pixels (see raceEnergiesRow).
+        // RaceFastPath::supported() guarantees quantized energies and
+        // a non-float lambda here, so rateTable_ exists.
         refreshRateTable(temperature);
         bindFastPath();
-        // Fused row race: quantize + classify + draw straight off the
-        // float plane — identical arithmetic to per-pixel raceBinned()
-        // calls on quantizeEnergies output, but no quantized plane is
-        // ever materialized and the memo lookups overlap across
-        // pixels (see raceEnergiesRow).
         const double top =
             static_cast<double>(util::maxUnsigned(cfg_.energyBits));
         outcomes_.resize(n);
@@ -230,13 +196,15 @@ RsuSampler::sampleRowFast(std::span<const float> energies,
             out[p] = commitOutcome(outcomes_[p], current[p]);
         return;
     }
-    // Float time: rates_ already holds the row's rate plane (filled
-    // by fillRates() before sampleRow dispatched here).
-    for (std::size_t p = 0; p < n; ++p)
+    // Float time: each pixel's literal rates, filled just before its
+    // draw (stages 1-3 draw nothing); one uniform inverts the
+    // categorical CDF over them.
+    for (std::size_t p = 0; p < n; ++p) {
+        fillRates(energies.data() + p * m, m, temperature);
         out[p] = commitOutcome(
-            RaceFastPath::raceFloat(rates_.data() + p * m, m,
-                                    fastU_[p]),
+            RaceFastPath::raceFloat(rates_.data(), m, fastU_[p]),
             current[p]);
+    }
 }
 
 std::size_t
@@ -301,53 +269,56 @@ RsuSampler::sampleRowCached(std::span<const float> energies,
 }
 
 bool
-RsuSampler::fillRates(const float *energies, std::size_t n,
-                      std::size_t m, double temperature)
+RsuSampler::fillRates(const float *energies, std::size_t m,
+                      double temperature)
 {
-    rates_.resize(n * m);
-    double *rates = rates_.data();
+    rates_.resize(m);
+    double *r = rates_.data();
     if (!cfg_.floatEnergy) {
         // Quantized energies index the per-temperature rate table
         // directly, so stages 1-3 are one fused quantize + E_min +
-        // gather kernel call per pixel, into a rate plane that stays
-        // in L1.  The stage draws nothing, so it commutes with the
-        // races that consume the plane.
+        // gather kernel call.
         refreshRateTable(temperature);
-        const auto &kern = simd::kernels();
         const double top =
             static_cast<double>(util::maxUnsigned(cfg_.energyBits));
-        for (std::size_t p = 0; p < n; ++p)
-            kern.quantizeGatherRates(energies + p * m, top,
-                                     cfg_.decayRateScaling,
-                                     rateTable_.data(), rates + p * m,
-                                     m);
+        simd::kernels().quantizeGatherRates(energies, top,
+                                            cfg_.decayRateScaling,
+                                            rateTable_.data(), r, m);
         return rateTableAllPositive_;
     }
     // Float-energy escape: scaled energies are continuous, so the
     // conversion stays per label.
     const double lambda0 = cfg_.lambda0();
-    for (std::size_t p = 0; p < n; ++p) {
-        const float *e = energies + p * m;
-        double *r = rates + p * m;
-        double e_min = 0.0;
-        if (cfg_.decayRateScaling) {
-            e_min = static_cast<double>(e[0]);
-            for (std::size_t j = 0; j < m; ++j)
-                e_min = std::min(e_min, static_cast<double>(e[j]));
-            e_min = std::max(e_min, 0.0);
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            double scaled =
-                std::max(static_cast<double>(e[j]), 0.0) - e_min;
-            if (cfg_.lambdaQuant == LambdaQuant::Float)
-                r[j] = realLambda(scaled, temperature, cfg_) * lambda0;
-            else
-                r[j] = static_cast<double>(quantizeLambda(
-                           scaled, temperature, cfg_)) *
-                       lambda0;
-        }
+    double e_min = 0.0;
+    if (cfg_.decayRateScaling) {
+        e_min = static_cast<double>(energies[0]);
+        for (std::size_t j = 0; j < m; ++j)
+            e_min = std::min(e_min, static_cast<double>(energies[j]));
+        e_min = std::max(e_min, 0.0);
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+        double scaled =
+            std::max(static_cast<double>(energies[j]), 0.0) - e_min;
+        if (cfg_.lambdaQuant == LambdaQuant::Float)
+            r[j] = realLambda(scaled, temperature, cfg_) * lambda0;
+        else
+            r[j] = static_cast<double>(
+                       quantizeLambda(scaled, temperature, cfg_)) *
+                   lambda0;
     }
     return false;
+}
+
+int
+RsuSampler::drawLiteral(const float *energies, std::size_t m,
+                        double temperature, int current, rng::Rng &gen)
+{
+    // Stages 1-3 (quantize, decay-rate scaling, energy-to-lambda),
+    // then stages 4-5: sample the exponentials and select
+    // first-to-fire.
+    const bool all_fire = fillRates(energies, m, temperature);
+    return commitOutcome(
+        runTtfRace(rates_, cfg_, gen, raceScratch_, all_fire), current);
 }
 
 int
@@ -360,19 +331,13 @@ RsuSampler::sample(std::span<const float> energies, double temperature,
 
     refreshConversion(temperature);
 
-    if (useFastPath_ && cfg_.timeQuant == TimeQuant::Binned)
-        return sampleFast(energies, temperature, current, gen);
-
-    // Stages 1-3 (quantize, decay-rate scaling, energy-to-lambda).
-    const bool all_fire =
-        fillRates(energies.data(), 1, energies.size(), temperature);
-
-    if (useFastPath_) // float time: categorical draw over rates_
-        return sampleFast(energies, temperature, current, gen);
-
-    // Stages 4-5: sample the exponentials and select first-to-fire.
-    return commitOutcome(
-        runTtfRace(rates_, cfg_, gen, raceScratch_, all_fire), current);
+    if (!useFastPath_)
+        return drawLiteral(energies.data(), energies.size(),
+                           temperature, current, gen);
+    int out;
+    sampleRowFast(energies, 1, energies.size(), temperature,
+                  {&current, 1}, {&out, 1}, gen);
+    return out;
 }
 
 void
@@ -392,22 +357,13 @@ RsuSampler::sampleRow(std::span<const float> energies, int numLabels,
 
     refreshConversion(temperature);
 
-    if (useFastPath_ && cfg_.timeQuant == TimeQuant::Binned) {
-        // Table-driven row: no rate plane, no exponentials.
+    if (useFastPath_) {
         sampleRowFast(energies, n, m, temperature, current, out, gen);
         return;
     }
-
-    const bool all_fire = fillRates(energies.data(), n, m, temperature);
-    if (useFastPath_) { // float time over the row's rate plane
-        sampleRowFast(energies, n, m, temperature, current, out, gen);
-        return;
-    }
-    outcomes_.resize(n);
-    runTtfRaceRow(rates_, m, cfg_, gen, outcomes_, raceScratch_,
-                  all_fire);
     for (std::size_t p = 0; p < n; ++p)
-        out[p] = commitOutcome(outcomes_[p], current[p]);
+        out[p] = drawLiteral(energies.data() + p * m, m, temperature,
+                             current[p], gen);
 }
 
 } // namespace core

@@ -40,19 +40,19 @@ class RsuSampler : public mrf::LabelSampler
     explicit RsuSampler(const RsuConfig &cfg);
 
     /**
-     * One pixel evaluation: the one-pixel case of sampleRow()'s
-     * pipeline — stages 1-3 through fillRates(), then runTtfRace()'s
-     * single-pass race over the pixel's rates.
+     * One pixel evaluation: the literal race draws it through
+     * drawLiteral(), the fast path through sampleRowFast() with a
+     * one-pixel row.
      */
     int sample(std::span<const float> energies, double temperature,
                int current, rng::Rng &gen) override;
 
     /**
-     * Batched row kernel: runs sample()'s stages 1-3 (fillRates())
-     * over every pixel of the row into one rate plane and races all
-     * pixels through runTtfRaceRow(), which bulk-draws the plane in
-     * float time.  Bit-identical outcomes and RNG consumption to the
-     * scalar loop.
+     * Row entry: the literal race loops drawLiteral() over the
+     * pixels; the fast path bulk-fills the row's uniforms and draws
+     * it through sampleRowFast().  Each mode has one draw
+     * implementation, so outcomes and RNG consumption equal the
+     * scalar loop's by construction.
      */
     void sampleRow(std::span<const float> energies, int numLabels,
                    double temperature, std::span<const int> current,
@@ -155,14 +155,13 @@ class RsuSampler : public mrf::LabelSampler
     void refreshRateTable(double temperature);
 
     /**
-     * Stages 1-3 of @p n pixels of @p m labels (pixel-major at
-     * @p energies) into rates_.  Quantized energies take one fused
-     * quantize + E_min + rate-table gather kernel call per pixel;
-     * the float-energy escape converts label by label (realLambda /
-     * quantizeLambda x lambda0).  Returns whether every rate is known
-     * positive (the race's all-fire hint).
+     * Stages 1-3 of one pixel of @p m labels into rates_.  Quantized
+     * energies take one fused quantize + E_min + rate-table gather
+     * kernel call; the float-energy escape converts label by label
+     * (realLambda / quantizeLambda x lambda0).  Returns whether every
+     * rate is known positive (the race's all-fire hint).
      */
-    bool fillRates(const float *energies, std::size_t n, std::size_t m,
+    bool fillRates(const float *energies, std::size_t m,
                    double temperature);
 
     /** Point the fast path's rate alphabet at the current rateTable_
@@ -174,11 +173,14 @@ class RsuSampler : public mrf::LabelSampler
      *  current label. */
     int commitOutcome(const RaceOutcome &oc, int current);
 
-    /** Fast-path twins of sample()/sampleRow() (binned: table draw
-     *  over the quantized energies; float time: CDF inversion over
-     *  the literal rate plane). */
-    int sampleFast(std::span<const float> energies, double temperature,
-                   int current, rng::Rng &gen);
+    /** The literal race for one pixel: fillRates(), runTtfRace(),
+     *  commitOutcome(). */
+    int drawLiteral(const float *energies, std::size_t m,
+                    double temperature, int current, rng::Rng &gen);
+
+    /** The fast path for @p n pixels (binned: fused quantize +
+     *  classify + table draw straight off the energies; float time:
+     *  each pixel's CDF inversion over its fillRates() rates). */
     void sampleRowFast(std::span<const float> energies, std::size_t n,
                        std::size_t m, double temperature,
                        std::span<const int> current, std::span<int> out,
@@ -187,7 +189,7 @@ class RsuSampler : public mrf::LabelSampler
     RsuConfig cfg_;
     double cachedTemperature_ = -1.0;
     std::shared_ptr<const LambdaLut> lut_;
-    std::vector<double> rates_; ///< rate plane from fillRates()
+    std::vector<double> rates_; ///< one pixel's rates from fillRates()
 
     // ---- rate table and race scratch ---------------------------------
     double rateTableTemperature_ = -1.0;
@@ -200,8 +202,7 @@ class RsuSampler : public mrf::LabelSampler
     bool useFastPath_ = false;
     std::unique_ptr<RaceFastPath> fast_;
     double fastBoundTemperature_ = -1.0;
-    std::vector<double> quant_; ///< quantized-energy scratch
-    std::vector<double> fastU_; ///< bulk uniform scratch (row path)
+    std::vector<double> fastU_; ///< bulk uniform scratch
 
     std::uint64_t noSampleEvents_ = 0;
     std::uint64_t tieEvents_ = 0;

@@ -40,20 +40,6 @@ class SoftwareSampler : public mrf::LabelSampler
                    double temperature, std::span<const int> current,
                    std::span<int> out, rng::Rng &gen) override;
 
-    /** Per-pixel cached record: temperature stamp + m Boltzmann
-     *  weights, so clean pixels at an unchanged temperature skip the
-     *  exp entirely (the annealing tail sits on the tEnd floor). */
-    std::size_t rowCacheWords(int numLabels) const override;
-
-    /** Cached row twin; bit-identical outputs and RNG consumption to
-     *  sampleRow(). */
-    void sampleRowCached(std::span<const float> energies,
-                         int numLabels, double temperature,
-                         std::span<const int> current,
-                         std::span<int> out, rng::Rng &gen,
-                         std::span<std::uint64_t> cache,
-                         const std::uint64_t *dirty) override;
-
     std::string name() const override { return "software-float"; }
 
     /** Fold a stripe clone's sample count back into this sampler. */

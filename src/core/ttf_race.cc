@@ -19,65 +19,24 @@ threadScratch()
 }
 
 /**
- * Float-time selection scan of one pixel of a bulk-drawn TTF plane,
- * with @p next walking the compacted firing-label order of @p ttfs.
- * Reduces with the dispatched argmin kernel (first strict minimum,
- * the same rule as a scalar scan).  AllFire specializes away the
- * per-label firing re-check and the map back to label indices for
- * planes where no label was cut off (the common high-temperature
- * case).
+ * One pixel's float-time race.  Ties have measure zero, so the draw
+ * count is fixed — one uniform per firing label, in label order —
+ * and the pixel's TTFs are drawn by one bulk fill converted by the
+ * dispatched -log(u)/lambda vecmath kernel, then reduced by the
+ * dispatched argmin kernel (first strict minimum, the same rule as a
+ * scalar scan).  @p all_fire_hint skips the firing scan when the
+ * caller guarantees every rate is positive.
  */
-template <bool AllFire>
 RaceOutcome
-selectFromTtfs(std::span<const double> rates, const double *ttfs,
-               std::size_t &next)
-{
-    RaceOutcome out;
-    std::size_t firing = rates.size();
-    if constexpr (!AllFire) {
-        firing = 0;
-        for (double r : rates)
-            firing += r > 0.0 ? 1u : 0u;
-    }
-    if (firing == 0)
-        return out;
-    std::size_t j = simd::kernels().argmin(ttfs + next, firing);
-    next += firing;
-    out.contenders = static_cast<unsigned>(firing);
-    if constexpr (AllFire) {
-        out.winner = static_cast<int>(j);
-    } else {
-        // Map the j-th firing label back to its label index.
-        for (std::size_t i = 0; i < rates.size(); ++i) {
-            if (rates[i] > 0.0 && j-- == 0) {
-                out.winner = static_cast<int>(i);
-                break;
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * Float-time race over a pixel-major plane of @p m labels per pixel
- * (one pixel is the out.size() == 1 case).  Ties have measure zero,
- * so the draw count is fixed — one uniform per firing label, in
- * pixel-major label order — and the whole plane is drawn by one bulk
- * fill converted by the dispatched -log(u)/lambda vecmath kernel
- * before each pixel is argmin-scanned.  @p all_fire_hint skips the
- * firing scan when the caller guarantees every rate is positive.
- */
-void
-raceFloat(std::span<const double> rates, std::size_t m, rng::Rng &gen,
-          std::span<RaceOutcome> out, RaceRowScratch &scratch,
-          bool all_fire_hint)
+floatTimeRace(std::span<const double> rates, rng::Rng &gen,
+          RaceRowScratch &scratch, bool all_fire_hint)
 {
     std::span<const double> firing = rates;
     if (!all_fire_hint) {
         // One branchless pass both counts the firing labels and
         // compacts their rates (each rate is stored at the running
         // count, which only advances past positive rates).  With
-        // nothing cut off the plane is already compact.
+        // nothing cut off the rates are already compact.
         scratch.rates.resize(rates.size());
         std::size_t n = 0;
         for (std::size_t k = 0; k < rates.size(); ++k) {
@@ -87,21 +46,26 @@ raceFloat(std::span<const double> rates, std::size_t m, rng::Rng &gen,
         if (n != rates.size())
             firing = {scratch.rates.data(), n};
     }
+    RaceOutcome out;
+    if (firing.empty())
+        return out;
     scratch.t.resize(firing.size());
     rng::fillExponentials(gen, firing, scratch.t);
-
-    std::size_t next = 0;
+    std::size_t j =
+        simd::kernels().argmin(scratch.t.data(), firing.size());
+    out.contenders = static_cast<unsigned>(firing.size());
     if (firing.size() == rates.size()) {
-        for (std::size_t i = 0; i < out.size(); ++i)
-            out[i] = selectFromTtfs<true>(rates.subspan(i * m, m),
-                                          scratch.t.data(), next);
-    } else {
-        for (std::size_t i = 0; i < out.size(); ++i)
-            out[i] = selectFromTtfs<false>(rates.subspan(i * m, m),
-                                           scratch.t.data(), next);
+        out.winner = static_cast<int>(j);
+        return out;
     }
-    RETSIM_ASSERT(next == scratch.t.size(), "float race consumed ",
-                  next, " of ", scratch.t.size(), " TTF draws");
+    // Map the j-th firing label back to its label index.
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        if (rates[i] > 0.0 && j-- == 0) {
+            out.winner = static_cast<int>(i);
+            break;
+        }
+    }
+    return out;
 }
 
 /**
@@ -114,7 +78,7 @@ raceFloat(std::span<const double> rates, std::size_t m, rng::Rng &gen,
  * index.
  */
 RaceOutcome
-raceBinned(std::span<const double> rates, const RsuConfig &cfg,
+binnedTimeRace(std::span<const double> rates, const RsuConfig &cfg,
            rng::Rng &gen, RaceRowScratch &scratch)
 {
     // Sized to the label count, not the firing count, so a row of
@@ -178,31 +142,8 @@ runTtfRace(std::span<const double> rates, const RsuConfig &cfg,
 {
     RETSIM_ASSERT(!rates.empty(), "race needs at least one label");
     if (cfg.timeQuant == TimeQuant::Binned)
-        return raceBinned(rates, cfg, gen, scratch);
-    RaceOutcome out;
-    raceFloat(rates, rates.size(), gen, {&out, 1}, scratch,
-              allFireHint);
-    return out;
-}
-
-void
-runTtfRaceRow(std::span<const double> rates, std::size_t m,
-              const RsuConfig &cfg, rng::Rng &gen,
-              std::span<RaceOutcome> out, RaceRowScratch &scratch,
-              bool allFireHint)
-{
-    RETSIM_ASSERT(m >= 1, "race needs at least one label");
-    RETSIM_ASSERT(rates.size() == out.size() * m,
-                  "rate plane size mismatch");
-    if (cfg.timeQuant == TimeQuant::Float) {
-        raceFloat(rates, m, gen, out, scratch, allFireHint);
-        return;
-    }
-    // A random tie-break draws between one pixel's TTF uniforms and
-    // the next pixel's, and every binned pixel is cheapest raced in
-    // its own single pass, so binned planes race pixel by pixel.
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = raceBinned(rates.subspan(i * m, m), cfg, gen, scratch);
+        return binnedTimeRace(rates, cfg, gen, scratch);
+    return floatTimeRace(rates, gen, scratch, allFireHint);
 }
 
 } // namespace core

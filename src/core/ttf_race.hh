@@ -64,7 +64,7 @@ struct RaceRowScratch
  * converted by the dispatched -log(u)/lambda vecmath kernel; a random
  * tie-break (if the final minimum bin holds several labels) consumes
  * exactly one bounded draw AFTER the pixel's TTF uniforms.  Identical
- * for the scalar and row entries and for every SIMD backend.
+ * for every SIMD backend.
  */
 RaceOutcome runTtfRace(std::span<const double> rates,
                        const RsuConfig &cfg, rng::Rng &gen);
@@ -81,30 +81,6 @@ RaceOutcome runTtfRace(std::span<const double> rates,
                        const RsuConfig &cfg, rng::Rng &gen,
                        RaceRowScratch &scratch,
                        bool allFireHint = false);
-
-/**
- * Run one race per pixel over a pixel-major rate plane (@p rates holds
- * count x @p m entries; pixel i's labels start at i * m).
- *
- * Bit-exact contract: outcomes and RNG consumption are identical to
- * calling runTtfRace() once per pixel in order.  Float time draws
- * nothing but the per-label exponentials, so the whole plane's TTFs
- * are bulk-filled and converted in one kernel pass before each pixel
- * is scanned.  Binned time runs runTtfRace()'s single-pass race on
- * each pixel in turn: a random tie-break draws between one pixel's
- * TTFs and the next pixel's, and the per-pixel fused race is also the
- * cheaper one under a deterministic tie-break.
- *
- * @p allFireHint asserts that every rate in the plane is positive (no
- * label is cut off), letting the float-time path skip its firing
- * scan.  Callers must pass true only when that genuinely holds — the
- * flag decides which labels are assumed to consume draws, so a wrong
- * value breaks the draw-order contract.
- */
-void runTtfRaceRow(std::span<const double> rates, std::size_t m,
-                   const RsuConfig &cfg, rng::Rng &gen,
-                   std::span<RaceOutcome> out, RaceRowScratch &scratch,
-                   bool allFireHint = false);
 
 } // namespace core
 } // namespace retsim

@@ -268,7 +268,8 @@ TEST(BatchedSampler, RsuPreviousDesignMatchesScalar)
 
 TEST(BatchedSampler, RsuDeterministicTieBreaksMatchScalar)
 {
-    // First/Last tie-breaks take the bulk-uniform fused-race path.
+    // First/Last tie-breaks: no tie draw, one uniform per firing
+    // label.
     for (TieBreak tb : {TieBreak::First, TieBreak::Last}) {
         RsuConfig cfg = RsuConfig::newDesign();
         cfg.tieBreak = tb;
@@ -288,7 +289,7 @@ TEST(BatchedSampler, RsuClampTruncationMatchesScalar)
 
 TEST(BatchedSampler, RsuFloatEscapesMatchScalar)
 {
-    // Float time (continuous race, bulk path)...
+    // Float time (continuous race, argmin over the TTFs)...
     RsuConfig cfg = RsuConfig::newDesign();
     cfg.timeQuant = TimeQuant::Float;
     expectRsuMatchesLiteral(cfg, 16);

@@ -231,6 +231,8 @@ TEST(EnergyCache, StripedManyThinStripesStressBoundaryMarks)
 {
     // Height 16 with 8 stripes: every stripe is 2 rows, so almost
     // every flip defers a dirty mark across a stripe boundary.
+    // The RSU fast path is the sampler with a row cache, so its run
+    // checks that the deferred marks also reach the sampler's slabs.
     mrf::MrfProblem p = randomProblem(12, 16, 6, 301);
     mrf::SolverConfig cfg = annealConfig(6, 3);
     cfg.threads = 4;
@@ -239,6 +241,14 @@ TEST(EnergyCache, StripedManyThinStripesStressBoundaryMarks)
         Kind::Checkerboard, p,
         [] { return std::make_unique<SoftwareSampler>(); }, cfg,
         "striped/thin");
+    expectCacheTransparent(
+        Kind::Checkerboard, p,
+        [] {
+            RsuConfig rc = RsuConfig::newDesign();
+            rc.raceMode = RaceMode::FastPath;
+            return std::make_unique<RsuSampler>(rc);
+        },
+        cfg, "striped/thin/rsu-fastpath");
 }
 
 // -------------------------------------------------- boundary shapes
@@ -261,6 +271,14 @@ TEST(EnergyCache, TinyAndDegenerateGrids)
             Kind::Checkerboard, p,
             [] { return std::make_unique<SoftwareSampler>(); }, cfg,
             "tiny/cb");
+        expectCacheTransparent(
+            Kind::Checkerboard, p,
+            [] {
+                RsuConfig rc = RsuConfig::newDesign();
+                rc.raceMode = RaceMode::FastPath;
+                return std::make_unique<RsuSampler>(rc);
+            },
+            cfg, "tiny/cb/rsu-fastpath");
     }
 }
 

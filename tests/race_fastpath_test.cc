@@ -119,8 +119,9 @@ categorize(const RaceOutcome &oc, std::size_t m)
 
 /**
  * Drive the fast path directly: bind an identity-style rate table
- * where entry i holds rates[i], and pass quantized "energies"
- * 0..m-1 so pixel label i resolves to rates[i].
+ * where entry i holds rates[i], and race one pixel per call whose
+ * energies 0..m-1 quantize (top = m - 1, no minimum subtracted) so
+ * that label i resolves to rates[i].
  */
 std::vector<std::uint64_t>
 fastPathHistogram(const std::vector<double> &rates,
@@ -130,16 +131,19 @@ fastPathHistogram(const std::vector<double> &rates,
     const std::size_t m = rates.size();
     RaceFastPath fast(cfg);
     fast.bindRateTable(rates);
-    std::vector<double> q(m);
+    std::vector<float> e(m);
     for (std::size_t i = 0; i < m; ++i)
-        q[i] = static_cast<double>(i);
+        e[i] = static_cast<float>(i);
+    const double top = static_cast<double>(m - 1);
     rng::Xoshiro256 gen(seed);
     std::vector<std::uint64_t> hist(2 * m + 1, 0);
     double u[4];
     for (std::size_t d = 0; d < draws; ++d) {
         for (unsigned k = 0; k < fast.drawsPerPixel(); ++k)
             u[k] = gen.nextDouble();
-        ++hist[categorize(fast.raceBinned(q.data(), 0.0, m, u), m)];
+        RaceOutcome oc;
+        fast.raceEnergiesRow(e.data(), top, false, 1, m, u, &oc);
+        ++hist[categorize(oc, m)];
     }
     return hist;
 }
@@ -451,16 +455,14 @@ TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
         for (TieBreak tie : {TieBreak::Random, TieBreak::First}) {
             const RsuConfig cfg = binnedCfg(tie, 5, policy);
             const std::size_t draws = RaceFastPath(cfg).drawsPerPixel();
-            auto cold = [&](std::size_t phase, int entry, const float *e,
-                            const double *q, const double *u) {
+            auto cold = [&](std::size_t phase, bool cached,
+                            const float *e, const double *u) {
                 RaceFastPath fresh(cfg);
                 for (std::size_t b = 0; b <= phase; ++b)
                     fresh.bindRateTable(binds[b]);
                 RaceOutcome oc;
-                if (entry == 0) {
-                    oc = fresh.raceBinned(q, 0.0, kM, u);
-                } else if (entry == 1) {
-                    fresh.raceBinnedRow(q, nullptr, 1, kM, u, &oc);
+                if (!cached) {
+                    fresh.raceEnergiesRow(e, kTop, false, 1, kM, u, &oc);
                 } else {
                     std::uint64_t slab[RaceFastPath::kRowCacheWords] = {};
                     fresh.raceEnergiesRowCached(e, kTop, false, 1, kM, u,
@@ -472,7 +474,7 @@ TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
             RaceFastPath warm(cfg);
             rng::Xoshiro256 gen(43);
             std::vector<float> e(kN * kM);
-            std::vector<double> q(kN * kM), u(kN * draws);
+            std::vector<double> u(kN * draws);
             std::vector<RaceOutcome> got(kN);
             std::vector<std::uint64_t> slab(
                 kN * RaceFastPath::kRowCacheWords, 0);
@@ -481,21 +483,14 @@ TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
             for (std::size_t phase = 0; phase < binds.size(); ++phase) {
                 warm.bindRateTable(binds[phase]);
                 for (std::size_t row = 0; row < kRows; ++row) {
-                    for (std::size_t i = 0; i < e.size(); ++i) {
-                        e[i] = static_cast<float>(gen.nextBounded(256));
-                        q[i] = e[i];
-                    }
+                    for (float &x : e)
+                        x = static_cast<float>(gen.nextBounded(256));
                     for (double &x : u)
                         x = gen.nextDouble();
-                    const int entry = static_cast<int>(row % 3);
-                    if (entry == 0) {
-                        for (std::size_t p = 0; p < kN; ++p)
-                            got[p] = warm.raceBinned(
-                                q.data() + p * kM, 0.0, kM,
-                                u.data() + p * draws);
-                    } else if (entry == 1) {
-                        warm.raceBinnedRow(q.data(), nullptr, kN, kM,
-                                           u.data(), got.data());
+                    const bool cached = row % 2 != 0;
+                    if (!cached) {
+                        warm.raceEnergiesRow(e.data(), kTop, false, kN,
+                                             kM, u.data(), got.data());
                     } else {
                         warm.raceEnergiesRowCached(
                             e.data(), kTop, false, kN, kM, u.data(),
@@ -503,8 +498,8 @@ TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
                     }
                     for (std::size_t p = 0; p < kN; ++p, ++pixels) {
                         const RaceOutcome ref =
-                            cold(phase, entry, e.data() + p * kM,
-                                 q.data() + p * kM, u.data() + p * draws);
+                            cold(phase, cached, e.data() + p * kM,
+                                 u.data() + p * draws);
                         if (got[p].winner != ref.winner ||
                             got[p].tie != ref.tie)
                             ++mismatches;

@@ -372,6 +372,42 @@ TEST(BackendEquivalence, AllKernelsBitIdenticalToScalar)
     }
 }
 
+/** One packed-lane pixel's classify words and based q bytes. */
+struct PackedWords
+{
+    std::uint64_t word = 0, cw0 = 0, cw1 = 0, qlo = 0, qhi = 0;
+};
+
+/**
+ * The packed lane's words restated from their definition, for one
+ * pixel of @p m <= 16 labels: round each energy to nearest and clamp
+ * it to [0, top], subtract the pixel's minimum when asked, count
+ * each class in its byte of the count word, and put label i's class
+ * (and its based q byte) in byte i % 8 of cw0 / qlo (i < 8) or of
+ * cw1 / qhi.
+ */
+PackedWords
+literalPackedWords(const float *e, double top, bool subtract_min,
+                   const std::vector<std::uint8_t> &cls, std::size_t m)
+{
+    std::vector<double> q(m);
+    for (std::size_t i = 0; i < m; ++i)
+        q[i] = std::clamp(std::nearbyint(static_cast<double>(e[i])),
+                          0.0, top);
+    const double base =
+        subtract_min ? *std::min_element(q.begin(), q.end()) : 0.0;
+    PackedWords w;
+    for (std::size_t i = 0; i < m; ++i) {
+        const auto b = static_cast<std::uint64_t>(q[i] - base);
+        const std::uint64_t c = cls[b];
+        const unsigned shift = 8 * static_cast<unsigned>(i % 8);
+        w.word += std::uint64_t{1} << (8 * c);
+        (i < 8 ? w.cw0 : w.cw1) |= c << shift;
+        (i < 8 ? w.qlo : w.qhi) |= b << shift;
+    }
+    return w;
+}
+
 TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
 {
     // The packed quantize/classify family behind the RSU row cache:
@@ -382,7 +418,10 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
     // replayed bytes must reproduce the fused words exactly, and the
     // step encoding must match the byte table it was derived from —
     // including the m < 16 lanes the SIMD paths mask rather than
-    // skip.
+    // skip.  The scalar reference itself is held to
+    // literalPackedWords(), so a fault shared by every backend (the
+    // kernels are compiled from one template) cannot pass as
+    // agreement.
     const simd::KernelTable &ref =
         simd::kernelsFor(simd::Backend::Scalar);
     const double top = 255.0;
@@ -453,6 +492,20 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
                     // (sentinel) proves neither lane writes outside
                     // its two q words.
                     EXPECT_EQ(q1, q2);
+                    for (std::size_t p = 0; p < n; ++p) {
+                        const PackedWords lit = literalPackedWords(
+                            e.data() + p * m, top, subtract_min, cls,
+                            m);
+                        EXPECT_EQ(w2[3 * p], lit.word) << "pixel " << p;
+                        EXPECT_EQ(w2[3 * p + 1], lit.cw0)
+                            << "pixel " << p;
+                        EXPECT_EQ(w2[3 * p + 2], lit.cw1)
+                            << "pixel " << p;
+                        EXPECT_EQ(q2[p * q_stride], lit.qlo)
+                            << "pixel " << p;
+                        EXPECT_EQ(q2[p * q_stride + 1], lit.qhi)
+                            << "pixel " << p;
+                    }
 
                     // Replaying the packed bytes must reproduce the
                     // fused words, on this backend and on scalar.
