@@ -195,9 +195,10 @@ timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
 
 /** Fast-path (alias-table categorical race) timing for one RSU
  *  sampler over the same planes, including the build-amortization
- *  story: the cold pass starts from an empty RaceTableCache and
- *  therefore bills every alias-table construction; the steady pass
- *  reuses the process-wide cache like a long annealing run does. */
+ *  story: the cold pass starts from an empty RaceTableCache (race
+ *  tables and packed entries) and therefore bills every build; the
+ *  steady pass reuses the process-wide cache like a long annealing
+ *  run does. */
 struct FastTiming
 {
     double fastNsPerSample = 0.0; ///< steady state, row cache engaged
@@ -402,7 +403,7 @@ struct KernelBreakdown
     double raceNsPerPixel = 0.0;        ///< runTtfRace (binned)
     double eToLambdaNsPerLabel = 0.0;   ///< quantize + table gather
     /** Fast-path split: the fused quantize+classify front half vs the
-     *  memo-probe + SWAR alias draw back half (the part a warm row
+     *  table-probe + SWAR alias draw back half (the part a warm row
      *  cache cannot skip).  classify = full raceEnergiesRow minus the
      *  all-draw-hits cached pass. */
     double fastClassifyNsPerPixel = 0.0;

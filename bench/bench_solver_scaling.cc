@@ -24,13 +24,27 @@
  * much ghost-row latency the boundary-first schedule leaves exposed
  * even on a single-core container.
  *
- * Every run row also records memo_bytes_per_clone: the fast-path
- * memo bytes its stripe clones held (the core.race_fastpath.memo_bytes
- * delta over the run, per stripe; forked socket ranks' clones are not
- * counted).  hardware_threads is the CPUs the process may run on, so
- * a run under `taskset -c 0` records 1.
+ * Timing protocol (--reps=N): each workload first runs one untimed
+ * serial solve, so no row pays the cold builds of the process-wide
+ * fast-path tables (the serial row, which runs first, would otherwise
+ * pay all of them).  Then N rounds each time the serial row and every
+ * striped and sharded row once, interleaved, so a noisy phase of the
+ * host hits every row alike.  A row reports the process CPU time of
+ * its solves — min, median, and the interquartile range when N >= 4
+ * — and speedup_vs_serial is the serial min over the row's min.
+ * Process CPU time counts loopback ranks' threads but not forked
+ * socket ranks.
+ *
+ * Every row also records shared_table_bytes: the slot bytes of the
+ * fast path's process-wide packed tables after its last solve
+ * (RaceTableCache::packedBytes), which every stripe clone shares.
+ * hardware_threads is the CPUs the process may run on, so a run under
+ * `taskset -c 0` records 1.
  */
 
+#include <time.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <set>
@@ -38,6 +52,7 @@
 #include "apps/denoising.hh"
 #include "apps/stereo.hh"
 #include "bench_common.hh"
+#include "core/race_fastpath.hh"
 #include "core/sampler_cdf.hh"
 #include "core/sampler_rsu.hh"
 #include "img/synthetic.hh"
@@ -50,17 +65,30 @@ namespace {
 
 using namespace retsim;
 
-struct RunResult
+/** One timed row: a solver configuration and its per-round
+ *  samples. */
+struct Row
 {
-    int threads = 0;
-    int stripes = 0;
-    int shards = 1;                 ///< 1 = single-process solver
-    const char *transport = "none"; ///< loopback|socket when sharded
-    double seconds = 0.0;
-    double pixelsPerSec = 0.0;
+    int threads = 1;
+    int stripes = 0;                ///< 0 = the serial reference
+    shard::ShardOptions shards;     ///< shards > 1 = sharded solver
+    std::vector<double> cpuSeconds; ///< process CPU time per round
+    std::vector<double> wallSeconds;
     double cacheHitRate = 0.0;      ///< energy planes served clean
-    std::uint64_t haloWaitNs = 0;   ///< time blocked on ghost rows
-    std::uint64_t memoBytes = 0;    ///< fast-path memo per sampler
+    std::uint64_t haloWaitNs = 0;   ///< last round's ghost-row wait
+    std::size_t tableBytes = 0;     ///< shared tables after the row
+
+    bool sharded() const { return shards.shards > 1; }
+
+    const char *
+    transport() const
+    {
+        if (!sharded())
+            return "none";
+        return shards.transport == shard::ShardOptions::Transport::Socket
+                   ? "socket"
+                   : "loopback";
+    }
 };
 
 /** Energy-plane cache traffic of one run, read back from the global
@@ -94,98 +122,94 @@ haloWaitNow()
     return reg.counterValue(id);
 }
 
-/** Fast-path memo bytes of every RaceFastPath destroyed so far
- *  (core.race_fastpath.memo_bytes): a run's delta covers the samplers
- *  it built, which are gone when timeSolve returns. */
-std::uint64_t
-memoBytesNow()
+double
+processCpuSeconds()
 {
-    obs::Registry &reg = obs::Registry::global();
-    static const obs::MetricId id =
-        reg.counter("core.race_fastpath.memo_bytes");
-    return reg.counterValue(id);
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-double
-timeSolve(const mrf::MrfProblem &problem,
-          const bench::SamplerFactory &factory,
-          const mrf::SolverConfig &cfg,
-          const shard::ShardOptions &shards)
+void
+solve(const mrf::MrfProblem &problem,
+      const bench::SamplerFactory &factory, mrf::SolverConfig cfg,
+      const Row &row)
 {
+    cfg.threads = row.threads;
+    cfg.stripes = row.stripes;
     auto sampler = factory();
-    auto start = std::chrono::steady_clock::now();
-    if (shards.shards > 1)
-        shard::ShardedCheckerboardSolver(cfg, shards)
+    if (row.sharded())
+        shard::ShardedCheckerboardSolver(cfg, row.shards)
             .run(problem, *sampler);
     else
         mrf::CheckerboardGibbsSolver(cfg).run(problem, *sampler);
-    std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - start;
-    return dt.count();
 }
 
-RunResult
+/** Time one round of @p row and record it. */
+void
 measure(const mrf::MrfProblem &problem,
-        const bench::SamplerFactory &factory, mrf::SolverConfig cfg,
-        int threads, int stripes,
-        const shard::ShardOptions &shards = {})
+        const bench::SamplerFactory &factory,
+        const mrf::SolverConfig &cfg, Row &row)
 {
-    cfg.threads = threads;
-    cfg.stripes = stripes;
-    RunResult r;
-    r.threads = threads;
-    r.stripes = stripes;
-    if (shards.shards > 1) {
-        r.shards = shards.shards;
-        r.transport =
-            shards.transport == shard::ShardOptions::Transport::Socket
-                ? "socket"
-                : "loopback";
-    }
     const CacheCounters before = CacheCounters::now();
     const std::uint64_t waitBefore = haloWaitNow();
-    const std::uint64_t memoBefore = memoBytesNow();
-    r.seconds = timeSolve(problem, factory, cfg, shards);
-    r.haloWaitNs = haloWaitNow() - waitBefore;
-    // Serial runs draw through the one sampler; striped and sharded
-    // runs through one clone per stripe.
-    r.memoBytes = (memoBytesNow() - memoBefore) /
-                  static_cast<std::uint64_t>(std::max(1, stripes));
+    const double cpu0 = processCpuSeconds();
+    const auto wall0 = std::chrono::steady_clock::now();
+    solve(problem, factory, cfg, row);
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - wall0;
+    row.cpuSeconds.push_back(processCpuSeconds() - cpu0);
+    row.wallSeconds.push_back(wall.count());
+    row.haloWaitNs = haloWaitNow() - waitBefore;
+    row.tableBytes = core::RaceTableCache::global().packedBytes();
     const CacheCounters after = CacheCounters::now();
     const double served =
         static_cast<double>((after.hits - before.hits) +
                             (after.recomputed - before.recomputed));
-    r.cacheHitRate =
+    row.cacheHitRate =
         served > 0.0
             ? static_cast<double>(after.hits - before.hits) / served
             : 0.0;
-    double pixels = static_cast<double>(problem.width()) *
-                    problem.height() * cfg.annealing.sweeps;
-    r.pixelsPerSec = pixels / r.seconds;
-    return r;
+}
+
+/** Linear-interpolated @p q quantile of @p v. */
+double
+quantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+double
+cpuMin(const Row &r)
+{
+    return *std::min_element(r.cpuSeconds.begin(), r.cpuSeconds.end());
 }
 
 void
-printRun(const RunResult &r, double serial_s)
+printRow(const Row &r, double serial_min)
 {
-    if (r.shards > 1)
-        std::printf("  shards=%2d (%s) stripes=%2d threads=%d  "
-                    "%8.3f s  %12.0f px/s  "
-                    "halo-wait %6.2f ms  cache-hit %5.1f%%  "
-                    "memo %7.1f KiB/clone  %.2fx\n",
-                    r.shards, r.transport, r.stripes, r.threads,
-                    r.seconds, r.pixelsPerSec,
-                    static_cast<double>(r.haloWaitNs) / 1e6,
-                    100.0 * r.cacheHitRate,
-                    static_cast<double>(r.memoBytes) / 1024.0,
-                    serial_s / r.seconds);
+    char what[64];
+    if (r.stripes == 0)
+        std::snprintf(what, sizeof what, "serial (reference)");
+    else if (r.sharded())
+        std::snprintf(what, sizeof what,
+                      "shards=%d (%s) stripes=%d threads=%d",
+                      r.shards.shards, r.transport(), r.stripes,
+                      r.threads);
     else
-        std::printf("  threads=%2d stripes=%2d  %8.3f s  %12.0f px/s  "
-                    "cache-hit %5.1f%%  memo %7.1f KiB/clone  %.2fx\n",
-                    r.threads, r.stripes, r.seconds, r.pixelsPerSec,
-                    100.0 * r.cacheHitRate,
-                    static_cast<double>(r.memoBytes) / 1024.0,
-                    serial_s / r.seconds);
+        std::snprintf(what, sizeof what, "stripes=%d threads=%d",
+                      r.stripes, r.threads);
+    std::printf("  %-40s cpu min %7.4f s  median %7.4f s  "
+                "cache-hit %5.1f%%  tables %7.1f KiB  %.2fx\n",
+                what, cpuMin(r), quantile(r.cpuSeconds, 0.5),
+                100.0 * r.cacheHitRate,
+                static_cast<double>(r.tableBytes) / 1024.0,
+                serial_min / cpuMin(r));
 }
 
 } // namespace
@@ -197,6 +221,9 @@ main(int argc, char **argv)
     const int size = static_cast<int>(args.getInt("size", 256));
     const int sweeps = static_cast<int>(args.getInt("sweeps", 6));
     const int stripes = static_cast<int>(args.getInt("stripes", 16));
+    const int reps = static_cast<int>(args.getInt("reps", 1));
+    if (reps < 1)
+        RETSIM_FATAL("--reps must be >= 1, got ", reps);
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const std::string out =
@@ -245,9 +272,9 @@ main(int argc, char **argv)
         "Chromatic Gibbs sweep throughput: serial vs. row-striped "
         "threading",
         "software substrate of the concurrent RSU-G array (Sec. II-C)");
-    std::printf("grid %dx%d, %d sweeps, %d hardware threads, simd "
-                "backend %s, energy cache %s\n",
-                size, size, sweeps, hw, backend,
+    std::printf("grid %dx%d, %d sweeps, %d reps, %d hardware threads, "
+                "simd backend %s, energy cache %s\n",
+                size, size, sweeps, reps, hw, backend,
                 energy_cache ? "on" : "off");
 
     // Thread counts 1/2/4/N, deduplicated and capped at the machine.
@@ -326,10 +353,11 @@ main(int argc, char **argv)
                  "  \"batched\": true,\n"
                  "  \"simd_backend\": \"%s\",\n"
                  "  \"grid\": [%d, %d],\n  \"sweeps\": %d,\n"
+                 "  \"reps\": %d,\n"
                  "  \"seed\": %llu,\n  \"hardware_threads\": %d,\n"
                  "  \"energy_cache\": %s,\n"
                  "  \"workloads\": [",
-                 backend, size, size, sweeps,
+                 backend, size, size, sweeps, reps,
                  static_cast<unsigned long long>(seed), hw,
                  energy_cache ? "true" : "false");
 
@@ -339,60 +367,70 @@ main(int argc, char **argv)
                     w.name, w.problem->numLabels(), w.sampler,
                     w.raceMode);
 
-        // Serial reference: the historical single-stream path.
-        RunResult serial =
-            measure(*w.problem, w.factory, w.cfg, 1, 0);
-        std::printf("  serial (reference)   %8.3f s  %12.0f px/s  "
-                    "cache-hit %5.1f%%  memo %7.1f KiB\n",
-                    serial.seconds, serial.pixelsPerSec,
-                    100.0 * serial.cacheHitRate,
-                    static_cast<double>(serial.memoBytes) / 1024.0);
-
-        std::vector<RunResult> runs;
-        for (int t : thread_set)
-            runs.push_back(
-                measure(*w.problem, w.factory, w.cfg, t, stripes));
-        if (shard_options.shards > 1) {
-            // Sharded serial and threaded — same results byte for
-            // byte, so the delta is pure intra-rank scaling.
-            for (int t : {1, 4})
-                runs.push_back(measure(*w.problem, w.factory, w.cfg,
-                                       t, stripes, shard_options));
+        // Serial reference (the historical single-stream path), the
+        // striped rows, and the sharded rows at 1 and 4 intra-rank
+        // threads — same results byte for byte, so the deltas are
+        // pure scheduling cost.
+        std::vector<Row> rows(1);
+        for (int t : thread_set) {
+            Row r;
+            r.threads = t;
+            r.stripes = stripes;
+            rows.push_back(r);
         }
-        for (const RunResult &r : runs)
-            printRun(r, serial.seconds);
+        if (shard_options.shards > 1) {
+            for (int t : {1, 4}) {
+                Row r;
+                r.threads = t;
+                r.stripes = stripes;
+                r.shards = shard_options;
+                rows.push_back(r);
+            }
+        }
+        solve(*w.problem, w.factory, w.cfg, rows[0]); // warm-up
+        for (int rep = 0; rep < reps; ++rep)
+            for (Row &r : rows)
+                measure(*w.problem, w.factory, w.cfg, r);
+        const double serial_min = cpuMin(rows[0]);
+        for (const Row &r : rows)
+            printRow(r, serial_min);
 
+        const double pixels = static_cast<double>(w.problem->width()) *
+                              w.problem->height() *
+                              w.cfg.annealing.sweeps;
         std::fprintf(
             f,
             "%s\n    {\n      \"name\": \"%s\",\n"
             "      \"labels\": %d,\n"
             "      \"sampler\": \"%s\",\n"
             "      \"race_mode\": \"%s\",\n"
-            "      \"serial\": {\"seconds\": %.6f, "
-            "\"pixels_per_s\": %.1f, "
-            "\"energy_cache_hit_rate\": %.4f, "
-            "\"memo_bytes\": %llu},\n      \"runs\": [",
+            "      \"rows\": [",
             first_workload ? "" : ",", w.name,
-            w.problem->numLabels(), w.sampler, w.raceMode,
-            serial.seconds, serial.pixelsPerSec, serial.cacheHitRate,
-            static_cast<unsigned long long>(serial.memoBytes));
+            w.problem->numLabels(), w.sampler, w.raceMode);
         first_workload = false;
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            const RunResult &r = runs[i];
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const Row &r = rows[i];
+            char iqr[64] = "";
+            if (reps >= 4)
+                std::snprintf(iqr, sizeof iqr, "\"cpu_s_iqr\": %.6f, ",
+                              quantile(r.cpuSeconds, 0.75) -
+                                  quantile(r.cpuSeconds, 0.25));
             std::fprintf(
                 f,
                 "%s\n        {\"threads\": %d, \"stripes\": %d, "
                 "\"shards\": %d, \"transport\": \"%s\", "
+                "\"cpu_s_min\": %.6f, \"cpu_s_median\": %.6f, %s"
+                "\"wall_s_median\": %.6f, \"pixels_per_cpu_s\": %.1f, "
                 "\"halo_wait_ns\": %llu, "
-                "\"seconds\": %.6f, \"pixels_per_s\": %.1f, "
                 "\"energy_cache_hit_rate\": %.4f, "
-                "\"memo_bytes_per_clone\": %llu, "
+                "\"shared_table_bytes\": %zu, "
                 "\"speedup_vs_serial\": %.3f}",
-                i == 0 ? "" : ",", r.threads, r.stripes, r.shards,
-                r.transport, static_cast<unsigned long long>(r.haloWaitNs),
-                r.seconds, r.pixelsPerSec, r.cacheHitRate,
-                static_cast<unsigned long long>(r.memoBytes),
-                serial.seconds / r.seconds);
+                i == 0 ? "" : ",", r.threads, r.stripes,
+                r.shards.shards, r.transport(), cpuMin(r),
+                quantile(r.cpuSeconds, 0.5), iqr,
+                quantile(r.wallSeconds, 0.5), pixels / cpuMin(r),
+                static_cast<unsigned long long>(r.haloWaitNs),
+                r.cacheHitRate, r.tableBytes, serial_min / cpuMin(r));
         }
         std::fprintf(f, "\n      ]\n    }");
     }

@@ -144,64 +144,29 @@ LambdaLutCache::get(const RsuConfig &cfg, double temperature)
                   "no LUT exists in float-lambda mode");
     const LutCacheMetricIds &ids = LutCacheMetricIds::get();
     obs::Registry &reg = obs::Registry::global();
-    Key key = makeKey(cfg, temperature);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = tables_.find(key);
-        if (it != tables_.end()) {
-            ++hits_;
-            reg.add(ids.hits, 1);
-            return it->second;
-        }
+    const auto build = [&] {
+        return std::make_shared<const LambdaLut>(cfg, temperature);
+    };
+    bool built = false;
+    const std::shared_ptr<const LambdaLut> *slot =
+        tables_.get(makeKey(cfg, temperature), build, &built);
+    if (slot && !built) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        reg.add(ids.hits, 1);
+        return *slot;
     }
-    // Build outside the lock: table construction is the expensive part
-    // and concurrent stripes must not serialize on it.  A racing
-    // builder of the same key just loses to whoever inserts first.
-    auto built = std::make_shared<const LambdaLut>(cfg, temperature);
-    std::size_t live;
-    std::shared_ptr<const LambdaLut> table;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (tables_.size() >= kMaxEntries)
-            tables_.clear();
-        auto [it, inserted] = tables_.emplace(key, std::move(built));
-        ++misses_;
-        live = tables_.size();
-        table = it->second;
-    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
     reg.add(ids.misses, 1);
-    reg.set(ids.tables, static_cast<double>(live));
-    return table;
-}
-
-std::size_t
-LambdaLutCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tables_.size();
-}
-
-std::uint64_t
-LambdaLutCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-LambdaLutCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
+    reg.set(ids.tables, static_cast<double>(tables_.size()));
+    return slot ? *slot : build(); // full: an uncached table
 }
 
 void
 LambdaLutCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     tables_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    hits_.store(0);
+    misses_.store(0);
 }
 
 LambdaComparator::LambdaComparator(const RsuConfig &cfg,

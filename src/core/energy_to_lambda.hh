@@ -25,14 +25,14 @@
 #ifndef RETSIM_CORE_ENERGY_TO_LAMBDA_HH
 #define RETSIM_CORE_ENERGY_TO_LAMBDA_HH
 
+#include <array>
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "core/rsu_config.hh"
+#include "util/shared_table.hh"
 
 namespace retsim {
 namespace core {
@@ -95,9 +95,9 @@ class LambdaLut
  * all produce the same bits.  The cache keys tables by exactly the
  * inputs quantizeLambda() reads (Energy_bits, Lambda_bits, lambda
  * quantization mode, probability cut-off, temperature — decay-rate
- * scaling and the time parameters do not affect the table) and hands
- * out shared_ptr<const LambdaLut> so concurrent stripes can read one
- * table without lifetime coordination.
+ * scaling and the time parameters do not affect the table) in a
+ * util::SharedTable, so a hit takes no lock, and hands out
+ * shared_ptr<const LambdaLut> so a sampler's table outlives clear().
  */
 class LambdaLutCache
 {
@@ -110,28 +110,30 @@ class LambdaLutCache
                                          double temperature);
 
     /** Tables currently held. */
-    std::size_t size() const;
+    std::size_t size() const { return tables_.size(); }
     /** get() calls answered without building. */
-    std::uint64_t hits() const;
-    /** get() calls that had to build a new table. */
-    std::uint64_t misses() const;
+    std::uint64_t hits() const { return hits_.load(); }
+    /** get() calls that had to build a table. */
+    std::uint64_t misses() const { return misses_.load(); }
 
-    /** Drop all tables and reset counters (tests, memory pressure). */
+    /** Drop all tables and reset counters (tests and benches, while
+     *  no sampler converts: see util::SharedTable::clear). */
     void clear();
 
   private:
     /** (packed config fields, temperature bit pattern). */
-    using Key = std::pair<std::uint64_t, std::uint64_t>;
+    using Key = std::array<std::uint64_t, 2>;
     static Key makeKey(const RsuConfig &cfg, double temperature);
 
-    /** Tables held before the cache wipes itself; a safety valve for
-     *  pathological workloads that never repeat a temperature. */
+    /** Tables held before the cache stops inserting (later misses
+     *  build an uncached table); a safety valve for pathological
+     *  workloads that never repeat a temperature. */
     static constexpr std::size_t kMaxEntries = 4096;
 
-    mutable std::mutex mutex_;
-    std::map<Key, std::shared_ptr<const LambdaLut>> tables_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    util::SharedTable<Key, std::shared_ptr<const LambdaLut>> tables_{
+        kMaxEntries};
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> misses_{0};
 };
 
 class LambdaComparator

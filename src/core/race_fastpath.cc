@@ -127,7 +127,10 @@ struct RaceCacheMetricIds
     obs::MetricId hits;
     obs::MetricId misses;
     obs::MetricId tables;
-    obs::MetricId memoBytes; ///< summed over destroyed RaceFastPaths
+    /** RaceTableCache::packedBytes(), set whenever a packed table
+     *  grows.  A gauge: the tables outlive every sampler, so there is
+     *  no per-operation delta to count. */
+    obs::MetricId tableBytes;
 
     static const RaceCacheMetricIds &get()
     {
@@ -137,48 +140,12 @@ struct RaceCacheMetricIds
                 r.counter("core.race_fastpath.hits"),
                 r.counter("core.race_fastpath.misses"),
                 r.gauge("core.race_fastpath.tables"),
-                r.counter("core.race_fastpath.memo_bytes"),
+                r.gauge("core.race_fastpath.table_bytes"),
             };
         }();
         return ids;
     }
 };
-
-/** SplitMix64-style fold of the per-class counts; the memo verifies
- *  the full vector, so this only has to spread slots. */
-std::uint64_t
-hashCounts(const std::vector<std::uint32_t> &counts)
-{
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint32_t w : counts) {
-        h ^= w + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-        h *= 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-    }
-    return h;
-}
-
-/** SplitMix64 finalizer for the packed count word. */
-std::uint64_t
-mix64(std::uint64_t h)
-{
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-}
-
-/** Fold of a canonical table key, for the table memo's slots. */
-std::uint64_t
-hashKey(const RaceTableCache::Key &key)
-{
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t w : key)
-        h = mix64(h ^ w);
-    return h;
-}
 
 /**
  * SWAR byte-compare: bit i of the result is set iff byte i of @p x
@@ -240,64 +207,65 @@ RaceTableCache::get(const Key &key)
 {
     const RaceCacheMetricIds &ids = RaceCacheMetricIds::get();
     obs::Registry &reg = obs::Registry::global();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = tables_.find(key);
-        if (it != tables_.end()) {
-            ++hits_;
-            reg.add(ids.hits, 1);
-            return it->second;
-        }
+    const auto build = [&] {
+        return std::make_shared<const RaceTable>(buildFromKey(key));
+    };
+    bool built = false;
+    const std::shared_ptr<const RaceTable> *slot =
+        tables_.get(key, build, &built);
+    if (slot && !built) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        reg.add(ids.hits, 1);
+        return *slot;
     }
-    // Build outside the lock: construction is the expensive part and
-    // concurrent stripes must not serialize on it.  A racing builder
-    // of the same key just loses to whoever inserts first.
-    auto built =
-        std::make_shared<const RaceTable>(buildFromKey(key));
-    std::size_t live;
-    std::shared_ptr<const RaceTable> table;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (tables_.size() >= kMaxEntries)
-            tables_.clear();
-        auto [it, inserted] = tables_.emplace(key, std::move(built));
-        ++misses_;
-        live = tables_.size();
-        table = it->second;
-    }
+    misses_.fetch_add(1, std::memory_order_relaxed);
     reg.add(ids.misses, 1);
-    reg.set(ids.tables, static_cast<double>(live));
-    return table;
+    reg.set(ids.tables, static_cast<double>(tables_.size()));
+    return slot ? *slot : build(); // full: an uncached table
+}
+
+const RaceTable *
+RaceTableCache::find(const Key &key) const
+{
+    const std::shared_ptr<const RaceTable> *slot = tables_.find(key);
+    return slot ? slot->get() : nullptr;
+}
+
+std::shared_ptr<RaceTableCache::PackedTable>
+RaceTableCache::packedTable(std::uint64_t mode_word,
+                            std::span<const double> alphabet)
+{
+    Key key;
+    key.reserve(alphabet.size() + 1);
+    key.push_back(mode_word);
+    for (double rate : alphabet)
+        key.push_back(std::bit_cast<std::uint64_t>(rate));
+    const auto build = [] {
+        return std::make_shared<PackedTable>(kMaxPackedEntries);
+    };
+    const std::shared_ptr<PackedTable> *slot = packed_.get(key, build);
+    return slot ? *slot : build(); // full: a table of its own
 }
 
 std::size_t
-RaceTableCache::size() const
+RaceTableCache::packedBytes() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tables_.size();
-}
-
-std::uint64_t
-RaceTableCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-RaceTableCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
+    std::size_t bytes = 0;
+    packed_.forEach([&](const Key &, const std::shared_ptr<PackedTable> &t) {
+        bytes += t->bytes();
+    });
+    return bytes;
 }
 
 void
 RaceTableCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     tables_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    packed_.forEach([](const Key &, const std::shared_ptr<PackedTable> &t) {
+        t->clear();
+    });
+    hits_.store(0);
+    misses_.store(0);
 }
 
 RaceFastPath::RaceFastPath(const RsuConfig &cfg) : cfg_(cfg)
@@ -310,19 +278,6 @@ RaceFastPath::RaceFastPath(const RsuConfig &cfg) : cfg_(cfg)
     drawsPerPixel_ = cfg.timeQuant == TimeQuant::Float ? 1u : 3u;
     tMax_ = static_cast<double>(cfg.tMaxBins());
     modeWord_ = RaceTableCache::modeWord(cfg);
-}
-
-RaceFastPath::~RaceFastPath()
-{
-    obs::Registry::global().add(RaceCacheMetricIds::get().memoBytes,
-                                memoBytes());
-}
-
-std::size_t
-RaceFastPath::memoBytes() const
-{
-    return packedMemo_.bytes() + memo_.bytes() + expMemo_.bytes() +
-           tableMemo_.bytes();
 }
 
 bool
@@ -394,9 +349,9 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
     // Keep the alphabet STABLE across rebinds: the quantized designs
     // draw every temperature's rates from one fixed code set, so
     // after the first bind new tables are subsets and the class
-    // indexing — and with it every memo entry — stays valid.  Only a
-    // genuinely new rate value grows the alphabet (union) and costs
-    // the memos.
+    // indexing — and with it the bound packed table — stays valid.
+    // Only a genuinely new rate value grows the alphabet (union) and
+    // moves to another packed table.
     const bool subset = std::includes(
         alphabet_.begin(), alphabet_.end(), distinct.begin(),
         distinct.end());
@@ -424,11 +379,11 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
             if (alphabet_[c] > 0.0)
                 firingMask_ |= 0xffULL << (8 * c);
         counts_.assign(alphabet_.size(), 0);
-        // Class indices changed meaning; drop the memos keyed by them
-        // (the table memo and the global cache keep their tables —
-        // their keys are canonical).  Each regrows from its first use.
-        packedMemo_.release();
-        memo_.release();
+        // Class indices changed meaning, and count words with them:
+        // bind the shared packed table of the new alphabet.
+        packed_ = packedOk_ ? RaceTableCache::global().packedTable(
+                                  modeWord_, alphabet_)
+                            : nullptr;
     }
     classOf_.resize(rate_table.size());
     for (std::size_t i = 0; i < rate_table.size(); ++i) {
@@ -487,75 +442,41 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
     }
 }
 
+template <typename Count>
+void
+RaceFastPath::classKey(Count count, std::uint8_t *slot_class)
+{
+    key_.clear();
+    key_.push_back(modeWord_);
+    std::size_t slot = 0;
+    for (std::size_t c = 0; c < alphabet_.size(); ++c) {
+        const std::uint64_t cnt = count(c);
+        if (cnt == 0 || !(alphabet_[c] > 0.0))
+            continue;
+        key_.push_back(std::bit_cast<std::uint64_t>(alphabet_[c]));
+        key_.push_back(cnt);
+        if (slot_class)
+            slot_class[slot++] = static_cast<std::uint8_t>(c);
+    }
+}
+
 const RaceTable *
 RaceFastPath::lookupClassTable()
 {
-    memo_.fit([](const MemoEntry &e) { return hashCounts(e.counts); });
-    MemoEntry &e = memo_[memo_.set(hashCounts(counts_))];
-    if (e.table && e.counts == counts_)
-        return e.table.get();
-    memo_.claim(e);
-    key_.clear();
-    key_.push_back(modeWord_);
-    for (std::size_t c = 0; c < counts_.size(); ++c) {
-        if (counts_[c] == 0 || !(alphabet_[c] > 0.0))
-            continue;
-        key_.push_back(std::bit_cast<std::uint64_t>(alphabet_[c]));
-        key_.push_back(counts_[c]);
-    }
-    e.table = RaceTableCache::global().get(key_);
-    e.counts = counts_;
-    return e.table.get();
+    classKey([&](std::size_t c) { return counts_[c]; }, nullptr);
+    RaceTableCache &cache = RaceTableCache::global();
+    if (const RaceTable *t = cache.find(key_))
+        return t;
+    spillTable_ = cache.get(key_);
+    return spillTable_.get();
 }
 
-const RaceTable *
-RaceFastPath::fetchTable()
+PackedRaceEntry
+RaceFastPath::buildPacked(std::uint64_t word)
 {
-    // Direct-mapped front of the global table cache, keyed by the
-    // same canonical key (word 0 mode, then rate/count pairs), so a
-    // packed-memo refill usually touches no mutex and no std::map.
-    // The full key is compared — a slot hit can never alias.
-    tableMemo_.fit(
-        [](const TableMemoEntry &e) { return hashKey(e.key); });
-    TableMemoEntry &e = tableMemo_[tableMemo_.set(hashKey(key_))];
-    if (!e.table || e.key != key_) {
-        tableMemo_.claim(e);
-        e.table = RaceTableCache::global().get(key_);
-        e.key = key_;
-    }
-    return e.table.get();
-}
-
-void
-RaceFastPath::fitPacked()
-{
-    packedMemo_.fit([](const PackedEntry &e) { return mix64(e.key); });
-}
-
-std::size_t
-RaceFastPath::packedSlot(std::uint64_t word) const
-{
-    return packedMemo_.set(mix64(word));
-}
-
-RaceFastPath::PackedEntry &
-RaceFastPath::packedLookup(std::uint64_t word, std::size_t s)
-{
-    // 2-way: a colliding pair of hot multisets costs a rebuild per
-    // visit in a direct-mapped memo; giving each hash two slots makes
-    // that rare at the occupancy fitPacked() keeps.
-    PackedEntry &e0 = packedMemo_[s];
-    if (e0.key == word)
-        return e0;
-    PackedEntry &e1 = packedMemo_[s + 1];
-    if (e1.key == word)
-        return e1;
-    PackedEntry &victim = e0.empty() ? e0 : e1.empty() ? e1
-                          : (word & 1)  ? e1
-                                        : e0;
-    packedMemo_.claim(victim);
-    // Fill: decode the counts, rebuild the transcendental gates, and
-    // (Random lane) fetch the class table from the global cache.
+    PackedRaceEntry e;
+    // Decode the counts, build the transcendental gates, and (Random
+    // lane) copy the class table out of the cache.
     double r_tot = 0.0;
     for (std::size_t c = 0; c < alphabet_.size(); ++c) {
         const double cnt = static_cast<double>((word >> (8 * c)) &
@@ -563,54 +484,46 @@ RaceFastPath::packedLookup(std::uint64_t word, std::size_t s)
         if (alphabet_[c] > 0.0)
             r_tot += cnt * alphabet_[c];
     }
-    // The gates are pure functions of r_tot (tMax_/drop_ are fixed),
-    // and distinct count words collapse onto far fewer r_tot values,
-    // so a direct-mapped memo on the exact sum bits replaces both
-    // sexp() calls on most refills.
-    expMemo_.fit([](const ExpMemoEntry &e) { return mix64(e.key); });
-    const std::uint64_t rbits = std::bit_cast<std::uint64_t>(r_tot);
-    ExpMemoEntry &xe = expMemo_[expMemo_.set(mix64(rbits))];
-    if (xe.key != rbits) {
-        expMemo_.claim(xe);
-        xe.qAll = simd::sexp(-r_tot);
-        xe.gate = drop_ ? 1.0 - simd::sexp(-r_tot * tMax_)
-                        : 1.0 - simd::sexp(-r_tot * (tMax_ - 1.0));
-        xe.key = rbits;
-    }
-    victim.qAll = xe.qAll;
-    victim.gate = xe.gate;
+    e.qAll = simd::sexp(-r_tot);
+    e.gate = drop_ ? 1.0 - simd::sexp(-r_tot * tMax_)
+                   : 1.0 - simd::sexp(-r_tot * (tMax_ - 1.0));
     if (!ordered_) {
-        key_.clear();
-        key_.push_back(modeWord_);
-        std::size_t slot = 0;
-        for (std::size_t c = 0; c < alphabet_.size(); ++c) {
-            const std::uint64_t cnt = (word >> (8 * c)) & 0xff;
-            if (cnt == 0 || !(alphabet_[c] > 0.0))
-                continue;
-            key_.push_back(
-                std::bit_cast<std::uint64_t>(alphabet_[c]));
-            key_.push_back(cnt);
-            victim.slotClass[slot++] = static_cast<std::uint8_t>(c);
-        }
-        // Copy the table's alias method into the entry (the global
-        // cache keeps the canonical build; the sampler keeps no
-        // reference).  Float thresholds perturb each outcome
-        // probability by O(2^-24) — far below what any statistical
-        // consumer can resolve.
-        const RaceTable *table = fetchTable();
+        classKey([&](std::size_t c) { return (word >> (8 * c)) & 0xff; },
+                 e.slotClass);
+        // Float thresholds perturb each outcome probability by
+        // O(2^-24) — far below what any statistical consumer can
+        // resolve.
+        const std::shared_ptr<const RaceTable> table =
+            RaceTableCache::global().get(key_);
         const std::size_t k = table->outcomes();
         RETSIM_ASSERT(k <= 16,
                       "packed race entry overflow: > 8 classes");
-        victim.outcomes = static_cast<double>(k);
+        e.outcomes = static_cast<double>(k);
         for (std::size_t j = 0; j < k; ++j) {
-            victim.aliasProb[j] =
-                static_cast<float>(table->aliasProb[j]);
-            victim.alias[j] =
-                static_cast<std::uint8_t>(table->alias[j]);
+            e.aliasProb[j] = static_cast<float>(table->aliasProb[j]);
+            e.alias[j] = static_cast<std::uint8_t>(table->alias[j]);
         }
     }
-    victim.key = word;
-    return victim;
+    return e;
+}
+
+const PackedRaceEntry &
+RaceFastPath::packedEntry(std::uint64_t word, std::uint64_t h)
+{
+    if (const PackedRaceEntry *e = packed_->find(word, h))
+        return *e;
+    const std::size_t bytes = packed_->bytes();
+    const PackedRaceEntry *e =
+        packed_->get(word, h, [&] { return buildPacked(word); });
+    if (!e) {
+        spill_ = buildPacked(word);
+        return spill_;
+    }
+    if (packed_->bytes() != bytes)
+        obs::Registry::global().set(
+            RaceCacheMetricIds::get().tableBytes,
+            static_cast<double>(RaceTableCache::global().packedBytes()));
+    return *e;
 }
 
 void
@@ -634,31 +547,22 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
         }
         return;
     }
-    fitPacked();
     rowWords_.resize(3 * n);
-    rowSlot_.resize(n);
+    rowHash_.resize(n);
     kern.quantizeClassifyRow(energies, top, subtract_min,
                              classBytes_.data(), n, m,
                              rowWords_.data(), nullptr, 0);
     for (std::size_t p = 0; p < n; ++p) {
-        const std::size_t slot = packedSlot(rowWords_[3 * p]);
-        rowSlot_[p] = static_cast<std::uint32_t>(slot);
-#if defined(__GNUC__) || defined(__clang__)
-        // Pull the pixel's memo pair (first entry fully, second's
-        // header) into cache while later pixels hash; by the draw
-        // pass the probe is an L1 hit instead of a serialized L2/L3
-        // round-trip per pixel.
-        const char *pair = reinterpret_cast<const char *>(
-            &packedMemo_[slot]);
-        __builtin_prefetch(pair);
-        __builtin_prefetch(pair + 64);
-        __builtin_prefetch(pair + 128);
-#endif
+        // Pull the pixel's slots into cache while later pixels hash;
+        // by the draw pass the probe is an L1 hit instead of a
+        // serialized L2/L3 round-trip per pixel.
+        rowHash_[p] = RaceTableCache::PackedTable::hash(rowWords_[3 * p]);
+        packed_->prefetch(rowHash_[p]);
     }
     for (std::size_t p = 0; p < n; ++p)
         out[p] = drawPacked(rowWords_[3 * p], rowWords_[3 * p + 1],
                             rowWords_[3 * p + 2], m, u + p * draws,
-                            rowSlot_[p]);
+                            rowHash_[p]);
 }
 
 void
@@ -677,9 +581,8 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
     enum : std::uint8_t { kDraw = 0, kClassify = 1, kMiss = 2 };
     const unsigned draws = drawsPerPixel_;
     const auto &kern = simd::kernels();
-    fitPacked();
     rowWords_.resize(3 * n);
-    rowSlot_.resize(n);
+    rowHash_.resize(n);
     rowState_.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
         const std::uint64_t *e = cache + p * kRowCacheWords;
@@ -747,36 +650,29 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
             }
             rowCacheStats_.misses += len;
         }
-        // Memo warm-up fused into the run walk (one less traversal
-        // of the slab): by the draw pass below, each pixel's memo
-        // pair is an L1/L2 hit instead of a serialized probe.  The
-        // count word lives in the slab for every state — classify
-        // and miss runs wrote it back just above.
+        // Table warm-up fused into the run walk (one less traversal
+        // of the slab): by the draw pass below, each pixel's slots
+        // are an L1/L2 hit instead of a serialized probe.  The count
+        // word lives in the slab for every state — classify and miss
+        // runs wrote it back just above.
         for (std::size_t i = p; i < end; ++i) {
-            const std::size_t slot =
-                packedSlot(cache[i * kRowCacheWords + 4]);
-            rowSlot_[i] = static_cast<std::uint32_t>(slot);
-#if defined(__GNUC__) || defined(__clang__)
-            const char *pair =
-                reinterpret_cast<const char *>(&packedMemo_[slot]);
-            __builtin_prefetch(pair);
-            __builtin_prefetch(pair + 64);
-            __builtin_prefetch(pair + 128);
-#endif
+            rowHash_[i] = RaceTableCache::PackedTable::hash(
+                cache[i * kRowCacheWords + 4]);
+            packed_->prefetch(rowHash_[i]);
         }
         p = end;
     }
     for (std::size_t p = 0; p < n; ++p) {
         const std::uint64_t *e = cache + p * kRowCacheWords;
         out[p] = drawPacked(e[4], e[5], e[6], m, u + p * draws,
-                            rowSlot_[p]);
+                            rowHash_[p]);
     }
 }
 
 RaceOutcome
 RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
                          std::uint64_t cw1, std::size_t m,
-                         const double *u, std::size_t slot)
+                         const double *u, std::uint64_t h)
 {
     RaceOutcome oc;
     if ((word & firingMask_) == 0)
@@ -797,8 +693,8 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
         return fire;
     };
 
-    const PackedEntry &e = packedLookup(word, slot);
-    // u[0] against the memoized gate replaces the explicit minimum-
+    const PackedRaceEntry &e = packedEntry(word, h);
+    // u[0] against the tabulated gate replaces the explicit minimum-
     // bin exponential draw: P(fired) = 1 - e^{-R T} under the drop
     // policy; under clamp the gate splits interior bins from the
     // all-tie window-end bin at 1 - e^{-R (T-1)}.
@@ -887,7 +783,7 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
         pool = static_cast<std::uint32_t>(std::popcount(mask));
         oc.tie = pool > 1;
     } else {
-        // (winner class, tie) from the memoized class table, then
+        // (winner class, tie) from the entry's class table, then
         // the winner uniformly inside the class.  The alias slot's
         // fractional part is uniform and independent of the slot
         // index, so it doubles as the accept draw.
@@ -1040,7 +936,7 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
         oc.tie = n_fire > 1;
         return oc;
     }
-    // Interior bin: draw (winner class, tie) from the memoized class
+    // Interior bin: draw (winner class, tie) from the cached class
     // table — the alias slot's fractional part is uniform and
     // independent of the slot index, so it doubles as the accept
     // draw — then the winner uniformly inside the class.

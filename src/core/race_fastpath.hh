@@ -35,7 +35,7 @@
  * labels; its (winner class, tie) conditional law is tabulated per
  * rate multiset — exchangeability lets equal-rate labels share one
  * table slot, with the winner drawn uniformly inside the class — and
- * the tables are cached process-wide like LambdaLutCache.  Because
+ * the tables are cached process-wide in RaceTableCache.  Because
  * the quantized designs draw their rates from a tiny alphabet (the
  * lambda codes times lambda_0 — temperature only selects which codes
  * an energy maps to), the cache key is the (rate, count) multiset
@@ -57,16 +57,16 @@
 #ifndef RETSIM_CORE_RACE_FASTPATH_HH
 #define RETSIM_CORE_RACE_FASTPATH_HH
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "core/rsu_config.hh"
 #include "core/ttf_race.hh"
 #include "simd/kernels.hh"
+#include "util/shared_table.hh"
 
 namespace retsim {
 namespace core {
@@ -103,13 +103,41 @@ struct RaceTable
 };
 
 /**
- * Process-wide memoization of RaceTables, mirroring LambdaLutCache.
+ * Everything the packed lane's draw reads for one count word over a
+ * bound rate alphabet (<= 8 classes, m <= 16 labels): the fired /
+ * window-end uniform gate and e^{-R}, plus (Random lane) a
+ * self-contained copy of the class table's alias method (float
+ * thresholds, byte targets — a <= 8 class alphabet has <= 16
+ * outcomes) and its slot -> alphabet-class map, so the hot draw does
+ * no log/exp and touches no memory outside the entry's slot: two
+ * adjacent cache lines, no heap hops.  (Keeping the arrays by pointer
+ * instead measures slower: the per-table heap vectors scatter, and
+ * the draw picks up a dependent load.)  An entry is a pure function
+ * of (mode word, alphabet, count word).
+ */
+struct PackedRaceEntry
+{
+    double gate = 0.0;     ///< fired (drop) / interior (clamp) gate
+    double qAll = 1.0;     ///< e^{-r_tot}
+    double outcomes = 0.0; ///< table outcome count (2 * classes)
+    std::uint8_t slotClass[8] = {};
+    std::uint8_t alias[16] = {};
+    float aliasProb[16] = {};
+};
+
+/**
+ * Process-wide store of the fast path's race entries: the Random-tie
+ * RaceTables, and one table of PackedRaceEntry per (mode word, rate
+ * alphabet) that every RaceFastPath bound to that alphabet probes on
+ * its per-pixel path.  All are util::SharedTables, so a hit takes no
+ * lock, and stripe clones share every entry instead of each
+ * re-learning them.
  *
- * The key is fully self-describing — word 0 packs the mode bits and
- * the remaining words carry ascending (rate bit pattern, count)
- * pairs over the firing classes — so the cache builds missing tables
- * from the key alone.  Temperature is deliberately NOT part of the
- * key: the rates already capture it, which is what lets revisited
+ * A RaceTable key is fully self-describing — word 0 packs the mode
+ * bits and the remaining words carry ascending (rate bit pattern,
+ * count) pairs over the firing classes — so the cache builds missing
+ * tables from the key alone.  Temperature is deliberately NOT part of
+ * the key: the rates already capture it, which is what lets revisited
  * annealing rungs and coinciding code vectors at different
  * temperatures share one build (asserted by the cross-temperature
  * cache test).
@@ -118,12 +146,30 @@ class RaceTableCache
 {
   public:
     using Key = std::vector<std::uint64_t>;
+    /** Packed entries of one (mode word, alphabet), by count word. */
+    using PackedTable = util::SharedTable<std::uint64_t, PackedRaceEntry>;
 
     /** The process-wide instance used by the samplers. */
     static RaceTableCache &global();
 
-    /** Fetch-or-build the table for a canonical key. */
+    /** Fetch-or-build the table for a canonical key; counts a hit or
+     *  a miss. */
     std::shared_ptr<const RaceTable> get(const Key &key);
+
+    /** The table for @p key if one is cached, else null: one lock-free
+     *  probe, not counted. */
+    const RaceTable *find(const Key &key) const;
+
+    /**
+     * The packed-entry table of (@p mode_word, @p alphabet), created
+     * empty on first request and kept as long as the cache.
+     */
+    std::shared_ptr<PackedTable> packedTable(
+        std::uint64_t mode_word, std::span<const double> alphabet);
+
+    /** Slot bytes held by every packed table
+     *  (core.race_fastpath.table_bytes). */
+    std::size_t packedBytes() const;
 
     /** Pack key word 0 from the config's race-relevant fields. */
     static std::uint64_t modeWord(const RsuConfig &cfg);
@@ -134,48 +180,46 @@ class RaceTableCache
     static RaceTable buildFromKey(const Key &key);
 
     /** Tables currently held. */
-    std::size_t size() const;
+    std::size_t size() const { return tables_.size(); }
     /** get() calls answered without building. */
-    std::uint64_t hits() const;
+    std::uint64_t hits() const { return hits_.load(); }
     /** get() calls that had to build a new table. */
-    std::uint64_t misses() const;
+    std::uint64_t misses() const { return misses_.load(); }
 
-    /** Drop all tables and reset counters (tests, memory pressure). */
+    /** Empty the race tables and every packed table and reset the
+     *  counters (tests and benches, while no sampler draws: see
+     *  util::SharedTable::clear). */
     void clear();
 
   private:
-    /** Tables held before the cache wipes itself; a safety valve for
-     *  workloads that never repeat a rate multiset. */
+    /** Entries each table holds before it stops inserting (later
+     *  misses build uncached); a safety valve for workloads that
+     *  never repeat a rate multiset. */
     static constexpr std::size_t kMaxEntries = 65536;
+    static constexpr std::size_t kMaxPackedEntries = 32768;
+    static constexpr std::size_t kMaxPackedTables = 1024;
 
-    mutable std::mutex mutex_;
-    std::map<Key, std::shared_ptr<const RaceTable>> tables_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    util::SharedTable<Key, std::shared_ptr<const RaceTable>> tables_{
+        kMaxEntries};
+    /** (mode word, alphabet rate bits) -> packed table. */
+    util::SharedTable<Key, std::shared_ptr<PackedTable>> packed_{
+        kMaxPackedTables};
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> misses_{0};
 };
 
 /**
  * Per-sampler fast-path state: the quantized-energy -> rate-class
  * mapping for the currently bound rate table, per-class tie
- * probabilities, a direct-mapped count-vector memo in front of the
- * global cache (no mutex, no canonical-key build on the per-pixel
- * hot path), and the per-pixel draw routines.  One instance per
- * RsuSampler; stripe clones each own theirs, because a memo shared by
- * concurrent stripes would need synchronization on the per-pixel
- * path, and a memo sized to its working set keeps that cheap.
+ * probabilities, the shared packed table of that alphabet, and the
+ * per-pixel draw routines.  One instance per RsuSampler; stripe clones
+ * each own theirs, but every race entry lives in RaceTableCache,
+ * whose hits take no lock.
  */
 class RaceFastPath
 {
   public:
     explicit RaceFastPath(const RsuConfig &cfg);
-    /** Adds memoBytes() to the core.race_fastpath.memo_bytes
-     *  counter. */
-    ~RaceFastPath();
-
-    /** Bytes of memo slots this instance holds now.  Every memo is
-     *  allocated on first use and grows with its working set (see
-     *  Memo), so this measures what the draws actually needed. */
-    std::size_t memoBytes() const;
 
     /** Words per pixel of the caller-owned row cache consumed by
      *  raceEnergiesRowCached(): magic, bind generation, two packed
@@ -237,10 +281,10 @@ class RaceFastPath
     /**
      * Bind the quantized-energy -> absolute-rate table the quantized
      * energies resolve through (RsuSampler's rateTable_).  Rebuilds
-     * the rate alphabet, class map and tie probabilities and resets
-     * the memo; cheap enough to call on every temperature change
-     * (global cache entries survive — their keys are canonical rate
-     * multisets).
+     * the class map, and when the rate alphabet changes the tie
+     * probabilities and the shared packed table; cheap enough to call
+     * on every temperature change (cached entries survive — their
+     * keys are canonical rate multisets and alphabets).
      */
     void bindRateTable(std::span<const double> rate_table);
 
@@ -253,13 +297,14 @@ class RaceFastPath
      * offset by their quantized minimum before they index the bound
      * rate table.  Packed lane (<= 8 rate classes, m <= 16): one
      * dispatched quantizeClassifyRow kernel call classifies the row
-     * (no quantized plane ever materializes), the memo entries are
-     * prefetched, then a draw pass runs with them already in cache,
-     * so one pixel's memo-probe latency overlaps the next pixel's
-     * work.  Other pixels quantize with the quantizeEnergies kernel
-     * and take the general lane.  @p u carries drawsPerPixel()
-     * uniforms in [0, 1) per pixel; all are consumed logically even
-     * when an outcome ignores one (fixed draw layout).
+     * (no quantized plane ever materializes), the shared packed
+     * table's slots are prefetched, then a draw pass runs with them
+     * already in cache, so one pixel's probe latency overlaps the
+     * next pixel's work.  Other pixels quantize with the
+     * quantizeEnergies kernel and take the general lane.  @p u
+     * carries drawsPerPixel() uniforms in [0, 1) per pixel; all are
+     * consumed logically even when an outcome ignores one (fixed draw
+     * layout).
      */
     void raceEnergiesRow(const float *energies, double top,
                          bool subtract_min, std::size_t n,
@@ -300,109 +345,42 @@ class RaceFastPath
 
   private:
     /**
-     * Slot storage of one per-instance memo, sized to its working
-     * set: no slots until first use, then kInitialSlots, doubled (up
-     * to Cap) whenever the live entries pass half the slots.  A key
-     * hashes to a set of Ways adjacent slots; doubling re-places each
-     * live entry by its key hash and drops one whose new set is full.
-     * Entries are self-contained and keyed by content, so where one
-     * lives, or whether a resize dropped it, never changes a draw.
-     * Entry provides empty().
-     */
-    template <typename Entry, std::size_t Cap, std::size_t Ways = 1>
-    class Memo
-    {
-      public:
-        static constexpr std::size_t kInitialSlots = 256;
-        static_assert(kInitialSlots <= Cap && (Cap & (Cap - 1)) == 0,
-                      "memo sizes are powers of two from 256");
-
-        /** Allocate on first use, or double past half occupancy.
-         *  Moves entries, so call it only while no slot index is
-         *  held; @p hash maps a live entry to its key hash. */
-        template <typename Hash>
-        void
-        fit(Hash hash)
-        {
-            if (slots_.empty()) {
-                slots_.resize(kInitialSlots);
-                return;
-            }
-            if (2 * live_ <= slots_.size() || slots_.size() >= Cap)
-                return;
-            std::vector<Entry> old(2 * slots_.size());
-            old.swap(slots_);
-            live_ = 0;
-            for (Entry &e : old) {
-                if (e.empty())
-                    continue;
-                const std::size_t s = set(hash(e));
-                for (std::size_t w = s; w < s + Ways; ++w) {
-                    if (slots_[w].empty()) {
-                        slots_[w] = std::move(e);
-                        ++live_;
-                        break;
-                    }
-                }
-            }
-        }
-
-        /** First slot of the set key hash @p h maps to. */
-        std::size_t
-        set(std::uint64_t h) const
-        {
-            return (h & (slots_.size() - 1)) & ~(Ways - 1);
-        }
-
-        Entry &operator[](std::size_t i) { return slots_[i]; }
-
-        /** Call just before (re)filling @p e: counts it live if it
-         *  held no entry. */
-        void claim(const Entry &e) { live_ += e.empty() ? 1 : 0; }
-
-        /** Drop every entry and the storage. */
-        void
-        release()
-        {
-            slots_ = std::vector<Entry>();
-            live_ = 0;
-        }
-
-        std::size_t bytes() const { return slots_.size() * sizeof(Entry); }
-
-      private:
-        std::vector<Entry> slots_;
-        std::size_t live_ = 0; ///< non-empty slots
-    };
-
-    /**
      * Draw one pixel of the fast lane for small pixels over small
      * alphabets (<= 8 rate classes, m <= 16 labels — every quantized
      * design) from its classify words: the per-class counts, one
-     * byte per class in @p word, which is simultaneously the memo
-     * key, and the label -> class bytes in @p cw0 / @p cw1 (the
+     * byte per class in @p word, which is simultaneously the packed
+     * table key, and the label -> class bytes in @p cw0 / @p cw1 (the
      * quantizeClassifyRow kernel layout), so the winner scans are
-     * branch-free SWAR byte-compares.  A 2-way memo entry carries
-     * everything transcendental the draw needs — the fired /
-     * window-end uniform gate and e^{-R} — plus the class table's
-     * slot map and raw alias arrays, so the steady-state pixel does
-     * no log/exp, no heap key, no mutex, and no pointer-chasing
-     * through vector headers.  Entries depend only on the count
-     * multiset over a stable alphabet, so they survive temperature
-     * rebinds.  @p slot is the pixel's memo pair index
-     * (packedSlot(word)) — hoisted so the row passes hash once, at
-     * prefetch time.
+     * branch-free SWAR byte-compares.  The entry (PackedRaceEntry)
+     * carries everything transcendental the draw needs, so the
+     * steady-state pixel does no log/exp, no heap key, no lock, and
+     * no pointer-chasing through vector headers.  Entries depend only
+     * on the count multiset over a stable alphabet, so they survive
+     * temperature rebinds.  @p h is the word's hash — hoisted so the
+     * row passes hash once, at prefetch time.
      */
     RaceOutcome drawPacked(std::uint64_t word, std::uint64_t cw0,
                            std::uint64_t cw1, std::size_t m,
-                           const double *u, std::size_t slot);
+                           const double *u, std::uint64_t h);
     /** General lane (rare: huge alphabets or label counts): vector
      *  counts key and a per-pixel log for the window gates. */
     RaceOutcome raceGeneral(const double *q, double base,
                             std::size_t m, const double *u);
-    /** Memoized fetch of the Random-tie class table for the current
-     *  pixel's counts_ (alphabet-indexed label counts). */
+    /** The Random-tie class table for the current pixel's counts_
+     *  (alphabet-indexed label counts), straight from RaceTableCache. */
     const RaceTable *lookupClassTable();
+    /** The packed entry of @p word (hash @p h): a lock-free probe of
+     *  the shared table, else a locked insert (or, when the table is
+     *  full, an uncached build into spill_). */
+    const PackedRaceEntry &packedEntry(std::uint64_t word,
+                                       std::uint64_t h);
+    /** Build @p word's entry from the bound alphabet. */
+    PackedRaceEntry buildPacked(std::uint64_t word);
+    /** Fill key_ with the canonical RaceTable key of per-class counts
+     *  @p count (class c's count), recording the firing classes'
+     *  alphabet indices in @p slot_class when non-null. */
+    template <typename Count>
+    void classKey(Count count, std::uint8_t *slot_class);
 
     RsuConfig cfg_;
     bool ordered_ = false; ///< First/Last (tableless) vs Random
@@ -433,40 +411,17 @@ class RaceFastPath
     int zeroClass_ = -1;      ///< alphabet index of the rate-0 class
     std::uint64_t firingMask_ = 0; ///< count-word bytes of rate>0 classes
 
-    // ---- packed-lane memo --------------------------------------------
-    struct alignas(64) PackedEntry
-    {
-        std::uint64_t key = 0; ///< per-class count bytes; 0 = empty
-        double gate = 0.0;     ///< fired (drop) / interior (clamp) gate
-        double qAll = 1.0;     ///< e^{-r_tot}
-        // Random lane: a self-contained copy of the class table's
-        // alias method (float thresholds, byte targets — a <= 8
-        // class alphabet has <= 16 outcomes) plus its slot ->
-        // alphabet-class map, so the hot draw touches no memory
-        // outside this entry: two adjacent cache lines, no heap
-        // hops, no ownership to track.  (Keeping the arrays by
-        // pointer instead measures slower: the per-table heap
-        // vectors scatter, and the draw picks up a dependent load.)
-        double outcomes = 0.0; ///< table outcome count (2 * classes)
-        std::uint8_t slotClass[8] = {};
-        std::uint8_t alias[16] = {};
-        float aliasProb[16] = {};
-
-        bool empty() const { return key == 0; }
-    };
-    /** 2-way (see packedLookup).  Grown only by fitPacked(), at the
-     *  row entries, because the row passes hash every pixel's slot
-     *  before their draws. */
-    Memo<PackedEntry, 65536, 2> packedMemo_;
-    void fitPacked();
-    PackedEntry &packedLookup(std::uint64_t word, std::size_t slot);
-    /** Memo pair index of a count word (always even; the pair is
-     *  {slot, slot + 1}).  Valid until the next fitPacked(). */
-    std::size_t packedSlot(std::uint64_t word) const;
+    // ---- packed lane -------------------------------------------------
+    /** The shared table of the bound alphabet; null off the packed
+     *  lane. */
+    std::shared_ptr<RaceTableCache::PackedTable> packed_;
+    /** Uncached entry, used when the shared table is full. */
+    PackedRaceEntry spill_;
     // Row-pass scratch: per-pixel classify words (word/cw0/cw1
-    // triples, the quantizeClassifyRow kernel layout) + memo slots.
+    // triples, the quantizeClassifyRow kernel layout) + count-word
+    // hashes.
     std::vector<std::uint64_t> rowWords_;
-    std::vector<std::uint32_t> rowSlot_;
+    std::vector<std::uint64_t> rowHash_;
     /** Per-pixel cache disposition of the current cached row
      *  (draw hit / classify hit / miss), run-length batched. */
     std::vector<std::uint8_t> rowState_;
@@ -474,48 +429,13 @@ class RaceFastPath
     // energies.
     std::vector<double> quantScratch_;
 
-    // ---- general-lane scratch and memo -------------------------------
+    // ---- general-lane scratch ----------------------------------------
     std::vector<std::uint32_t> counts_;  ///< per-class label counts
     std::vector<std::uint16_t> pixelClass_;
     RaceTableCache::Key key_;
-    struct MemoEntry
-    {
-        std::vector<std::uint32_t> counts;
-        std::shared_ptr<const RaceTable> table; ///< null = empty
-
-        bool empty() const { return !table; }
-    };
-    Memo<MemoEntry, 4096> memo_;
-
-    // ---- packed-fill accelerators ------------------------------------
-    // High temperatures make the count word nearly unique per pixel,
-    // so the packed memo refills constantly; these two memos cut the
-    // refill cost itself.  Neither needs invalidation: the exp memo
-    // is keyed by the exact r_tot bits (tMax_/drop_ are fixed per
-    // instance) and the table memo compares the full canonical key.
-    // Both grow at their lookup: no slot of theirs outlives one.
-    /** r_tot bit pattern -> the two transcendental gates. */
-    struct ExpMemoEntry
-    {
-        std::uint64_t key = ~std::uint64_t{0}; ///< never a finite sum
-        double qAll = 1.0;
-        double gate = 0.0;
-
-        bool empty() const { return key == ~std::uint64_t{0}; }
-    };
-    Memo<ExpMemoEntry, 16384> expMemo_;
-    /** Canonical table key -> shared table, bypassing the global
-     *  cache's mutex + ordered map on the hot refill path. */
-    struct TableMemoEntry
-    {
-        RaceTableCache::Key key;
-        std::shared_ptr<const RaceTable> table; ///< null = empty
-
-        bool empty() const { return !table; }
-    };
-    Memo<TableMemoEntry, 4096> tableMemo_;
-    /** Fetch the race table for key_, through tableMemo_. */
-    const RaceTable *fetchTable();
+    /** Keeps an uncached class table (cache full) alive for its
+     *  pixel's draw. */
+    std::shared_ptr<const RaceTable> spillTable_;
 };
 
 } // namespace core

@@ -140,9 +140,9 @@ void
 RsuSampler::bindFastPath()
 {
     // The alphabet only depends on rateTable_, which only changes
-    // with rateTableTemperature_; the fast path's table memo itself
-    // survives rebinds (its keys are canonical rate vectors, shared
-    // across temperatures).
+    // with rateTableTemperature_; the cached race entries survive
+    // rebinds (their keys are canonical rate vectors and alphabets,
+    // shared across temperatures).
     if (fastBoundTemperature_ == rateTableTemperature_)
         return;
     fast_->bindRateTable(rateTable_);
@@ -180,7 +180,7 @@ RsuSampler::sampleRowFast(std::span<const float> energies,
     if (cfg_.timeQuant == TimeQuant::Binned) {
         // Table-driven: stages 1-5 collapse to a fused quantize +
         // classify pass and a categorical draw — no per-label rates,
-        // exponentials or argmin, no quantized plane, and the memo
+        // exponentials or argmin, no quantized plane, and the table
         // lookups overlap across pixels (see raceEnergiesRow).
         // RaceFastPath::supported() guarantees quantized energies and
         // a non-float lambda here, so rateTable_ exists.

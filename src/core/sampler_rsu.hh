@@ -82,13 +82,6 @@ class RsuSampler : public mrf::LabelSampler
         return fast_ ? &fast_->rowCacheStats() : nullptr;
     }
 
-    /** Memo bytes of the fast path (RaceFastPath::memoBytes; 0 when
-     *  the sampler has no fast path). */
-    std::size_t memoBytes() const
-    {
-        return fast_ ? fast_->memoBytes() : 0;
-    }
-
     std::string name() const override;
 
     /** Fold a stripe clone's counters back into this sampler. */

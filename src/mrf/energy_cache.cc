@@ -165,11 +165,22 @@ EnergyPlaneCache::pixelEnergies(const MrfProblem &problem,
             labels, x, y,
             std::span<float>(pl, static_cast<std::size_t>(m_)));
         word &= ~bit;
-        stats_.recomputed.fetch_add(1, std::memory_order_relaxed);
+        ++pendingRecomputed_;
     } else {
-        stats_.cleanHits.fetch_add(1, std::memory_order_relaxed);
+        ++pendingCleanHits_;
     }
     return pl;
+}
+
+void
+EnergyPlaneCache::flushPixelCounts()
+{
+    stats_.recomputed.fetch_add(pendingRecomputed_,
+                                std::memory_order_relaxed);
+    stats_.cleanHits.fetch_add(pendingCleanHits_,
+                               std::memory_order_relaxed);
+    pendingRecomputed_ = 0;
+    pendingCleanHits_ = 0;
 }
 
 } // namespace mrf

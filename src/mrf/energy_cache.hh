@@ -158,11 +158,18 @@ class EnergyPlaneCache
 
     /**
      * Phases == 1 per-pixel path: plane of (x, y), recomputed first
-     * if dirty (bit cleared).  Returns the numLabels-float row.
+     * if dirty (bit cleared).  Returns the numLabels-float row.  The
+     * hit/recompute counts accrue in plain members (the raster and
+     * random-scan solver is single-threaded) until
+     * flushPixelCounts() adds them to stats().
      */
     const float *pixelEnergies(const MrfProblem &problem,
                                const img::LabelMap &labels, int x,
                                int y);
+
+    /** Add pixelEnergies()'s pending counts to stats(): once per
+     *  sweep, before anything reads them. */
+    void flushPixelCounts();
 
     /** The 8-bit shadow label plane (width * height, row-major). */
     const std::uint8_t *shadow() const { return shadow_.data(); }
@@ -215,6 +222,8 @@ class EnergyPlaneCache
     std::vector<std::uint64_t> dirty_;
     std::vector<std::uint8_t> shadow_;
     EnergyCacheStats stats_;
+    std::uint64_t pendingRecomputed_ = 0; ///< pixelEnergies, unflushed
+    std::uint64_t pendingCleanHits_ = 0;
 };
 
 } // namespace mrf

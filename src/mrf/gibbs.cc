@@ -156,6 +156,8 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                 for (int x = 0; x < problem.width(); ++x)
                     update_pixel(x, y, temperature);
         }
+        if (cache)
+            cache->flushPixelCounts();
         if (trace) {
             trace->energyPerSweep.push_back(
                 problem.totalEnergy(labels));

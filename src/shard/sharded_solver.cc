@@ -18,6 +18,7 @@
 #include "mrf/solver_telemetry.hh"
 #include "obs/metrics.hh"
 #include "rng/rng.hh"
+#include "shard/payload_codec.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
 #include "util/checkpoint.hh"
@@ -29,6 +30,10 @@ namespace shard {
 
 namespace {
 
+using detail::decodeGather;
+using detail::decodeGhostRow;
+using detail::deserializeRegistryDelta;
+using detail::serializeRegistryDelta;
 using mrf::detail::CacheSlot;
 using mrf::detail::RowArena;
 using mrf::detail::StripeCounters;
@@ -155,6 +160,8 @@ struct TileWork
     std::vector<std::vector<std::uint64_t>> deferred;
     /** One ghost row's inner-row marks, landed by applyDeferred. */
     std::vector<std::uint64_t> ghostMarks;
+    /** One received ghost row's labels, validated before use. */
+    std::vector<int> ghostRow;
     std::vector<obs::MetricShard> shards;
 
     /** True while a posted halo has not been consumed yet (cleared on
@@ -322,10 +329,8 @@ struct TileWork
     applyGhostRow(int peer, int yg,
                   std::span<const unsigned char> payload)
     {
-        util::ByteReader rd(payload);
-        const int y = static_cast<int>(rd.u32());
-        RETSIM_ASSERT(y == yg, "halo: rank ", rank, " expected row ",
-                      yg, " from rank ", peer, ", got ", y);
+        ghostRow.resize(static_cast<std::size_t>(problem.width()));
+        decodeGhostRow(payload, peer, yg, problem.numLabels(), ghostRow);
         const int inner = yg < lo ? lo : hi - 1;
         const std::uint8_t *shadow =
             cache ? cache->shadow() +
@@ -333,7 +338,7 @@ struct TileWork
                             problem.width()
                   : nullptr;
         for (int x = 0; x < problem.width(); ++x) {
-            const int nv = rd.i32();
+            const int nv = ghostRow[static_cast<std::size_t>(x)];
             labels(x, yg) = nv;
             if (shadow &&
                 shadow[x] != static_cast<std::uint8_t>(nv)) {
@@ -345,8 +350,6 @@ struct TileWork
         }
         if (cache)
             cache->applyDeferred(ghostMarks);
-        RETSIM_ASSERT(rd.ok() && rd.atEnd(),
-                      "halo: malformed payload");
     }
 
     /** Consume the ghost rows posted by the neighbors' previous
@@ -535,76 +538,6 @@ buildGather(TileWork &work)
         w.words(state);
     }
     return w.take();
-}
-
-std::vector<unsigned char>
-serializeRegistryDelta(const std::vector<obs::MetricSnapshot> &delta)
-{
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(delta.size()));
-    for (const obs::MetricSnapshot &m : delta) {
-        w.u8(static_cast<std::uint8_t>(m.kind));
-        w.str(m.name);
-        switch (m.kind) {
-        case obs::MetricKind::Counter:
-            w.u64(m.counter);
-            break;
-        case obs::MetricKind::Histogram: {
-            w.u32(static_cast<std::uint32_t>(
-                m.histogram.bounds.size()));
-            for (double b : m.histogram.bounds)
-                w.f64(b);
-            for (std::uint64_t c : m.histogram.counts)
-                w.u64(c);
-            w.f64(m.histogram.sum);
-            w.u64(m.histogram.count);
-            break;
-        }
-        case obs::MetricKind::Gauge:
-            w.f64(m.gauge);
-            break;
-        }
-    }
-    return w.take();
-}
-
-std::vector<obs::MetricSnapshot>
-deserializeRegistryDelta(std::span<const unsigned char> payload)
-{
-    util::ByteReader rd(payload);
-    const std::uint32_t n = rd.u32();
-    std::vector<obs::MetricSnapshot> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n && rd.ok(); ++i) {
-        obs::MetricSnapshot m;
-        m.kind = static_cast<obs::MetricKind>(rd.u8());
-        m.name = rd.str();
-        switch (m.kind) {
-        case obs::MetricKind::Counter:
-            m.counter = rd.u64();
-            break;
-        case obs::MetricKind::Histogram: {
-            const std::uint32_t nb = rd.u32();
-            m.histogram = obs::HistogramData{};
-            m.histogram.bounds.resize(nb);
-            for (std::uint32_t j = 0; j < nb; ++j)
-                m.histogram.bounds[j] = rd.f64();
-            m.histogram.counts.resize(nb + 1);
-            for (std::uint32_t j = 0; j <= nb; ++j)
-                m.histogram.counts[j] = rd.u64();
-            m.histogram.sum = rd.f64();
-            m.histogram.count = rd.u64();
-            break;
-        }
-        case obs::MetricKind::Gauge:
-            m.gauge = rd.f64();
-            break;
-        }
-        out.push_back(std::move(m));
-    }
-    RETSIM_ASSERT(rd.ok() && rd.atEnd(),
-                  "shard: malformed registry delta");
-    return out;
 }
 
 // ------------------------------------------------------------------
@@ -956,27 +889,15 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             for (int r = 1; r < N; ++r) {
                 if (part.empty(r))
                     continue;
-                std::vector<unsigned char> payload =
-                    tr->recv(r, tag::kGather);
-                util::ByteReader rd(payload);
-                const int glo = static_cast<int>(rd.u32());
-                const int rows = static_cast<int>(rd.u32());
-                RETSIM_ASSERT(glo == part.rowBegin(r) &&
-                                  rows == part.rowEnd(r) - glo,
-                              "shard: GATHER row range mismatch");
-                for (int y = glo; y < glo + rows; ++y)
-                    for (int x = 0; x < width; ++x)
-                        labels(x, y) = rd.i32();
-                const int nk = static_cast<int>(rd.u32());
-                RETSIM_ASSERT(nk == part.stripeEnd(r) -
-                                        part.stripeBegin(r),
-                              "shard: GATHER stripe count mismatch");
-                for (int j = 0; j < nk; ++j)
-                    remoteStripeState[static_cast<std::size_t>(
-                        part.stripeBegin(r) + j)] = rd.words();
-                RETSIM_ASSERT(rd.ok() && rd.atEnd(),
-                              "shard: malformed GATHER from rank ",
-                              r);
+                decodeGather(
+                    tr->recv(r, tag::kGather), r, part.rowBegin(r),
+                    part.rowEnd(r), m, labels,
+                    std::span(remoteStripeState)
+                        .subspan(static_cast<std::size_t>(
+                                     part.stripeBegin(r)),
+                                 static_cast<std::size_t>(
+                                     part.stripeEnd(r) -
+                                     part.stripeBegin(r))));
             }
         }
         if (telemetry.active()) {

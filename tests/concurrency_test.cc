@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "apps/denoising.hh"
 #include "core/energy_to_lambda.hh"
+#include "core/race_fastpath.hh"
 #include "core/sampler_cdf.hh"
 #include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
@@ -21,6 +23,7 @@
 #include "mrf/checkerboard.hh"
 #include "mrf/problem.hh"
 #include "rng/lfsr.hh"
+#include "util/shared_table.hh"
 #include "util/thread_pool.hh"
 
 namespace {
@@ -30,7 +33,7 @@ using namespace retsim::mrf;
 
 /** A small denoising problem with a non-trivial singleton field. */
 MrfProblem
-denoisingProblem(int side, std::uint64_t seed)
+denoisingProblem(int side, std::uint64_t seed, int levels = 32)
 {
     img::ImageU8 clean(side, side);
     for (int y = 0; y < side; ++y)
@@ -38,7 +41,9 @@ denoisingProblem(int side, std::uint64_t seed)
             clean(x, y) = static_cast<std::uint8_t>(
                 img::textureIntensity(x, y, 0xabc));
     img::ImageU8 noisy = apps::addGaussianNoise(clean, 12.0, seed);
-    return apps::buildDenoisingProblem(noisy);
+    apps::DenoisingParams params;
+    params.levels = levels;
+    return apps::buildDenoisingProblem(noisy, params);
 }
 
 SolverConfig
@@ -145,16 +150,32 @@ TEST(ThreadedCheckerboard, RsuSamplerDeterministicWhenStriped)
 {
     // The RSU functional model must stay reproducible through the
     // clone/stripe path too (it draws from the stripe's generator).
-    MrfProblem p = denoisingProblem(16, 13);
+    // The fast path's clones share the process-wide race tables;
+    // emptying them before each run makes the threads race the
+    // inserts, and its 48x48, 16-level problem fills ~200 race tables
+    // and a packed table past their first doubling.
     SolverConfig cfg = annealConfig(4, 19);
     cfg.stripes = 4;
-    std::vector<img::LabelMap> outs;
-    for (int threads : {1, 3}) {
-        cfg.threads = threads;
-        core::RsuSampler s(core::RsuConfig::newDesign());
-        outs.push_back(CheckerboardGibbsSolver(cfg).run(p, s));
+    core::RsuConfig fast = core::RsuConfig::newDesign();
+    fast.raceMode = core::RaceMode::FastPath;
+    struct Input
+    {
+        core::RsuConfig rsu;
+        MrfProblem problem;
+    };
+    for (const Input &in :
+         {Input{core::RsuConfig::newDesign(), denoisingProblem(16, 13)},
+          Input{fast, denoisingProblem(48, 13, 16)}}) {
+        std::vector<img::LabelMap> outs;
+        for (int threads : {1, 3}) {
+            cfg.threads = threads;
+            core::RaceTableCache::global().clear();
+            core::RsuSampler s(in.rsu);
+            outs.push_back(
+                CheckerboardGibbsSolver(cfg).run(in.problem, s));
+        }
+        EXPECT_EQ(outs[0].data(), outs[1].data()) << in.rsu.describe();
     }
-    EXPECT_EQ(outs[0].data(), outs[1].data());
 }
 
 // ----------------------------------------------------- sampler clones
@@ -304,6 +325,57 @@ TEST(LambdaLutCacheConcurrency, ConcurrentGetsShareOneTable)
         EXPECT_EQ(seen[w].get(), seen[w % 4].get());
     EXPECT_EQ(cache.size(), 4u);
     cache.clear();
+}
+
+// ------------------------------------------------ shared table races
+
+TEST(SharedTableConcurrency, LookupsRaceInsertsAcrossDoublings)
+{
+    // Workers insert and look up overlapping key sets in different
+    // orders while the table doubles from 256 slots to 16384, so
+    // lock-free probes race both the inserts and the generation
+    // swaps.  Every value read must be the one its key's single build
+    // stored (TSan validates the publication).
+    struct Value
+    {
+        std::uint64_t a = 0;
+        std::uint64_t b = 0;
+    };
+    constexpr std::uint64_t kKeys = 6007; // prime
+    const auto expected = [](std::uint64_t k) {
+        return Value{k * 0x9e3779b97f4a7c15ULL, ~k};
+    };
+    util::SharedTable<std::uint64_t, Value> table(kKeys);
+    std::atomic<std::uint64_t> builds{0};
+    std::atomic<std::uint64_t> wrong{0};
+    constexpr int kWorkers = 6;
+    util::ThreadPool pool(kWorkers - 1);
+    pool.parallelFor(kWorkers, [&](std::size_t w) {
+        for (std::uint64_t i = 0; i < kKeys; ++i) {
+            // Worker w walks every key with stride 2w + 1 (coprime
+            // to the prime kKeys) from offset w, so insertion orders
+            // differ; each step also probes another key.
+            const std::uint64_t k = 1 + (w + i * (2 * w + 1)) % kKeys;
+            const Value *v = table.get(k, [&] {
+                builds.fetch_add(1, std::memory_order_relaxed);
+                return expected(k);
+            });
+            const std::uint64_t back = 1 + (k * 7) % kKeys;
+            const Value *old = table.find(back);
+            if (!v || v->a != expected(k).a || v->b != expected(k).b ||
+                (old && (old->a != expected(back).a ||
+                         old->b != expected(back).b)))
+                wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    EXPECT_EQ(wrong.load(), 0u);
+    EXPECT_EQ(table.size(), kKeys);
+    EXPECT_EQ(builds.load(), kKeys) << "a key was built twice";
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+        const Value *v = table.find(k);
+        ASSERT_NE(v, nullptr) << "key " << k;
+        EXPECT_EQ(v->a, expected(k).a);
+    }
 }
 
 // --------------------------------------------------------- rng splits

@@ -312,25 +312,49 @@ TEST(EnergyCache, CountersAdvanceWhenEnabled)
     obs::Registry &reg = obs::Registry::global();
     const obs::MetricId hits =
         reg.counter("mrf.energy_cache.clean_hits");
+    const obs::MetricId recomputed =
+        reg.counter("mrf.energy_cache.recomputed");
     const obs::MetricId invals =
         reg.counter("mrf.energy_cache.invalidations");
     const obs::MetricId rebuilds =
         reg.counter("mrf.energy_cache.rebuilds");
-    const std::uint64_t h0 = reg.counterValue(hits);
-    const std::uint64_t i0 = reg.counterValue(invals);
-    const std::uint64_t r0 = reg.counterValue(rebuilds);
-
     mrf::MrfProblem p = randomProblem(24, 24, 8, 99);
-    mrf::SolverConfig cfg = annealConfig(8, 21);
-    SoftwareSampler s;
-    mrf::CheckerboardGibbsSolver(cfg).run(p, s);
 
-    // Past the first sweep the anneal cools and flips get rare, so a
-    // working cache must serve clean planes and record dirty marks.
-    EXPECT_GT(reg.counterValue(hits), h0) << "no clean hits: the "
-                                             "cache never engaged";
-    EXPECT_GT(reg.counterValue(invals), i0);
-    EXPECT_GT(reg.counterValue(rebuilds), r0);
+    struct Solver
+    {
+        Kind kind;
+        bool randomScan;
+        const char *what;
+    };
+    for (const Solver &solver :
+         {Solver{Kind::Checkerboard, false, "checkerboard"},
+          Solver{Kind::Gibbs, false, "raster"},
+          Solver{Kind::Gibbs, true, "random scan"}}) {
+        const std::uint64_t h0 = reg.counterValue(hits);
+        const std::uint64_t c0 = reg.counterValue(recomputed);
+        const std::uint64_t i0 = reg.counterValue(invals);
+        const std::uint64_t r0 = reg.counterValue(rebuilds);
+        mrf::SolverConfig cfg = annealConfig(8, 21);
+        cfg.randomScan = solver.randomScan;
+        const RunResult run = runOnce(
+            solver.kind, p,
+            [] { return std::make_unique<SoftwareSampler>(); }, cfg,
+            true);
+
+        // Past the first sweep the anneal cools and flips get rare, so
+        // a working cache must serve clean planes and record dirty
+        // marks.
+        EXPECT_GT(reg.counterValue(hits), h0)
+            << solver.what << ": no clean hits, the cache never engaged";
+        EXPECT_GT(reg.counterValue(invals), i0) << solver.what;
+        EXPECT_GT(reg.counterValue(rebuilds), r0) << solver.what;
+        // Every pixel update reads one plane, served clean or
+        // recomputed, and is counted exactly once.
+        EXPECT_EQ((reg.counterValue(hits) - h0) +
+                      (reg.counterValue(recomputed) - c0),
+                  run.trace.pixelUpdates)
+            << solver.what;
+    }
 }
 
 // ------------------------------------- dirty-mark totals are exact

@@ -10,8 +10,9 @@
  * inputs the table builder must survive (cut-off labels, a single
  * firing label, all-zero rows, one-bin windows), cross-temperature
  * cache-key sharing, scalar-vs-row bit-exactness of the fast-path
- * samplers, memos sized to their working set (no draw depends on a
- * memo's history or size), and the RaceMode::Auto selection rules.
+ * samplers, shared packed tables sized to their working set (no draw
+ * depends on a table's history or size), and the RaceMode::Auto
+ * selection rules.
  */
 
 #include <gtest/gtest.h>
@@ -326,10 +327,13 @@ TEST(RaceTableCache, SharesTablesAcrossTemperatures)
     ASSERT_TRUE(a.usingFastPath());
     a.sample(energies, 10.0, 0, gen);
     EXPECT_EQ(cache.misses(), 1u);
-    a.sample(energies, 1.0, 0, gen); // same key via the sampler memo
+    a.sample(energies, 1.0, 0, gen); // same packed entry, no lookup
     EXPECT_EQ(cache.misses(), 1u);
 
-    RsuSampler b(cfg); // cold memo: must hit the global cache
+    // At T = 0.25 every nonzero energy is cut off, so b binds the
+    // alphabet {0, lambda_max}: another packed table, whose fill must
+    // hit the cached race table.
+    RsuSampler b(cfg);
     b.sample(energies, 0.25, 0, gen);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_GE(cache.hits(), 1u);
@@ -417,7 +421,7 @@ TEST(RaceFastPathSampler, ScalarAndRowBitIdenticalFloatTime)
     expectScalarRowIdentical(cfg, 41);
 }
 
-// --------------------------------------------------------- memo sizing
+// ------------------------------------------------ shared table sizing
 
 /** 8-bit quantized energy -> rate table decaying in bands, like the
  *  quantized designs' tables: six firing rates, then a cut-off band.
@@ -438,16 +442,17 @@ bandedRates(bool split)
 TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
 {
     // One instance fills ~1500 distinct count words per bind, so its
-    // packed memo doubles from 256 slots at least three times, then
-    // loses its memos to a rebind that grows the alphabet, regrows,
-    // and keeps them across a subset rebind.  Every pixel must draw
-    // what a fresh instance replaying the same binds draws from a
-    // cold memo on the same uniforms.
+    // shared packed table doubles from 256 slots at least three
+    // times; a rebind that grows the alphabet moves it to another
+    // table, and a subset rebind keeps it.  Every pixel must draw
+    // what a fresh instance replaying the same binds draws, one pixel
+    // at a time on the same uniforms, over emptied tables.
     constexpr std::size_t kM = 16, kN = 32, kRows = 48;
     constexpr double kTop = 255.0;
-    // A packed memo entry is two cache lines; 2048 slots is three
-    // doublings of the initial 256.
+    // A packed slot is two cache lines; 2048 slots is three doublings
+    // of the initial 256.
     constexpr std::size_t kThreeDoublings = 2048 * 128;
+    RaceTableCache &cache = RaceTableCache::global();
     const std::vector<std::vector<double>> binds = {
         bandedRates(false), bandedRates(true), bandedRates(false)};
     for (TruncationPolicy policy : {TruncationPolicy::InfiniteTtf,
@@ -455,97 +460,108 @@ TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
         for (TieBreak tie : {TieBreak::Random, TieBreak::First}) {
             const RsuConfig cfg = binnedCfg(tie, 5, policy);
             const std::size_t draws = RaceFastPath(cfg).drawsPerPixel();
-            auto cold = [&](std::size_t phase, bool cached,
-                            const float *e, const double *u) {
-                RaceFastPath fresh(cfg);
-                for (std::size_t b = 0; b <= phase; ++b)
-                    fresh.bindRateTable(binds[b]);
-                RaceOutcome oc;
-                if (!cached) {
-                    fresh.raceEnergiesRow(e, kTop, false, 1, kM, u, &oc);
-                } else {
-                    std::uint64_t slab[RaceFastPath::kRowCacheWords] = {};
-                    fresh.raceEnergiesRowCached(e, kTop, false, 1, kM, u,
-                                                &oc, slab, nullptr);
+            // Inputs of every row of every bind; odd rows take the
+            // row-cached entry.
+            const std::size_t rows = binds.size() * kRows;
+            rng::Xoshiro256 gen(43);
+            std::vector<float> e(rows * kN * kM);
+            std::vector<double> u(rows * kN * draws);
+            for (float &x : e)
+                x = static_cast<float>(gen.nextBounded(256));
+            for (double &x : u)
+                x = gen.nextDouble();
+            auto race = [&](RaceFastPath &fp, std::size_t row,
+                            std::size_t p0, std::size_t n,
+                            RaceOutcome *out) {
+                const float *ep = e.data() + (row * kN + p0) * kM;
+                const double *up = u.data() + (row * kN + p0) * draws;
+                if (row % 2 == 0) {
+                    fp.raceEnergiesRow(ep, kTop, false, n, kM, up, out);
+                    return;
                 }
-                return oc;
+                std::vector<std::uint64_t> slab(
+                    n * RaceFastPath::kRowCacheWords, 0);
+                const std::uint64_t all_dirty =
+                    (std::uint64_t{1} << n) - 1;
+                fp.raceEnergiesRowCached(ep, kTop, false, n, kM, up,
+                                         out, slab.data(), &all_dirty);
             };
 
-            RaceFastPath warm(cfg);
-            rng::Xoshiro256 gen(43);
-            std::vector<float> e(kN * kM);
-            std::vector<double> u(kN * draws);
-            std::vector<RaceOutcome> got(kN);
-            std::vector<std::uint64_t> slab(
-                kN * RaceFastPath::kRowCacheWords, 0);
-            const std::uint64_t all_dirty = (std::uint64_t{1} << kN) - 1;
-            std::size_t mismatches = 0, pixels = 0;
-            for (std::size_t phase = 0; phase < binds.size(); ++phase) {
-                warm.bindRateTable(binds[phase]);
-                for (std::size_t row = 0; row < kRows; ++row) {
-                    for (float &x : e)
-                        x = static_cast<float>(gen.nextBounded(256));
-                    for (double &x : u)
-                        x = gen.nextDouble();
-                    const bool cached = row % 2 != 0;
-                    if (!cached) {
-                        warm.raceEnergiesRow(e.data(), kTop, false, kN,
-                                             kM, u.data(), got.data());
-                    } else {
-                        warm.raceEnergiesRowCached(
-                            e.data(), kTop, false, kN, kM, u.data(),
-                            got.data(), slab.data(), &all_dirty);
-                    }
-                    for (std::size_t p = 0; p < kN; ++p, ++pixels) {
-                        const RaceOutcome ref =
-                            cold(phase, cached, e.data() + p * kM,
-                                 u.data() + p * draws);
-                        if (got[p].winner != ref.winner ||
-                            got[p].tie != ref.tie)
-                            ++mismatches;
-                    }
+            std::vector<RaceOutcome> ref(rows * kN);
+            for (std::size_t row = 0; row < rows; ++row) {
+                cache.clear();
+                for (std::size_t p = 0; p < kN; ++p) {
+                    RaceFastPath fresh(cfg);
+                    for (std::size_t b = 0; b <= row / kRows; ++b)
+                        fresh.bindRateTable(binds[b]);
+                    race(fresh, row, p, 1, &ref[row * kN + p]);
                 }
-                if (phase == 0 || phase + 1 == binds.size()) {
-                    EXPECT_GE(warm.memoBytes(), kThreeDoublings)
+            }
+
+            cache.clear();
+            RaceFastPath warm(cfg);
+            std::vector<RaceOutcome> got(kN);
+            std::size_t mismatches = 0;
+            for (std::size_t row = 0; row < rows; ++row) {
+                const std::size_t phase = row / kRows;
+                if (row % kRows == 0)
+                    warm.bindRateTable(binds[phase]);
+                race(warm, row, 0, kN, got.data());
+                for (std::size_t p = 0; p < kN; ++p) {
+                    const RaceOutcome &r = ref[row * kN + p];
+                    if (got[p].winner != r.winner || got[p].tie != r.tie)
+                        ++mismatches;
+                }
+                if (row % kRows == kRows - 1 &&
+                    (phase == 0 || phase + 1 == binds.size())) {
+                    EXPECT_GE(cache.packedBytes(), kThreeDoublings)
                         << cfg.toString() << " phase " << phase;
                 }
             }
             EXPECT_EQ(mismatches, 0u)
                 << cfg.toString() << ": " << mismatches << " of "
-                << pixels << " draws depended on the memo's history";
+                << rows * kN << " draws depended on the tables' history";
         }
     }
 }
 
 TEST(RaceFastPathMemo, StereoAnnealFitsInOneMebibyte)
 {
-    // A serial checkerboard fast-path anneal of a 128x96, 16-label
-    // stereo problem touches a few thousand count words; the memos
-    // sized to that working set stay under 1 MiB (the fixed-size
-    // memos held 8.7 MiB).  Destroying the sampler publishes exactly
-    // its footprint on the registry counter.
+    // A 96-sweep fast-path anneal of a 128x96, 16-label stereo problem
+    // touches a few thousand count words; the shared packed tables
+    // sized to that working set grow by under 1 MiB (the fixed-size
+    // per-sampler memos held 8.7 MiB).  A striped rerun's 16 clones
+    // hold no memo of their own: they probe the same tables, so the
+    // whole footprint still fits that MiB, and the table_bytes gauge
+    // reports it.
     img::StereoSceneSpec spec;
     spec.width = 128;
     spec.height = 96;
     spec.numLabels = 16;
     const mrf::MrfProblem problem =
         apps::buildStereoProblem(img::makeStereoScene(spec, 18));
-    obs::Registry &reg = obs::Registry::global();
-    const obs::MetricId memo_bytes =
-        reg.counter("core.race_fastpath.memo_bytes");
-    const std::uint64_t before = reg.counterValue(memo_bytes);
-    std::size_t held = 0;
+    RaceTableCache &cache = RaceTableCache::global();
+    cache.clear();
+    const std::size_t empty = cache.packedBytes();
+    RsuConfig cfg = RsuConfig::newDesign();
+    cfg.raceMode = RaceMode::FastPath;
+    mrf::SolverConfig scfg = apps::defaultStereoSolver(96, 1);
     {
-        RsuConfig cfg = RsuConfig::newDesign();
-        cfg.raceMode = RaceMode::FastPath;
         RsuSampler sampler(cfg);
-        mrf::CheckerboardGibbsSolver(apps::defaultStereoSolver(96, 1))
-            .run(problem, sampler);
-        held = sampler.memoBytes();
+        mrf::CheckerboardGibbsSolver(scfg).run(problem, sampler);
     }
-    EXPECT_GT(held, 0u);
-    EXPECT_LE(held, std::size_t{1} << 20);
-    EXPECT_EQ(reg.counterValue(memo_bytes) - before, held);
+    const std::size_t serial = cache.packedBytes() - empty;
+    EXPECT_GT(serial, 0u);
+    EXPECT_LE(serial, std::size_t{1} << 20);
+    scfg.stripes = 16;
+    {
+        RsuSampler sampler(cfg);
+        mrf::CheckerboardGibbsSolver(scfg).run(problem, sampler);
+    }
+    EXPECT_LE(cache.packedBytes() - empty, std::size_t{1} << 20);
+    obs::Registry &reg = obs::Registry::global();
+    EXPECT_EQ(reg.gaugeValue(reg.gauge("core.race_fastpath.table_bytes")),
+              static_cast<double>(cache.packedBytes()));
 }
 
 // -------------------------------------------------------- mode wiring

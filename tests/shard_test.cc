@@ -27,9 +27,12 @@
 #include "mrf/checkerboard_detail.hh"
 #include "mrf/checkpoint.hh"
 #include "mrf/problem.hh"
+#include "obs/metrics.hh"
+#include "shard/payload_codec.hh"
 #include "shard/sharded_solver.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
+#include "util/checkpoint.hh"
 #include "util/framing.hh"
 
 namespace {
@@ -476,6 +479,99 @@ TEST(ShardedSolverDeathTest, NegativeThreadsOrStripesAreFatal)
                          .run(problem, sampler),
                      "threads/stripes cannot be negative");
     }
+}
+
+// ------------------------------------------------------------------
+// Payload decoders on crafted input
+
+/** A kHalo payload for row @p y carrying @p row's labels. */
+std::vector<unsigned char>
+haloPayload(int y, const std::vector<int> &row)
+{
+    util::ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(y));
+    for (int l : row)
+        w.i32(l);
+    return w.take();
+}
+
+TEST(PayloadCodecDeathTest, GhostRowLabelOutOfRangeIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    constexpr int kLabels = 4;
+    std::vector<int> out(3, -1);
+    shard::detail::decodeGhostRow(haloPayload(7, {0, 3, 2}), 1, 7,
+                                  kLabels, out);
+    EXPECT_EQ(out, (std::vector<int>{0, 3, 2}));
+    // One past the label count and a negative label: either would
+    // index the energy tables out of bounds.
+    for (int bad : {kLabels, -1}) {
+        EXPECT_EXIT(shard::detail::decodeGhostRow(
+                        haloPayload(7, {0, bad, 2}), 1, 7, kLabels, out),
+                    ::testing::ExitedWithCode(1),
+                    "halo from rank 1 carries label " +
+                        std::to_string(bad));
+    }
+}
+
+TEST(PayloadCodecDeathTest, GatherLabelOutOfRangeIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    constexpr int kLabels = 5, kWidth = 3;
+    // Rows [2, 4) of a 3-wide map and one stripe's state words.
+    auto gather = [&](int bad) {
+        util::ByteWriter w;
+        w.u32(2);
+        w.u32(2);
+        for (int i = 0; i < 2 * kWidth; ++i)
+            w.i32(i == 4 ? bad : i % kLabels);
+        w.u32(1);
+        w.words(std::vector<std::uint64_t>{11, 12});
+        return w.take();
+    };
+    img::LabelMap labels(kWidth, 6, 0);
+    std::vector<std::vector<std::uint64_t>> state(1);
+    shard::detail::decodeGather(gather(1), 2, 2, 4, kLabels, labels,
+                                state);
+    EXPECT_EQ(labels(1, 3), 1);
+    EXPECT_EQ(state[0], (std::vector<std::uint64_t>{11, 12}));
+    EXPECT_EXIT(shard::detail::decodeGather(gather(kLabels), 2, 2, 4,
+                                            kLabels, labels, state),
+                ::testing::ExitedWithCode(1),
+                "GATHER from rank 2 carries label 5");
+}
+
+TEST(PayloadCodecDeathTest, RegistryDeltaHostileCountsAreFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    obs::MetricSnapshot h;
+    h.name = "h";
+    h.kind = obs::MetricKind::Histogram;
+    h.histogram = obs::HistogramData({1.0, 2.0});
+    h.histogram.observe(1.5);
+    const std::vector<unsigned char> good =
+        shard::detail::serializeRegistryDelta({h});
+    const auto back = shard::detail::deserializeRegistryDelta(good);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].histogram.counts, h.histogram.counts);
+
+    // A metric count of 2^32 - 1 in a 4-byte payload: reserving it
+    // would ask for hundreds of gigabytes.
+    util::ByteWriter count;
+    count.u32(0xffffffffu);
+    EXPECT_EXIT(shard::detail::deserializeRegistryDelta(count.bytes()),
+                ::testing::ExitedWithCode(1),
+                "registry delta claims 4294967295 metrics in 0 bytes");
+
+    // A histogram whose bound count (after the metric count, the
+    // kind byte and the length-prefixed name) claims 2^32 - 1 bounds.
+    std::vector<unsigned char> bounds = good;
+    const std::size_t nb_at = 4 + 1 + 8 + h.name.size();
+    for (std::size_t i = 0; i < 4; ++i)
+        bounds[nb_at + i] = 0xff;
+    EXPECT_EXIT(shard::detail::deserializeRegistryDelta(bounds),
+                ::testing::ExitedWithCode(1),
+                "histogram 'h' claims 4294967295 bounds");
 }
 
 } // namespace
