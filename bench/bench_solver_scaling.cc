@@ -37,9 +37,17 @@
  *
  * Every row also records shared_table_bytes: the slot bytes of the
  * fast path's process-wide packed tables after its last solve
- * (RaceTableCache::packedBytes), which every stripe clone shares.
- * hardware_threads is the CPUs the process may run on, so a run under
- * `taskset -c 0` records 1.
+ * (RaceTableCache::packedBytes), which every stripe clone shares, and
+ * rate_bindings_built: the rate bindings its last solve built
+ * (core.rate_binding.builds), one per temperature however many clones
+ * bind it.  hardware_threads is the CPUs the process may run on, so a
+ * run under `taskset -c 0` records 1.
+ *
+ * Beside the --sweeps rows (the hot start of an anneal, where few
+ * energy planes and row-cache words survive a sweep), the default
+ * workload list has one full anneal: stereo16 in fast-path mode at
+ * perfbench's shape, 128x96 with 16 labels and 96 sweeps, where the
+ * caches and the per-temperature binding see a whole schedule.
  */
 
 #include <time.h>
@@ -77,6 +85,7 @@ struct Row
     double cacheHitRate = 0.0;      ///< energy planes served clean
     std::uint64_t haloWaitNs = 0;   ///< last round's ghost-row wait
     std::size_t tableBytes = 0;     ///< shared tables after the row
+    std::uint64_t bindingsBuilt = 0; ///< last round's rate bindings
 
     bool sharded() const { return shards.shards > 1; }
 
@@ -122,6 +131,16 @@ haloWaitNow()
     return reg.counterValue(id);
 }
 
+/** Rate bindings built so far (core.rate_binding.builds). */
+std::uint64_t
+bindingsBuiltNow()
+{
+    obs::Registry &reg = obs::Registry::global();
+    static const obs::MetricId id =
+        reg.counter("core.rate_binding.builds");
+    return reg.counterValue(id);
+}
+
 double
 processCpuSeconds()
 {
@@ -154,6 +173,7 @@ measure(const mrf::MrfProblem &problem,
 {
     const CacheCounters before = CacheCounters::now();
     const std::uint64_t waitBefore = haloWaitNow();
+    const std::uint64_t bindingsBefore = bindingsBuiltNow();
     const double cpu0 = processCpuSeconds();
     const auto wall0 = std::chrono::steady_clock::now();
     solve(problem, factory, cfg, row);
@@ -162,6 +182,7 @@ measure(const mrf::MrfProblem &problem,
     row.cpuSeconds.push_back(processCpuSeconds() - cpu0);
     row.wallSeconds.push_back(wall.count());
     row.haloWaitNs = haloWaitNow() - waitBefore;
+    row.bindingsBuilt = bindingsBuiltNow() - bindingsBefore;
     row.tableBytes = core::RaceTableCache::global().packedBytes();
     const CacheCounters after = CacheCounters::now();
     const double served =
@@ -205,10 +226,12 @@ printRow(const Row &r, double serial_min)
         std::snprintf(what, sizeof what, "stripes=%d threads=%d",
                       r.stripes, r.threads);
     std::printf("  %-40s cpu min %7.4f s  median %7.4f s  "
-                "cache-hit %5.1f%%  tables %7.1f KiB  %.2fx\n",
+                "cache-hit %5.1f%%  tables %7.1f KiB  bindings %4llu  "
+                "%.2fx\n",
                 what, cpuMin(r), quantile(r.cpuSeconds, 0.5),
                 100.0 * r.cacheHitRate,
                 static_cast<double>(r.tableBytes) / 1024.0,
+                static_cast<unsigned long long>(r.bindingsBuilt),
                 serial_min / cpuMin(r));
 }
 
@@ -306,6 +329,16 @@ main(int argc, char **argv)
     img::StereoScene fscene = img::makeStereoScene(fspec, seed + 17);
     mrf::MrfProblem stereo16 = apps::buildStereoProblem(fscene);
 
+    // The same workload as a full anneal at perfbench's stereo16
+    // shape: 128x96, 16 labels, 96 sweeps.
+    img::StereoSceneSpec aspec = fspec;
+    aspec.width = 128;
+    aspec.height = 96;
+    img::StereoScene ascene = img::makeStereoScene(aspec, seed + 17);
+    mrf::MrfProblem stereo16_anneal = apps::buildStereoProblem(ascene);
+    mrf::SolverConfig acfg = apps::defaultStereoSolver(96, seed);
+    acfg.energyCache = energy_cache;
+
     struct Workload
     {
         const char *name;
@@ -341,6 +374,10 @@ main(int argc, char **argv)
                              bench::softwareFactory(),
                              "software-float", "n/a"});
         workloads.push_back({"stereo16-rsu-fastpath", &stereo16, scfg,
+                             bench::rsuFactory(frc), "rsu-new-design",
+                             "fastpath"});
+        workloads.push_back({"stereo16-rsu-fastpath-anneal",
+                             &stereo16_anneal, acfg,
                              bench::rsuFactory(frc), "rsu-new-design",
                              "fastpath"});
     }
@@ -401,11 +438,14 @@ main(int argc, char **argv)
         std::fprintf(
             f,
             "%s\n    {\n      \"name\": \"%s\",\n"
+            "      \"grid\": [%d, %d],\n"
+            "      \"sweeps\": %d,\n"
             "      \"labels\": %d,\n"
             "      \"sampler\": \"%s\",\n"
             "      \"race_mode\": \"%s\",\n"
             "      \"rows\": [",
-            first_workload ? "" : ",", w.name,
+            first_workload ? "" : ",", w.name, w.problem->width(),
+            w.problem->height(), w.cfg.annealing.sweeps,
             w.problem->numLabels(), w.sampler, w.raceMode);
         first_workload = false;
         for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -424,13 +464,16 @@ main(int argc, char **argv)
                 "\"halo_wait_ns\": %llu, "
                 "\"energy_cache_hit_rate\": %.4f, "
                 "\"shared_table_bytes\": %zu, "
+                "\"rate_bindings_built\": %llu, "
                 "\"speedup_vs_serial\": %.3f}",
                 i == 0 ? "" : ",", r.threads, r.stripes,
                 r.shards.shards, r.transport(), cpuMin(r),
                 quantile(r.cpuSeconds, 0.5), iqr,
                 quantile(r.wallSeconds, 0.5), pixels / cpuMin(r),
                 static_cast<unsigned long long>(r.haloWaitNs),
-                r.cacheHitRate, r.tableBytes, serial_min / cpuMin(r));
+                r.cacheHitRate, r.tableBytes,
+                static_cast<unsigned long long>(r.bindingsBuilt),
+                serial_min / cpuMin(r));
         }
         std::fprintf(f, "\n      ]\n    }");
     }

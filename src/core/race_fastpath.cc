@@ -315,145 +315,45 @@ RaceFastPath::resolve(const RsuConfig &cfg)
     return false;
 }
 
-namespace {
-
-/** Process-wide bind-generation counter: every real alphabet rebuild
- *  anywhere gets a fresh nonzero stamp, so cached classify words can
- *  never alias across instances (a slab that migrates between
- *  samplers just reclassifies once). */
-std::atomic<std::uint64_t> g_bindGen{0};
-
-} // namespace
+void
+RaceFastPath::bind(std::shared_ptr<const RateBinding> binding)
+{
+    RETSIM_ASSERT(binding && !binding->classOf.empty(),
+                  "fast path bound to an unclassified rate binding");
+    binding_ = std::move(binding);
+}
 
 void
 RaceFastPath::bindRateTable(std::span<const double> rate_table)
 {
     // Content-identical rebind: revisited annealing rungs (and the
     // tEnd floor) reproduce the exact same quantized rate table, so
-    // keep the bound alphabet, class map AND generation stamp — that
-    // is what lets row-cache entries survive temperature revisits.
-    if (bindGen_ != 0 && boundTable_.size() == rate_table.size() &&
-        std::equal(rate_table.begin(), rate_table.end(),
-                   boundTable_.begin()))
+    // keep the bound binding AND its stamp — that is what lets
+    // row-cache entries survive temperature revisits.
+    if (binding_ && std::equal(rate_table.begin(), rate_table.end(),
+                               binding_->rateTable.begin(),
+                               binding_->rateTable.end()))
         return;
-    boundTable_.assign(rate_table.begin(), rate_table.end());
-    bindGen_ = g_bindGen.fetch_add(1, std::memory_order_relaxed) + 1;
-
-    // Distinct rates of the new table.
-    std::vector<double> distinct(rate_table.begin(),
-                                 rate_table.end());
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-
-    // Keep the alphabet STABLE across rebinds: the quantized designs
-    // draw every temperature's rates from one fixed code set, so
-    // after the first bind new tables are subsets and the class
-    // indexing — and with it the bound packed table — stays valid.
-    // Only a genuinely new rate value grows the alphabet (union) and
-    // moves to another packed table.
-    const bool subset = std::includes(
-        alphabet_.begin(), alphabet_.end(), distinct.begin(),
-        distinct.end());
-    if (!subset) {
-        std::vector<double> merged;
-        merged.reserve(alphabet_.size() + distinct.size());
-        std::set_union(alphabet_.begin(), alphabet_.end(),
-                       distinct.begin(), distinct.end(),
-                       std::back_inserter(merged));
-        // Runaway guard: continuous-ish rate streams would grow the
-        // union forever; reset to the live table instead.
-        alphabet_ = merged.size() <= 64 ? std::move(merged)
-                                        : std::move(distinct);
-        RETSIM_ASSERT(alphabet_.size() < 0x10000,
-                      "rate alphabet too large for the fast path");
-        tieP_.resize(alphabet_.size());
-        for (std::size_t c = 0; c < alphabet_.size(); ++c)
-            tieP_[c] = alphabet_[c] > 0.0
-                           ? 1.0 - simd::sexp(-alphabet_[c])
-                           : 0.0;
-        zeroClass_ = !(alphabet_[0] > 0.0) ? 0 : -1;
-        packedOk_ = alphabet_.size() <= 8;
-        firingMask_ = 0;
-        for (std::size_t c = 0; c < alphabet_.size() && c < 8; ++c)
-            if (alphabet_[c] > 0.0)
-                firingMask_ |= 0xffULL << (8 * c);
-        counts_.assign(alphabet_.size(), 0);
-        // Class indices changed meaning, and count words with them:
-        // bind the shared packed table of the new alphabet.
-        packed_ = packedOk_ ? RaceTableCache::global().packedTable(
-                                  modeWord_, alphabet_)
-                            : nullptr;
-    }
-    classOf_.resize(rate_table.size());
-    for (std::size_t i = 0; i < rate_table.size(); ++i) {
-        const auto it = std::lower_bound(
-            alphabet_.begin(), alphabet_.end(), rate_table[i]);
-        classOf_[i] = static_cast<std::uint16_t>(
-            it - alphabet_.begin());
-    }
-    // Byte image of classOf_ for the fused quantize+classify kernel
-    // (packed lane only — classes then fit a byte), padded so the
-    // kernel's 32-bit gathers stay readable at the table edge.
-    if (packedOk_) {
-        classBytes_.assign(rate_table.size() + 8, 0);
-        for (std::size_t i = 0; i < rate_table.size(); ++i)
-            classBytes_[i] =
-                static_cast<std::uint8_t>(classOf_[i]);
-    }
-    // Step encoding of classBytes_ for the gather-free classify
-    // kernel.  A rate table that decays with energy yields a class
-    // map with one contiguous run per reachable class (<= 8 runs for
-    // the packed lane), so the encoding always fits; the run scan
-    // below validates rather than assumes, and any exotic map just
-    // keeps the table-gather lane.
-    rangeClsOk_ = false;
-    if (packedOk_ && rate_table.size() <= 256) {
-        simd::RangeClassifier rc;
-        rc.base = classBytes_[0];
-        rc.value[0] = rc.base;
-        rc.numValues = 1;
-        std::uint8_t prev = rc.base;
-        bool ok = true;
-        for (std::size_t q = 1; q < rate_table.size(); ++q) {
-            const std::uint8_t c = classBytes_[q];
-            if (c == prev)
-                continue;
-            if (rc.numSteps == 7) {
-                ok = false;
-                break;
-            }
-            rc.step[rc.numSteps] = static_cast<std::uint8_t>(q);
-            rc.delta[rc.numSteps] =
-                static_cast<std::uint8_t>(c - prev);
-            ++rc.numSteps;
-            // Segment semantics: value[j] is the class of the j-th
-            // run (numValues == numSteps + 1), which is what lets
-            // the SIMD kernel read each segment's population off the
-            // boundary masks.  A class repeated in non-adjacent runs
-            // simply accumulates into the same count byte.
-            rc.value[rc.numValues++] = c;
-            prev = c;
-        }
-        if (ok) {
-            rangeCls_ = rc;
-            rangeClsOk_ = true;
-        }
-    }
+    bind(RateBinding::make(
+        std::vector<double>(rate_table.begin(), rate_table.end()),
+        binding_ ? std::span<const double>(binding_->alphabet)
+                 : std::span<const double>(),
+        &modeWord_));
 }
 
 template <typename Count>
 void
-RaceFastPath::classKey(Count count, std::uint8_t *slot_class)
+RaceFastPath::classKey(std::span<const double> alphabet, Count count,
+                       std::uint8_t *slot_class)
 {
     key_.clear();
     key_.push_back(modeWord_);
     std::size_t slot = 0;
-    for (std::size_t c = 0; c < alphabet_.size(); ++c) {
+    for (std::size_t c = 0; c < alphabet.size(); ++c) {
         const std::uint64_t cnt = count(c);
-        if (cnt == 0 || !(alphabet_[c] > 0.0))
+        if (cnt == 0 || !(alphabet[c] > 0.0))
             continue;
-        key_.push_back(std::bit_cast<std::uint64_t>(alphabet_[c]));
+        key_.push_back(std::bit_cast<std::uint64_t>(alphabet[c]));
         key_.push_back(cnt);
         if (slot_class)
             slot_class[slot++] = static_cast<std::uint8_t>(c);
@@ -463,7 +363,8 @@ RaceFastPath::classKey(Count count, std::uint8_t *slot_class)
 const RaceTable *
 RaceFastPath::lookupClassTable()
 {
-    classKey([&](std::size_t c) { return counts_[c]; }, nullptr);
+    classKey(binding_->alphabet,
+             [&](std::size_t c) { return counts_[c]; }, nullptr);
     RaceTableCache &cache = RaceTableCache::global();
     if (const RaceTable *t = cache.find(key_))
         return t;
@@ -472,23 +373,25 @@ RaceFastPath::lookupClassTable()
 }
 
 PackedRaceEntry
-RaceFastPath::buildPacked(std::uint64_t word)
+RaceFastPath::buildPacked(const RateBinding &b, std::uint64_t word)
 {
     PackedRaceEntry e;
     // Decode the counts, build the transcendental gates, and (Random
     // lane) copy the class table out of the cache.
+    const std::vector<double> &alphabet = b.alphabet;
     double r_tot = 0.0;
-    for (std::size_t c = 0; c < alphabet_.size(); ++c) {
+    for (std::size_t c = 0; c < alphabet.size(); ++c) {
         const double cnt = static_cast<double>((word >> (8 * c)) &
                                                0xff);
-        if (alphabet_[c] > 0.0)
-            r_tot += cnt * alphabet_[c];
+        if (alphabet[c] > 0.0)
+            r_tot += cnt * alphabet[c];
     }
     e.qAll = simd::sexp(-r_tot);
     e.gate = drop_ ? 1.0 - simd::sexp(-r_tot * tMax_)
                    : 1.0 - simd::sexp(-r_tot * (tMax_ - 1.0));
     if (!ordered_) {
-        classKey([&](std::size_t c) { return (word >> (8 * c)) & 0xff; },
+        classKey(alphabet,
+                 [&](std::size_t c) { return (word >> (8 * c)) & 0xff; },
                  e.slotClass);
         // Float thresholds perturb each outcome probability by
         // O(2^-24) — far below what any statistical consumer can
@@ -508,18 +411,18 @@ RaceFastPath::buildPacked(std::uint64_t word)
 }
 
 const PackedRaceEntry &
-RaceFastPath::packedEntry(std::uint64_t word, std::uint64_t h)
+RaceFastPath::packedMiss(const RateBinding &b, std::uint64_t word,
+                         std::uint64_t h)
 {
-    if (const PackedRaceEntry *e = packed_->find(word, h))
-        return *e;
-    const std::size_t bytes = packed_->bytes();
+    PackedRaceTable &table = *b.packed;
+    const std::size_t bytes = table.bytes();
     const PackedRaceEntry *e =
-        packed_->get(word, h, [&] { return buildPacked(word); });
+        table.get(word, h, [&] { return buildPacked(b, word); });
     if (!e) {
-        spill_ = buildPacked(word);
+        spill_ = buildPacked(b, word);
         return spill_;
     }
-    if (packed_->bytes() != bytes)
+    if (table.bytes() != bytes)
         obs::Registry::global().set(
             RaceCacheMetricIds::get().tableBytes,
             static_cast<double>(RaceTableCache::global().packedBytes()));
@@ -532,11 +435,11 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
                               std::size_t m, const double *u,
                               RaceOutcome *out)
 {
-    RETSIM_ASSERT(!classOf_.empty(),
-                  "raceEnergiesRow before bindRateTable");
+    RETSIM_ASSERT(binding_, "raceEnergiesRow before a bind");
+    const RateBinding &b = *binding_;
     const unsigned draws = drawsPerPixel_;
     const auto &kern = simd::kernels();
-    if (!(packedOk_ && m <= 16)) {
+    if (!(b.packedOk && m <= 16)) {
         quantScratch_.resize(m);
         for (std::size_t p = 0; p < n; ++p) {
             const double e_min = kern.quantizeEnergies(
@@ -550,17 +453,17 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
     rowWords_.resize(3 * n);
     rowHash_.resize(n);
     kern.quantizeClassifyRow(energies, top, subtract_min,
-                             classBytes_.data(), n, m,
+                             b.classBytes.data(), n, m,
                              rowWords_.data(), nullptr, 0);
     for (std::size_t p = 0; p < n; ++p) {
         // Pull the pixel's slots into cache while later pixels hash;
         // by the draw pass the probe is an L1 hit instead of a
         // serialized L2/L3 round-trip per pixel.
         rowHash_[p] = RaceTableCache::PackedTable::hash(rowWords_[3 * p]);
-        packed_->prefetch(rowHash_[p]);
+        b.packed->prefetch(rowHash_[p]);
     }
     for (std::size_t p = 0; p < n; ++p)
-        out[p] = drawPacked(rowWords_[3 * p], rowWords_[3 * p + 1],
+        out[p] = drawPacked(b, rowWords_[3 * p], rowWords_[3 * p + 1],
                             rowWords_[3 * p + 2], m, u + p * draws,
                             rowHash_[p]);
 }
@@ -573,8 +476,10 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
                                     std::uint64_t *cache,
                                     const std::uint64_t *dirty)
 {
-    RETSIM_ASSERT(packedOk_ && m <= 16 && top <= 255.0,
+    RETSIM_ASSERT(packedEligible(m) && top <= 255.0,
                   "raceEnergiesRowCached outside the packed lane");
+    const RateBinding &b = *binding_;
+    const std::uint64_t stamp = b.stamp;
     // Nonzero sentinel for word 0: a zero-filled slab can never fake
     // a valid entry ("RSUCACHE" minus the trailing E, ASCII).
     constexpr std::uint64_t kMagic = 0x52535543414348ULL;
@@ -589,7 +494,7 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
         const bool changed =
             dirty && ((dirty[p >> 6] >> (p & 63)) & 1);
         rowState_[p] = (changed || e[0] != kMagic) ? kMiss
-                       : (e[1] == bindGen_)        ? kDraw
+                       : (e[1] == stamp)           ? kDraw
                                                    : kClassify;
     }
     // Contiguous same-state runs batch through one kernel dispatch
@@ -616,16 +521,16 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
             // touch, no quantize kernel).  The step-encoded lane is
             // byte-compare only (no gathers); both produce words
             // bit-identical to the fused quantize+classify.
-            if (rangeClsOk_)
-                kern.classifyRangeRow(rangeCls_, entry + 2,
+            if (b.rangeClsOk)
+                kern.classifyRangeRow(b.rangeCls, entry + 2,
                                       kRowCacheWords, len, m, words);
             else
                 kern.classifyPackedRow(entry + 2, kRowCacheWords,
-                                       classBytes_.data(), len, m,
+                                       b.classBytes.data(), len, m,
                                        words);
             for (std::size_t i = 0; i < len; ++i) {
                 std::uint64_t *e = entry + i * kRowCacheWords;
-                e[1] = bindGen_;
+                e[1] = stamp;
                 e[4] = words[3 * i];
                 e[5] = words[3 * i + 1];
                 e[6] = words[3 * i + 2];
@@ -637,13 +542,13 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
             // bytes straight into the cache entries for future
             // classify hits.
             kern.quantizeClassifyRow(energies + p * m, top,
-                                     subtract_min, classBytes_.data(),
+                                     subtract_min, b.classBytes.data(),
                                      len, m, words, entry + 2,
                                      kRowCacheWords);
             for (std::size_t i = 0; i < len; ++i) {
                 std::uint64_t *e = entry + i * kRowCacheWords;
                 e[0] = kMagic;
-                e[1] = bindGen_;
+                e[1] = stamp;
                 e[4] = words[3 * i];
                 e[5] = words[3 * i + 1];
                 e[6] = words[3 * i + 2];
@@ -658,24 +563,24 @@ RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
         for (std::size_t i = p; i < end; ++i) {
             rowHash_[i] = RaceTableCache::PackedTable::hash(
                 cache[i * kRowCacheWords + 4]);
-            packed_->prefetch(rowHash_[i]);
+            b.packed->prefetch(rowHash_[i]);
         }
         p = end;
     }
     for (std::size_t p = 0; p < n; ++p) {
         const std::uint64_t *e = cache + p * kRowCacheWords;
-        out[p] = drawPacked(e[4], e[5], e[6], m, u + p * draws,
+        out[p] = drawPacked(b, e[4], e[5], e[6], m, u + p * draws,
                             rowHash_[p]);
     }
 }
 
-RaceOutcome
-RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
-                         std::uint64_t cw1, std::size_t m,
-                         const double *u, std::uint64_t h)
+inline RaceOutcome
+RaceFastPath::drawPacked(const RateBinding &b, std::uint64_t word,
+                         std::uint64_t cw0, std::uint64_t cw1,
+                         std::size_t m, const double *u, std::uint64_t h)
 {
     RaceOutcome oc;
-    if ((word & firingMask_) == 0)
+    if ((word & b.firingMask) == 0)
         return oc; // every label cut off: no sample
 
     const std::uint32_t len_mask =
@@ -687,13 +592,13 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
     // class-equality masks instead and skips this work entirely.
     const auto fireMask = [&] {
         std::uint32_t fire = len_mask;
-        if (zeroClass_ == 0)
+        if (b.zeroClass == 0)
             fire &= ~static_cast<std::uint32_t>(
                 byteEqMask(cw0, 0) | (byteEqMask(cw1, 0) << 8));
         return fire;
     };
 
-    const PackedRaceEntry &e = packedEntry(word, h);
+    const PackedRaceEntry &e = packedEntry(b, word, h);
     // u[0] against the tabulated gate replaces the explicit minimum-
     // bin exponential draw: P(fired) = 1 - e^{-R T} under the drop
     // policy; under clamp the gate splits interior bins from the
@@ -734,7 +639,7 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
         if (!lastTie_) {
             for (std::uint32_t f = fire; f; f &= f - 1) {
                 const int i = std::countr_zero(f);
-                const double p = tieP_[clsAt(i)];
+                const double p = b.tieP[clsAt(i)];
                 const double w = pref * p;
                 if (target < acc + w) {
                     oc.winner = i;
@@ -750,7 +655,7 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
             for (std::uint32_t f = fire; f;) {
                 const int i = 31 - std::countl_zero(f);
                 f ^= 1u << i;
-                const double p = tieP_[clsAt(i)];
+                const double p = b.tieP[clsAt(i)];
                 const double w = pref * p;
                 if (target < acc + w) {
                     oc.winner = i;
@@ -767,7 +672,7 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
         // winner in walk order (product order is immaterial).
         double rem = 1.0;
         for (std::uint32_t f = rest; f; f &= f - 1)
-            rem *= 1.0 - tieP_[clsAt(std::countr_zero(f))];
+            rem *= 1.0 - b.tieP[clsAt(std::countr_zero(f))];
         oc.tie = u[2] < 1.0 - rem;
         return oc;
     }
@@ -791,9 +696,8 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
         std::size_t j = static_cast<std::size_t>(x);
         if (!(x < e.outcomes))
             j = static_cast<std::size_t>(e.outcomes) - 1;
-        const double frac = x - static_cast<double>(j);
-        const std::size_t k = frac < e.aliasProb[j] ? j
-                                                    : e.alias[j];
+        const std::size_t k = aliasPick(x - static_cast<double>(j),
+                                        e.aliasProb[j], j, e.alias[j]);
         const std::uint64_t cls = e.slotClass[k >> 1];
         mask = static_cast<std::uint32_t>(
                    byteEqMask(cw0, cls) |
@@ -806,9 +710,7 @@ RaceFastPath::drawPacked(std::uint64_t word, std::uint64_t cw0,
         u[2] * static_cast<double>(pool));
     if (rank >= pool)
         rank = pool - 1;
-    for (; rank > 0; --rank)
-        mask &= mask - 1; // drop the lowest survivor
-    oc.winner = std::countr_zero(mask);
+    oc.winner = selectBit16(mask, rank);
     return oc;
 }
 
@@ -816,6 +718,7 @@ RaceOutcome
 RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
                           const double *u)
 {
+    const RateBinding &b = *binding_;
     pixelClass_.resize(m);
     RaceOutcome oc;
 
@@ -824,19 +727,19 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
     double q_all = 1.0; // prod (1 - p_i), forward label order
     unsigned n_fire = 0;
     if (!ordered_)
-        std::fill(counts_.begin(), counts_.end(), 0u);
+        counts_.assign(b.alphabet.size(), 0u);
     for (std::size_t i = 0; i < m; ++i) {
         const std::size_t idx =
             static_cast<std::size_t>(q[i] - base);
-        const std::uint16_t cls = classOf_[idx];
+        const std::uint16_t cls = b.classOf[idx];
         pixelClass_[i] = cls;
-        const double r = alphabet_[cls];
+        const double r = b.alphabet[cls];
         if (r > 0.0) {
             r_tot += r;
             ++n_fire;
         }
         if (ordered_)
-            q_all *= 1.0 - tieP_[cls];
+            q_all *= 1.0 - b.tieP[cls];
         else
             ++counts_[cls];
     }
@@ -857,13 +760,13 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
             // all of them tie and the arbiter resolves by position.
             if (lastTie_) {
                 for (std::size_t i = m; i-- > 0;)
-                    if (tieP_[pixelClass_[i]] > 0.0) {
+                    if (b.tieP[pixelClass_[i]] > 0.0) {
                         oc.winner = static_cast<int>(i);
                         break;
                     }
             } else {
                 for (std::size_t i = 0; i < m; ++i)
-                    if (tieP_[pixelClass_[i]] > 0.0) {
+                    if (b.tieP[pixelClass_[i]] > 0.0) {
                         oc.winner = static_cast<int>(i);
                         break;
                     }
@@ -882,7 +785,7 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
         std::size_t w_k = 0;
         for (std::size_t k = 0; k < m; ++k) {
             const std::size_t i = lastTie_ ? m - 1 - k : k;
-            const double p = tieP_[pixelClass_[i]];
+            const double p = b.tieP[pixelClass_[i]];
             if (p <= 0.0)
                 continue;
             const double w = pref * p;
@@ -899,7 +802,7 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
             // fall back to the last firing label in walk order.
             for (std::size_t k = m; k-- > 0;) {
                 const std::size_t i = lastTie_ ? m - 1 - k : k;
-                if (tieP_[pixelClass_[i]] > 0.0) {
+                if (b.tieP[pixelClass_[i]] > 0.0) {
                     oc.winner = static_cast<int>(i);
                     w_k = k;
                     break;
@@ -911,7 +814,7 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
         double rem = 1.0;
         for (std::size_t k = w_k + 1; k < m; ++k) {
             const std::size_t i = lastTie_ ? m - 1 - k : k;
-            rem *= 1.0 - tieP_[pixelClass_[i]];
+            rem *= 1.0 - b.tieP[pixelClass_[i]];
         }
         oc.tie = u[2] < 1.0 - rem;
         return oc;
@@ -925,7 +828,7 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
         if (rank >= n_fire)
             rank = n_fire - 1;
         for (std::size_t i = 0; i < m; ++i) {
-            if (!(tieP_[pixelClass_[i]] > 0.0))
+            if (!(b.tieP[pixelClass_[i]] > 0.0))
                 continue;
             if (rank == 0) {
                 oc.winner = static_cast<int>(i);
@@ -952,7 +855,7 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
     std::size_t slot = k >> 1;
     std::size_t cls = 0;
     for (std::size_t c = 0; c < counts_.size(); ++c) {
-        if (counts_[c] == 0 || !(alphabet_[c] > 0.0))
+        if (counts_[c] == 0 || !(b.alphabet[c] > 0.0))
             continue;
         if (slot == 0) {
             cls = c;

@@ -63,6 +63,7 @@
 #include <span>
 #include <vector>
 
+#include "core/rate_binding.hh"
 #include "core/rsu_config.hh"
 #include "core/ttf_race.hh"
 #include "simd/kernels.hh"
@@ -147,7 +148,7 @@ class RaceTableCache
   public:
     using Key = std::vector<std::uint64_t>;
     /** Packed entries of one (mode word, alphabet), by count word. */
-    using PackedTable = util::SharedTable<std::uint64_t, PackedRaceEntry>;
+    using PackedTable = PackedRaceTable;
 
     /** The process-wide instance used by the samplers. */
     static RaceTableCache &global();
@@ -209,12 +210,54 @@ class RaceTableCache
 };
 
 /**
- * Per-sampler fast-path state: the quantized-energy -> rate-class
- * mapping for the currently bound rate table, per-class tie
- * probabilities, the shared packed table of that alphabet, and the
+ * Position of the @p rank-th (0-based) set bit of a 16-bit @p mask
+ * (rank < popcount(mask)): a branch-free bisection over SWAR partial
+ * popcounts (2-, 4- and 8-bit fields), with no loop and no popcount
+ * instruction, so it costs the same for every rank.
+ */
+inline int
+selectBit16(std::uint32_t mask, std::uint32_t rank)
+{
+    const std::uint32_t c2 = mask - ((mask >> 1) & 0x5555u);
+    const std::uint32_t c4 = (c2 & 0x3333u) + ((c2 >> 2) & 0x3333u);
+    const std::uint32_t c8 = (c4 + (c4 >> 4)) & 0x0f0fu;
+    std::uint32_t pos = 0;
+    // At each level, skip the low half of the current window when the
+    // rank lies past its population.
+    std::uint32_t c = c8 & 0xffu;
+    std::uint32_t t = rank >= c;
+    rank -= c & (0u - t);
+    pos += t << 3;
+    c = (c4 >> pos) & 0xfu;
+    t = rank >= c;
+    rank -= c & (0u - t);
+    pos += t << 2;
+    c = (c2 >> pos) & 0x3u;
+    t = rank >= c;
+    rank -= c & (0u - t);
+    pos += t << 1;
+    c = (mask >> pos) & 0x1u;
+    pos += rank >= c;
+    return static_cast<int>(pos);
+}
+
+/** Walker alias pick without a branch: column @p j when @p frac <
+ *  @p prob, else its alias @p alias. */
+inline std::size_t
+aliasPick(double frac, float prob, std::size_t j, std::size_t alias)
+{
+    const std::size_t keep = std::size_t{0} - (frac < prob);
+    return alias ^ ((alias ^ j) & keep);
+}
+
+/**
+ * Per-sampler fast-path state: the bound RateBinding (the quantized-
+ * energy -> rate-class mapping, per-class tie probabilities and the
+ * shared packed table of the alphabet), row scratch, and the
  * per-pixel draw routines.  One instance per RsuSampler; stripe clones
- * each own theirs, but every race entry lives in RaceTableCache,
- * whose hits take no lock.
+ * each own theirs, but they share their bindings through the run's
+ * RateBindingCache and every race entry through RaceTableCache, whose
+ * hits take no lock.
  */
 class RaceFastPath
 {
@@ -240,17 +283,11 @@ class RaceFastPath
         return rowCacheStats_;
     }
 
-    /** Monotone stamp of the currently bound rate alphabet; bumped on
-     *  every real bindRateTable() rebuild (content-identical rebinds
-     *  keep it), never 0.  Cached classify words carry the stamp they
-     *  were built under. */
-    std::uint64_t bindGen() const { return bindGen_; }
-
     /** Whether a pixel of @p m labels takes the packed lane under the
      *  currently bound alphabet (raceEnergiesRowCached requires it). */
     bool packedEligible(std::size_t m) const
     {
-        return packedOk_ && m <= 16;
+        return binding_ && binding_->packedOk && m <= 16;
     }
 
     /** Can this config be served by the fast path at all?  Float
@@ -279,12 +316,19 @@ class RaceFastPath
     unsigned drawsPerPixel() const { return drawsPerPixel_; }
 
     /**
-     * Bind the quantized-energy -> absolute-rate table the quantized
-     * energies resolve through (RsuSampler's rateTable_).  Rebuilds
-     * the class map, and when the rate alphabet changes the tie
-     * probabilities and the shared packed table; cheap enough to call
-     * on every temperature change (cached entries survive — their
-     * keys are canonical rate multisets and alphabets).
+     * Bind a classified RateBinding: one built with this config's
+     * mode word over the alphabet of the binding held so far, e.g. by
+     * the run's RateBindingCache.  Pointer-only: sharing one binding
+     * between clones is what makes their rebinds free.
+     */
+    void bind(std::shared_ptr<const RateBinding> binding);
+
+    /**
+     * Bind the quantized-energy -> absolute-rate table @p rate_table
+     * through a binding of this instance's own, grown from the bound
+     * alphabet (a content-identical table keeps the bound binding and
+     * its stamp).  For callers without a RateBindingCache: tests and
+     * the kernel bench.
      */
     void bindRateTable(std::span<const double> rate_table);
 
@@ -359,9 +403,10 @@ class RaceFastPath
      * temperature rebinds.  @p h is the word's hash — hoisted so the
      * row passes hash once, at prefetch time.
      */
-    RaceOutcome drawPacked(std::uint64_t word, std::uint64_t cw0,
-                           std::uint64_t cw1, std::size_t m,
-                           const double *u, std::uint64_t h);
+    [[gnu::always_inline]] inline RaceOutcome
+    drawPacked(const RateBinding &b, std::uint64_t word,
+               std::uint64_t cw0, std::uint64_t cw1, std::size_t m,
+               const double *u, std::uint64_t h);
     /** General lane (rare: huge alphabets or label counts): vector
      *  counts key and a per-pixel log for the window gates. */
     RaceOutcome raceGeneral(const double *q, double base,
@@ -369,18 +414,31 @@ class RaceFastPath
     /** The Random-tie class table for the current pixel's counts_
      *  (alphabet-indexed label counts), straight from RaceTableCache. */
     const RaceTable *lookupClassTable();
-    /** The packed entry of @p word (hash @p h): a lock-free probe of
-     *  the shared table, else a locked insert (or, when the table is
-     *  full, an uncached build into spill_). */
-    const PackedRaceEntry &packedEntry(std::uint64_t word,
-                                       std::uint64_t h);
-    /** Build @p word's entry from the bound alphabet. */
-    PackedRaceEntry buildPacked(std::uint64_t word);
+    /** The packed entry of @p word (hash @p h) in @p b's table: the
+     *  hit is one lock-free probe, inlined into the draw; a miss takes
+     *  the out-of-line packedMiss(). */
+    const PackedRaceEntry &
+    packedEntry(const RateBinding &b, std::uint64_t word,
+                std::uint64_t h)
+    {
+        if (const PackedRaceEntry *e = b.packed->find(word, h))
+            return *e;
+        return packedMiss(b, word, h);
+    }
+    /** A locked insert into @p b's table (or, when the table is full,
+     *  an uncached build into spill_). */
+    [[gnu::noinline]] const PackedRaceEntry &
+    packedMiss(const RateBinding &b, std::uint64_t word,
+               std::uint64_t h);
+    /** Build @p word's entry from @p b's alphabet. */
+    PackedRaceEntry buildPacked(const RateBinding &b, std::uint64_t word);
     /** Fill key_ with the canonical RaceTable key of per-class counts
-     *  @p count (class c's count), recording the firing classes'
-     *  alphabet indices in @p slot_class when non-null. */
+     *  @p count (class c's count) over @p alphabet, recording the
+     *  firing classes' alphabet indices in @p slot_class when
+     *  non-null. */
     template <typename Count>
-    void classKey(Count count, std::uint8_t *slot_class);
+    void classKey(std::span<const double> alphabet, Count count,
+                  std::uint8_t *slot_class);
 
     RsuConfig cfg_;
     bool ordered_ = false; ///< First/Last (tableless) vs Random
@@ -389,32 +447,12 @@ class RaceFastPath
     unsigned drawsPerPixel_ = 1;
     double tMax_ = 0.0; ///< window length in bins
     std::uint64_t modeWord_ = 0;
-    std::uint64_t bindGen_ = 0; ///< 0 until the first bind
     RowCacheStats rowCacheStats_;
-    /** Content of the last real bind, for the rebind early-out. */
-    std::vector<double> boundTable_;
-
-    // ---- bound alphabet (rebuilt by bindRateTable) -------------------
-    std::vector<double> alphabet_;       ///< sorted distinct rates
-    std::vector<std::uint16_t> classOf_; ///< table index -> class
-    /** classOf_ as bytes, padded 8 past the end for the fused
-     *  kernel's 32-bit gathers; built only for the packed lane. */
-    std::vector<std::uint8_t> classBytes_;
-    /** classBytes_ re-encoded as a step function for the gather-free
-     *  classify kernel; valid only while rangeClsOk_ (the table is
-     *  monotone in q with <= 8 runs — always, for rate tables that
-     *  decay with energy). */
-    simd::RangeClassifier rangeCls_;
-    bool rangeClsOk_ = false;
-    std::vector<double> tieP_;           ///< per class 1 - e^{-rate}
-    bool packedOk_ = false;   ///< alphabet fits the packed lane
-    int zeroClass_ = -1;      ///< alphabet index of the rate-0 class
-    std::uint64_t firingMask_ = 0; ///< count-word bytes of rate>0 classes
+    /** The bound alphabet, class map and packed table (shared,
+     *  immutable); null until the first bind. */
+    std::shared_ptr<const RateBinding> binding_;
 
     // ---- packed lane -------------------------------------------------
-    /** The shared table of the bound alphabet; null off the packed
-     *  lane. */
-    std::shared_ptr<RaceTableCache::PackedTable> packed_;
     /** Uncached entry, used when the shared table is full. */
     PackedRaceEntry spill_;
     // Row-pass scratch: per-pixel classify words (word/cw0/cw1

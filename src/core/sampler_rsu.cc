@@ -12,12 +12,22 @@
 namespace retsim {
 namespace core {
 
-RsuSampler::RsuSampler(const RsuConfig &cfg) : cfg_(cfg)
+RsuSampler::RsuSampler(const RsuConfig &cfg) : RsuSampler(cfg, nullptr)
+{
+}
+
+RsuSampler::RsuSampler(const RsuConfig &cfg,
+                       std::shared_ptr<RateBindingCache> bindings)
+    : cfg_(cfg), bindings_(std::move(bindings))
 {
     cfg_.validate();
     useFastPath_ = RaceFastPath::resolve(cfg_);
     if (useFastPath_)
         fast_ = std::make_unique<RaceFastPath>(cfg_);
+    // The binned fast path binds the classified form of every table.
+    if (!bindings_)
+        bindings_ = std::make_shared<RateBindingCache>(
+            cfg_, useFastPath_ && cfg_.timeQuant == TimeQuant::Binned);
 }
 
 std::string
@@ -68,7 +78,7 @@ RsuSampler::loadState(std::span<const std::uint64_t> words)
         return false;
     // Warm the derived caches for the checkpointed temperatures (the
     // draw paths keep lut_ aligned with cachedTemperature_ and
-    // rateTable_ with rateTableTemperature_), then overwrite the
+    // binding_ with rateTableTemperature_), then overwrite the
     // counters: the rebuilds these refreshes perform must not show up
     // as extra conversionRebuilds_ in a resumed run.
     if (rate_t > 0.0) {
@@ -109,44 +119,19 @@ RsuSampler::refreshRateTable(double temperature)
     if (temperature == rateTableTemperature_)
         return;
     rateTableTemperature_ = temperature;
-    const double lambda0 = cfg_.lambda0();
-    const std::size_t entries = std::size_t{1} << cfg_.energyBits;
-    rateTable_.resize(entries);
-    if (cfg_.lambdaQuant == LambdaQuant::Float) {
-        // Batched build: expBatch over the -e/T grid is bit-identical
-        // to the sexp() inside realLambda(), and the two scale
-        // multiplies keep realLambda()'s association order.
-        const double scale = static_cast<double>(cfg_.lambdaMax());
-        for (std::size_t e = 0; e < entries; ++e)
-            rateTable_[e] = -static_cast<double>(e) / temperature;
-        simd::kernels().expBatch(rateTable_.data(), rateTable_.data(),
-                                 entries);
-        for (std::size_t e = 0; e < entries; ++e)
-            rateTable_[e] = rateTable_[e] * scale * lambda0;
-    } else {
-        for (std::size_t e = 0; e < entries; ++e)
-            rateTable_[e] =
-                static_cast<double>(lut_->lookup(e)) * lambda0;
-    }
-    // When no entry is zero (no probability cutoff bites at this
-    // temperature) every label of every pixel fires, which lets the
-    // float-time race skip its firing scan.
-    rateTableAllPositive_ = std::all_of(
-        rateTable_.begin(), rateTable_.end(),
-        [](double r) { return r > 0.0; });
-}
-
-void
-RsuSampler::bindFastPath()
-{
-    // The alphabet only depends on rateTable_, which only changes
-    // with rateTableTemperature_; the cached race entries survive
-    // rebinds (their keys are canonical rate vectors and alphabets,
-    // shared across temperatures).
-    if (fastBoundTemperature_ == rateTableTemperature_)
-        return;
-    fast_->bindRateTable(rateTable_);
-    fastBoundTemperature_ = rateTableTemperature_;
+    // One binding per temperature for the whole run: the first clone
+    // to reach it builds it, the others share it.  Keyed on the
+    // binding held so far, so the alphabet union — and with it the
+    // packed/general lane — is exactly this sampler's own history.
+    std::shared_ptr<const RateBinding> next =
+        bindings_->bind(temperature, lut_.get(), binding_);
+    if (next == binding_)
+        return; // content-identical: same binding, same stamp
+    binding_ = std::move(next);
+    rateTable_ = binding_->rateTable.data();
+    rateTableAllPositive_ = binding_->allPositive;
+    if (useFastPath_ && cfg_.timeQuant == TimeQuant::Binned)
+        fast_->bind(binding_);
 }
 
 int
@@ -183,9 +168,8 @@ RsuSampler::sampleRowFast(std::span<const float> energies,
         // exponentials or argmin, no quantized plane, and the table
         // lookups overlap across pixels (see raceEnergiesRow).
         // RaceFastPath::supported() guarantees quantized energies and
-        // a non-float lambda here, so rateTable_ exists.
+        // a non-float lambda here, so a rate binding exists.
         refreshRateTable(temperature);
-        bindFastPath();
         const double top =
             static_cast<double>(util::maxUnsigned(cfg_.energyBits));
         outcomes_.resize(n);
@@ -246,7 +230,6 @@ RsuSampler::sampleRowCached(std::span<const float> energies,
     fastU_.resize(n * draws);
     gen.fillUniform(fastU_);
     refreshRateTable(temperature);
-    bindFastPath();
     const double top =
         static_cast<double>(util::maxUnsigned(cfg_.energyBits));
     outcomes_.resize(n);
@@ -283,7 +266,7 @@ RsuSampler::fillRates(const float *energies, std::size_t m,
             static_cast<double>(util::maxUnsigned(cfg_.energyBits));
         simd::kernels().quantizeGatherRates(energies, top,
                                             cfg_.decayRateScaling,
-                                            rateTable_.data(), r, m);
+                                            rateTable_, r, m);
         return rateTableAllPositive_;
     }
     // Float-energy escape: scaled energies are continuous, so the

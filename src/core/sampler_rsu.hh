@@ -27,6 +27,7 @@
 
 #include "core/energy_to_lambda.hh"
 #include "core/race_fastpath.hh"
+#include "core/rate_binding.hh"
 #include "core/rsu_config.hh"
 #include "core/ttf_race.hh"
 #include "mrf/sampler.hh"
@@ -38,6 +39,11 @@ class RsuSampler : public mrf::LabelSampler
 {
   public:
     explicit RsuSampler(const RsuConfig &cfg);
+
+    /** A sampler binding its rate tables through @p bindings, the
+     *  handle of the run it joins (clone()). */
+    RsuSampler(const RsuConfig &cfg,
+               std::shared_ptr<RateBindingCache> bindings);
 
     /**
      * One pixel evaluation: the literal race draws it through
@@ -94,15 +100,17 @@ class RsuSampler : public mrf::LabelSampler
     }
 
     /**
-     * Same device configuration, fresh conversion cache and counters.
-     * The RSU draws entropy from the solver-provided generator, so the
-     * stream index is unused.
+     * Same device configuration, fresh conversion cache and counters,
+     * and this sampler's RateBindingCache, so a run's clones bind
+     * each temperature through one shared binding.  The RSU draws
+     * entropy from the solver-provided generator, so the stream index
+     * is unused.
      */
     std::unique_ptr<mrf::LabelSampler>
     clone(std::uint64_t stream) const override
     {
         (void)stream;
-        return std::make_unique<RsuSampler>(cfg_);
+        return std::make_unique<RsuSampler>(cfg_, bindings_);
     }
 
     /**
@@ -119,6 +127,16 @@ class RsuSampler : public mrf::LabelSampler
     bool loadState(std::span<const std::uint64_t> words) override;
 
     const RsuConfig &config() const { return cfg_; }
+
+    /** The rate binding of the last temperature drawn at (null before
+     *  the first quantized-energy draw). */
+    const std::shared_ptr<const RateBinding> &rateBinding() const
+    {
+        return binding_;
+    }
+
+    /** The run's binding handle, shared with every clone. */
+    const RateBindingCache &rateBindings() const { return *bindings_; }
 
     /** Whether cfg_.raceMode resolved to the categorical fast path
      *  (RaceFastPath::resolve); fixed at construction. */
@@ -141,10 +159,11 @@ class RsuSampler : public mrf::LabelSampler
      *  process-wide cache); counts temperature-change rebuilds. */
     void refreshConversion(double temperature);
 
-    /** Lazily (re)build the quantized-energy -> absolute-rate table
-     *  that fillRates() and the fast path index; only exists when
-     *  energies are quantized (the index domain is then
-     *  2^Energy_bits). */
+    /** Bind @p temperature's RateBinding (the quantized-energy ->
+     *  absolute-rate table that fillRates() indexes and, binned, the
+     *  fast path's classification) from the run's handle; only
+     *  exists when energies are quantized (the index domain is then
+     *  2^Energy_bits).  No-op while the temperature is unchanged. */
     void refreshRateTable(double temperature);
 
     /**
@@ -156,10 +175,6 @@ class RsuSampler : public mrf::LabelSampler
      */
     bool fillRates(const float *energies, std::size_t m,
                    double temperature);
-
-    /** Point the fast path's rate alphabet at the current rateTable_
-     *  (no-op while the bound temperature is unchanged). */
-    void bindFastPath();
 
     /** Counter bookkeeping shared by every race flavor: bump
      *  no-sample/tie counters and map "no label fired" to the kept
@@ -184,17 +199,21 @@ class RsuSampler : public mrf::LabelSampler
     std::shared_ptr<const LambdaLut> lut_;
     std::vector<double> rates_; ///< one pixel's rates from fillRates()
 
-    // ---- rate table and race scratch ---------------------------------
+    // ---- rate binding and race scratch -------------------------------
+    /** The run's bindings, shared with every clone. */
+    std::shared_ptr<RateBindingCache> bindings_;
     double rateTableTemperature_ = -1.0;
-    std::vector<double> rateTable_;      ///< quantized energy -> rate
-    bool rateTableAllPositive_ = false;  ///< no reachable rate is zero
+    std::shared_ptr<const RateBinding> binding_; ///< rateTableTemperature_'s
+    /** binding_'s rate table and all-fire flag, read by fillRates()
+     *  once per literal-race pixel without the pointer hop. */
+    const double *rateTable_ = nullptr;
+    bool rateTableAllPositive_ = false;
     std::vector<RaceOutcome> outcomes_;
     RaceRowScratch raceScratch_;
 
     // ---- categorical fast path (raceMode != Race) --------------------
     bool useFastPath_ = false;
     std::unique_ptr<RaceFastPath> fast_;
-    double fastBoundTemperature_ = -1.0;
     std::vector<double> fastU_; ///< bulk uniform scratch
 
     std::uint64_t noSampleEvents_ = 0;

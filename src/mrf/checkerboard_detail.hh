@@ -20,6 +20,7 @@
 #ifndef RETSIM_MRF_CHECKERBOARD_DETAIL_HH
 #define RETSIM_MRF_CHECKERBOARD_DETAIL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -70,19 +71,22 @@ struct StripeCounters
 
 /**
  * Caller-owned buffers for one executor's row batches: the energy
- * plane the problem writes and the label vectors the sampler reads
- * and fills.  Sized once for the widest possible color-phase row.
+ * plane the problem writes, the label vectors the sampler reads and
+ * fills, and the row's flip bitset.  Sized once for the widest
+ * possible color-phase row.
  */
 struct RowArena
 {
     std::vector<float> energies;
     std::vector<int> current;
     std::vector<int> chosen;
+    std::vector<std::uint64_t> flips; ///< bit i = pixel i flipped
 
     RowArena(int width, int m)
         : energies(static_cast<std::size_t>((width + 1) / 2) * m),
           current(static_cast<std::size_t>((width + 1) / 2)),
-          chosen(static_cast<std::size_t>((width + 1) / 2))
+          chosen(static_cast<std::size_t>((width + 1) / 2)),
+          flips((static_cast<std::size_t>((width + 1) / 2) + 63) / 64)
     {
     }
 };
@@ -163,6 +167,13 @@ updateRow(const MrfProblem &problem, LabelSampler &sampler,
                           gen);
     }
 
+    // Write back the row and collect its flips as a bitset; the dirty
+    // marks then go in a word at a time (markRowFlips), which marks
+    // exactly what one markFlip per flip would.
+    std::uint64_t *flips = arena.flips.data();
+    const std::size_t flip_words = (static_cast<std::size_t>(n) + 63) / 64;
+    if (cs)
+        std::fill(flips, flips + flip_words, 0);
     for (int i = 0; i < n; ++i) {
         const int x = x0 + 2 * i;
         const int pick = chosen[static_cast<std::size_t>(i)];
@@ -171,12 +182,13 @@ updateRow(const MrfProblem &problem, LabelSampler &sampler,
             ++c.labelChanges;
             if (cs) {
                 cs->cache->setShadow(x, y, pick);
-                cs->cache->markFlip(x, y, Neighborhood::Four,
-                                    cs->rowLo, cs->rowHi,
-                                    cs->deferred);
+                flips[i >> 6] |= std::uint64_t{1} << (i & 63);
             }
         }
     }
+    if (cs && c.labelChanges)
+        cs->cache->markRowFlips(y, color, flips, cs->rowLo, cs->rowHi,
+                                cs->deferred);
     c.pixelUpdates = static_cast<std::uint64_t>(n);
     return c;
 }

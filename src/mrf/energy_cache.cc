@@ -48,7 +48,7 @@ EnergyPlaneCache::syncShadow(const img::LabelMap &labels)
     ++stats_.shadowSyncs;
 }
 
-void
+std::uint64_t
 EnergyPlaneCache::markFlip(int x, int y, Neighborhood neighborhood,
                            int rowLo, int rowHi,
                            std::vector<std::uint64_t> *deferred)
@@ -78,6 +78,93 @@ EnergyPlaneCache::markFlip(int x, int y, Neighborhood neighborhood,
         touch(x + 1, y - 1);
         touch(x - 1, y + 1);
         touch(x + 1, y + 1);
+    }
+    return marks;
+}
+
+void
+EnergyPlaneCache::markRowFlips(int y, int color,
+                               const std::uint64_t *flips, int rowLo,
+                               int rowHi,
+                               std::vector<std::uint64_t> *deferred)
+{
+    RETSIM_ASSERT(phases_ == 2, "row flip marks need color-phase slabs");
+    const int n = phasePixels(y, color);
+    const int other = color ^ 1;
+    const int n_other = phasePixels(y, other);
+    const int x0 = (y + color) & 1;
+    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+    const std::size_t words_other =
+        (static_cast<std::size_t>(n_other) + 63) / 64;
+    // Bits of word k below the slab's pixel count @p count.
+    const auto valid = [](std::size_t k, int count) {
+        const std::int64_t left =
+            static_cast<std::int64_t>(count) -
+            static_cast<std::int64_t>(64 * k);
+        if (left >= 64)
+            return ~std::uint64_t{0};
+        return left <= 0 ? std::uint64_t{0}
+                         : (std::uint64_t{1} << left) - 1;
+    };
+    std::uint64_t marks = 0;
+
+    // Own slab, and the rows above and below: pixel i of the other
+    // color's slab there sits at the same x = x0 + 2i.
+    std::uint64_t flipped = 0;
+    std::uint64_t *self = dirty_.data() + slab(y, color) * wordsPerSlab_;
+    for (std::size_t k = 0; k < words; ++k) {
+        self[k] |= flips[k];
+        flipped += static_cast<std::uint64_t>(std::popcount(flips[k]));
+    }
+    marks += flipped;
+    for (const int ny : {y - 1, y + 1}) {
+        if (ny < 0 || ny >= height_)
+            continue;
+        if (ny >= rowLo && ny < rowHi) {
+            std::uint64_t *w =
+                dirty_.data() + slab(ny, other) * wordsPerSlab_;
+            for (std::size_t k = 0; k < words; ++k)
+                w[k] |= flips[k];
+            marks += flipped;
+            continue;
+        }
+        // Stripe-boundary row: hand the marks to the coordinator for
+        // the color-phase join instead of racing the owner.
+        for (std::size_t k = 0; k < words; ++k) {
+            for (std::uint64_t f = flips[k]; f; f &= f - 1) {
+                const std::uint64_t x =
+                    static_cast<std::uint64_t>(x0) +
+                    2 * (64 * k + static_cast<std::uint64_t>(
+                                      std::countr_zero(f)));
+                deferred->push_back(
+                    (x << 32) | static_cast<std::uint32_t>(ny));
+            }
+        }
+    }
+
+    // Same row, other color: pixel i's left and right neighbors are
+    // other-color pixels i - 1 and i (x0 == 0) or i and i + 1
+    // (x0 == 1), where they exist.
+    std::uint64_t *row = dirty_.data() + slab(y, other) * wordsPerSlab_;
+    for (std::size_t k = 0; k < words_other; ++k) {
+        const std::uint64_t cur = k < words ? flips[k] : 0;
+        std::uint64_t left;
+        std::uint64_t right;
+        if (x0 == 0) {
+            const std::uint64_t next = k + 1 < words ? flips[k + 1] : 0;
+            left = (cur >> 1) | (next << 63);
+            right = cur;
+        } else {
+            const std::uint64_t prev = k > 0 ? flips[k - 1] : 0;
+            left = cur;
+            right = (cur << 1) | (prev >> 63);
+        }
+        const std::uint64_t v = valid(k, n_other);
+        left &= v;
+        right &= v;
+        row[k] |= left | right;
+        marks += static_cast<std::uint64_t>(std::popcount(left) +
+                                            std::popcount(right));
     }
     stats_.invalidations.fetch_add(marks, std::memory_order_relaxed);
 }

@@ -61,10 +61,11 @@ namespace mrf {
  *  them concurrently (the dirty words themselves are stripe-disjoint,
  *  these totals are the only shared writes), and relaxed increments
  *  keep them exact under threading.  Marks are counted per call, not
- *  per mark: markFlip and applyDeferred tally their marks locally and
- *  add the tally once, so a flip costs one atomic add, not five or
- *  nine.  Readers (telemetry folds at the sweep join) see totals only
- *  from outside the parallel region. */
+ *  per mark: markRowFlips and applyDeferred tally their marks locally
+ *  and add the tally once, so a color-phase row costs one atomic add,
+ *  not one per flip; markFlip returns its tally for the caller to add
+ *  (addInvalidations) once per sweep.  Readers (telemetry folds at the
+ *  sweep join) see totals only from outside the parallel region. */
 struct EnergyCacheStats
 {
     std::atomic<std::uint64_t> cleanHits{0}; ///< pixels served cached
@@ -134,11 +135,38 @@ class EnergyPlaneCache
      * neighbor's.  Marks for rows outside [rowLo, rowHi) are appended
      * to @p deferred (packed (x << 32) | y) instead of written —
      * that's the stripe-boundary exchange; pass the full row range
-     * and nullptr on serial paths.  The written marks are counted
-     * with one add; deferred ones count when they are applied.
+     * and nullptr on serial paths.  Returns the written marks, which
+     * the caller adds to stats() (addInvalidations); deferred ones
+     * count when they are applied.
      */
-    void markFlip(int x, int y, Neighborhood neighborhood, int rowLo,
-                  int rowHi, std::vector<std::uint64_t> *deferred);
+    std::uint64_t markFlip(int x, int y, Neighborhood neighborhood,
+                           int rowLo, int rowHi,
+                           std::vector<std::uint64_t> *deferred);
+
+    /**
+     * Row form of markFlip for a checkerboard color phase (phases ==
+     * 2, 4-neighborhood): @p flips is a bitset over slab (y, color)'s
+     * pixels (bit i = color-local pixel i, no bit at or past
+     * phasePixels) whose labels changed.  Marks, counts and defers
+     * exactly what one markFlip per set bit would, but a 64-bit word
+     * at a time: a flip's same-row neighbors are the other color's
+     * pixels i - 1 + x0 and i + x0 (x0 = (y + color) & 1, so the
+     * flip word shifts by the row parity, carrying across words), and
+     * its up/down neighbors are pixel i of the other color's slabs of
+     * rows y -/+ 1.  A row outside [rowLo, rowHi) gets one (x << 32) |
+     * row entry in @p deferred per flip.  The written marks are
+     * counted with one add.
+     */
+    void markRowFlips(int y, int color, const std::uint64_t *flips,
+                      int rowLo, int rowHi,
+                      std::vector<std::uint64_t> *deferred);
+
+    /** Count @p marks written by markFlip calls. */
+    void
+    addInvalidations(std::uint64_t marks)
+    {
+        stats_.invalidations.fetch_add(marks, std::memory_order_relaxed);
+    }
 
     /** Apply (and drain) marks packed like markFlip's deferred ones
      *  — stripe-boundary marks, or a shard's ghost-row marks —

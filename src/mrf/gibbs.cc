@@ -107,6 +107,9 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
         cache = std::make_unique<EnergyPlaneCache>(
             problem.width(), problem.height(), m, /*phases=*/1);
 
+    // Dirty marks written this sweep, counted with one add next to
+    // flushPixelCounts().
+    std::uint64_t marks = 0;
     auto update_pixel = [&](int x, int y, double temperature) {
         std::span<const float> e;
         if (cache) {
@@ -124,8 +127,8 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                       "sampler returned invalid label ", chosen);
         labels(x, y) = chosen;
         if (cache && chosen != current)
-            cache->markFlip(x, y, problem.neighborhood(), 0,
-                            problem.height(), nullptr);
+            marks += cache->markFlip(x, y, problem.neighborhood(), 0,
+                                     problem.height(), nullptr);
         if (trace) {
             ++trace->pixelUpdates;
             if (chosen != current)
@@ -156,8 +159,11 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                 for (int x = 0; x < problem.width(); ++x)
                     update_pixel(x, y, temperature);
         }
-        if (cache)
+        if (cache) {
             cache->flushPixelCounts();
+            cache->addInvalidations(marks);
+            marks = 0;
+        }
         if (trace) {
             trace->energyPerSweep.push_back(
                 problem.totalEnergy(labels));

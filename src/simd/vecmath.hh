@@ -897,7 +897,7 @@ classifyPackedT(std::uint64_t qlo, std::uint64_t qhi,
  * a RangeClassifier step encoding: class(b) = rc.base plus the mod-256
  * deltas of every boundary at or below b.  Bit-identical to the table
  * walk whenever the encoding reproduces the table — which the caller
- * (RaceFastPath::bindRateTable) validates before selecting this lane.
+ * (RateBinding::make) validates before selecting this lane.
  */
 inline void
 classifyRangeRowT(const RangeClassifier &rc,

@@ -10,12 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <cmath>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "apps/denoising.hh"
 #include "core/energy_to_lambda.hh"
 #include "core/race_fastpath.hh"
+#include "core/rate_binding.hh"
 #include "core/sampler_cdf.hh"
 #include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
@@ -379,6 +384,92 @@ TEST(SharedTableConcurrency, LookupsRaceInsertsAcrossDoublings)
 }
 
 // --------------------------------------------------------- rng splits
+
+TEST(RateBindingConcurrency, ThreadsBindingOneLadderShareBindings)
+{
+    // Six clones on six threads walk one temperature ladder through
+    // the run's shared RateBindingCache.  In lockstep (a barrier per
+    // rung) every thread must hold the one binding the rung built;
+    // free-running, threads drift past each other and race builds
+    // against hits, and every binding must still equal, byte for
+    // byte, the one a lone sampler walking the ladder builds.
+    core::RsuConfig cfg = core::RsuConfig::newDesign();
+    cfg.raceMode = core::RaceMode::FastPath;
+    constexpr int kThreads = 6;
+    std::vector<double> ladder;
+    for (int k = 0; k < 48; ++k)
+        ladder.push_back(8.0 * std::pow(0.93, k));
+    const std::size_t n = 4, m = 16;
+    std::vector<float> e(n * m);
+    for (std::size_t i = 0; i < e.size(); ++i)
+        e[i] = static_cast<float>((i * 37) % 200);
+
+    core::RsuSampler lone(cfg);
+    std::vector<std::shared_ptr<const core::RateBinding>> want;
+    {
+        rng::Xoshiro256 gen(1);
+        std::vector<int> cur(n, 0), out(n);
+        for (double t : ladder) {
+            lone.sampleRow(e, static_cast<int>(m), t, cur, out, gen);
+            want.push_back(lone.rateBinding());
+        }
+    }
+    const auto same = [](const core::RateBinding &a,
+                         const core::RateBinding &b) {
+        return a.rateTable == b.rateTable && a.alphabet == b.alphabet &&
+               a.classOf == b.classOf && a.classBytes == b.classBytes &&
+               a.tieP == b.tieP && a.packedOk == b.packedOk &&
+               a.firingMask == b.firingMask && a.packed == b.packed;
+    };
+
+    for (const bool lockstep : {true, false}) {
+        core::RsuSampler parent(cfg);
+        std::vector<std::unique_ptr<LabelSampler>> clones;
+        for (int k = 0; k < kThreads; ++k)
+            clones.push_back(parent.clone(static_cast<std::uint64_t>(k)));
+        std::vector<std::vector<const core::RateBinding *>> got(
+            kThreads);
+        std::vector<std::shared_ptr<const core::RateBinding>> keep;
+        std::mutex keep_mutex;
+        std::barrier sync(kThreads);
+        std::vector<std::thread> threads;
+        for (int k = 0; k < kThreads; ++k) {
+            threads.emplace_back([&, k] {
+                auto &s = static_cast<core::RsuSampler &>(*clones[k]);
+                rng::Xoshiro256 gen(10 + k);
+                std::vector<int> cur(n, 0), out(n);
+                for (double t : ladder) {
+                    s.sampleRow(e, static_cast<int>(m), t, cur, out, gen);
+                    got[k].push_back(s.rateBinding().get());
+                    {
+                        std::lock_guard<std::mutex> lock(keep_mutex);
+                        keep.push_back(s.rateBinding());
+                    }
+                    if (lockstep)
+                        sync.arrive_and_wait();
+                }
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+        for (int k = 0; k < kThreads; ++k) {
+            ASSERT_EQ(got[k].size(), ladder.size());
+            for (std::size_t r = 0; r < ladder.size(); ++r) {
+                EXPECT_TRUE(same(*got[k][r], *want[r]))
+                    << "thread " << k << " rung " << r;
+                if (lockstep) {
+                    EXPECT_EQ(got[k][r], got[0][r])
+                        << "thread " << k << " rung " << r;
+                }
+            }
+        }
+        const core::RateBindingCache &c = parent.rateBindings();
+        EXPECT_EQ(c.hits() + c.builds(), kThreads * ladder.size());
+        if (lockstep) {
+            EXPECT_EQ(c.builds(), ladder.size());
+        }
+    }
+}
 
 TEST(RngSplit, ChildrenAreDeterministicAndDistinct)
 {

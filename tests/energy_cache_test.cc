@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/denoising.hh"
@@ -28,6 +30,7 @@
 #include "img/synthetic.hh"
 #include "mrf/checkerboard.hh"
 #include "mrf/checkpoint.hh"
+#include "mrf/energy_cache.hh"
 #include "mrf/gibbs.hh"
 #include "mrf/problem.hh"
 #include "obs/metrics.hh"
@@ -336,6 +339,32 @@ TEST(EnergyCache, CountersAdvanceWhenEnabled)
         const std::uint64_t r0 = reg.counterValue(rebuilds);
         mrf::SolverConfig cfg = annealConfig(8, 21);
         cfg.randomScan = solver.randomScan;
+        // Raster and random scan update every pixel once per sweep,
+        // so a label that differs between consecutive sweepObserver
+        // maps (the first against the all-zero start) is exactly one
+        // flip, which marks the pixel and its in-grid 4-neighbours.
+        std::uint64_t recount = 0;
+        std::vector<int> prev(static_cast<std::size_t>(p.width()) *
+                                  p.height(),
+                              0);
+        if (solver.kind == Kind::Gibbs) {
+            cfg.randomInit = false;
+            cfg.sweepObserver = [&](int, double,
+                                    const img::LabelMap &labels) {
+                for (int y = 0; y < p.height(); ++y) {
+                    for (int x = 0; x < p.width(); ++x) {
+                        int &old = prev[static_cast<std::size_t>(y) *
+                                            p.width() +
+                                        x];
+                        if (labels(x, y) == old)
+                            continue;
+                        old = labels(x, y);
+                        recount += 1 + (x > 0) + (x + 1 < p.width()) +
+                                   (y > 0) + (y + 1 < p.height());
+                    }
+                }
+            };
+        }
         const RunResult run = runOnce(
             solver.kind, p,
             [] { return std::make_unique<SoftwareSampler>(); }, cfg,
@@ -354,7 +383,112 @@ TEST(EnergyCache, CountersAdvanceWhenEnabled)
                       (reg.counterValue(recomputed) - c0),
                   run.trace.pixelUpdates)
             << solver.what;
+        // The per-pixel marks are tallied per sweep and added once;
+        // the total must still be every mark, exactly once.
+        if (solver.kind == Kind::Gibbs) {
+            EXPECT_GT(recount, 0u) << solver.what;
+            EXPECT_EQ(reg.counterValue(invals) - i0, recount)
+                << solver.what;
+        }
     }
+}
+
+// ------------------------------------- row marks equal per-flip marks
+
+TEST(EnergyCache, RowFlipMarksMatchPerFlipMarks)
+{
+    // markRowFlips must mark, defer and count exactly what one
+    // markFlip per flipped pixel does: every dirty word of every
+    // slab, the deferred entries as a multiset, and the invalidation
+    // count.  Widths straddle the 64-pixel word edges (a color-phase
+    // row holds (w + 1) / 2 or w / 2 pixels), rows cover the first
+    // and last grid rows and stripe-edge rows, and flip masks range
+    // from empty and single bits to dense and full.
+    constexpr int kHeight = 7;
+    rng::Xoshiro256 gen(0x7f11);
+    std::size_t cases = 0;
+    for (const int w : {1, 2, 3, 63, 64, 65, 127, 128, 129, 257}) {
+        mrf::EnergyPlaneCache per(w, kHeight, 4, 2);
+        mrf::EnergyPlaneCache row(w, kHeight, 4, 2);
+        const auto clear_all = [&](mrf::EnergyPlaneCache &c) {
+            for (int y = 0; y < kHeight; ++y)
+                for (int color = 0; color < 2; ++color)
+                    c.clearRow(y, color);
+        };
+        const std::size_t words = (static_cast<std::size_t>(w + 1) / 2 +
+                                   63) / 64;
+        // (rowLo, rowHi) ownership ranges: the whole grid, a stripe
+        // of one row, and stripes whose edges cut between rows.
+        const std::pair<int, int> ranges[] = {
+            {0, kHeight}, {3, 4}, {2, 5}, {0, 1}, {6, 7}, {1, 7}};
+        for (const auto &[lo, hi] : ranges) {
+            for (int y = lo; y < hi; ++y) {
+                for (int color = 0; color < 2; ++color) {
+                    const int n = per.phasePixels(y, color);
+                    for (int pattern = 0; pattern < 6; ++pattern) {
+                        std::vector<std::uint64_t> flips(words, 0);
+                        for (int i = 0; i < n; ++i) {
+                            bool on = false;
+                            switch (pattern) {
+                              case 0: on = false; break;
+                              case 1: on = i == 0; break;
+                              case 2: on = i == n - 1; break;
+                              case 3: on = true; break;
+                              case 4: on = i % 64 == 63 || i % 64 == 0;
+                                      break;
+                              default:
+                                  on = gen.nextBounded(3) == 0;
+                            }
+                            if (on)
+                                flips[static_cast<std::size_t>(i) >> 6] |=
+                                    std::uint64_t{1} << (i & 63);
+                        }
+                        clear_all(per);
+                        clear_all(row);
+                        std::vector<std::uint64_t> dper, drow;
+                        const std::uint64_t i_per =
+                            per.stats().invalidations.load();
+                        const std::uint64_t i_row =
+                            row.stats().invalidations.load();
+                        std::uint64_t marks = 0;
+                        const int x0 = (y + color) & 1;
+                        for (int i = 0; i < n; ++i)
+                            if ((flips[static_cast<std::size_t>(i) >> 6] >>
+                                 (i & 63)) &
+                                1)
+                                marks += per.markFlip(
+                                    x0 + 2 * i, y, mrf::Neighborhood::Four,
+                                    lo, hi, &dper);
+                        per.addInvalidations(marks);
+                        row.markRowFlips(y, color, flips.data(), lo, hi,
+                                         &drow);
+                        const std::string what =
+                            "w=" + std::to_string(w) +
+                            " y=" + std::to_string(y) +
+                            " color=" + std::to_string(color) +
+                            " rows=[" + std::to_string(lo) + "," +
+                            std::to_string(hi) + ") pattern=" +
+                            std::to_string(pattern);
+                        for (int sy = 0; sy < kHeight; ++sy)
+                            for (int sc = 0; sc < 2; ++sc)
+                                for (std::size_t k = 0; k < words; ++k)
+                                    ASSERT_EQ(per.rowDirty(sy, sc)[k],
+                                              row.rowDirty(sy, sc)[k])
+                                        << what << " slab (" << sy
+                                        << ", " << sc << ") word " << k;
+                        std::sort(dper.begin(), dper.end());
+                        std::sort(drow.begin(), drow.end());
+                        ASSERT_EQ(dper, drow) << what;
+                        ASSERT_EQ(per.stats().invalidations.load() - i_per,
+                                  row.stats().invalidations.load() - i_row)
+                            << what;
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 1000u);
 }
 
 // ------------------------------------- dirty-mark totals are exact

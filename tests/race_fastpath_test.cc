@@ -21,10 +21,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "apps/stereo.hh"
+#include "core/energy_to_lambda.hh"
 #include "core/race_fastpath.hh"
+#include "core/rate_binding.hh"
 #include "core/sampler_rsu.hh"
 #include "core/ttf_race.hh"
 #include "img/synthetic.hh"
@@ -562,6 +566,199 @@ TEST(RaceFastPathMemo, StereoAnnealFitsInOneMebibyte)
     obs::Registry &reg = obs::Registry::global();
     EXPECT_EQ(reg.gaugeValue(reg.gauge("core.race_fastpath.table_bytes")),
               static_cast<double>(cache.packedBytes()));
+}
+
+// ------------------------------------------- branch-free draw helpers
+
+TEST(RaceFastPathDraw, SelectBitAndAliasPickMatchLoopForms)
+{
+    // selectBit16 against the loop it replaced (drop the lowest set
+    // bit rank times, then take the lowest), over every 16-bit mask
+    // and every rank below its popcount.
+    std::size_t checked = 0;
+    for (std::uint32_t mask = 1; mask < 0x10000u; ++mask) {
+        const int pool = std::popcount(mask);
+        for (int rank = 0; rank < pool; ++rank) {
+            std::uint32_t loop = mask;
+            for (int r = rank; r > 0; --r)
+                loop &= loop - 1;
+            ASSERT_EQ(selectBit16(mask, static_cast<std::uint32_t>(rank)),
+                      std::countr_zero(loop))
+                << "mask " << mask << " rank " << rank;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size_t{16} << 15); // sum of popcounts
+
+    // aliasPick against the branch it replaced, at and around the
+    // float thresholds a PackedRaceEntry stores, for every column
+    // and alias of a 16-outcome table.
+    const float probs[] = {0.0f, 1e-7f, 0.25f, 0.5f, 0.75f,
+                           std::nextafter(1.0f, 0.0f), 1.0f};
+    for (const float prob : probs) {
+        const double p = static_cast<double>(prob);
+        const double fracs[] = {0.0,
+                                std::nextafter(p, 0.0),
+                                p,
+                                std::nextafter(p, 2.0),
+                                0.5,
+                                std::nextafter(1.0, 0.0)};
+        for (const double frac : fracs) {
+            if (frac < 0.0)
+                continue;
+            for (std::size_t j = 0; j < 16; ++j)
+                for (std::size_t alias = 0; alias < 16; ++alias)
+                    ASSERT_EQ(aliasPick(frac, prob, j, alias),
+                              frac < prob ? j : alias)
+                        << "frac " << frac << " prob " << prob;
+        }
+    }
+}
+
+// ------------------------------------------- one binding per temperature
+
+TEST(RateBinding, ClonesShareOneBindingPerTemperature)
+{
+    // Sixteen clones drawing at one temperature hold one binding
+    // object: the first builds it, the other fifteen hit it.
+    RsuConfig cfg = RsuConfig::newDesign();
+    cfg.raceMode = RaceMode::FastPath;
+    RsuSampler parent(cfg);
+    std::vector<std::unique_ptr<mrf::LabelSampler>> clones;
+    for (int k = 0; k < 16; ++k)
+        clones.push_back(parent.clone(static_cast<std::uint64_t>(k)));
+    const std::size_t n = 8, m = 16;
+    std::vector<float> e(n * m);
+    rng::Xoshiro256 gen(5);
+    for (float &x : e)
+        x = static_cast<float>(gen.nextBounded(200));
+    std::vector<int> cur(n, 0), out(n);
+    for (const double t : {6.0, 2.5}) {
+        const std::uint64_t builds = parent.rateBindings().builds();
+        const std::uint64_t hits = parent.rateBindings().hits();
+        const RateBinding *first = nullptr;
+        for (auto &c : clones) {
+            c->sampleRow(e, static_cast<int>(m), t, cur, out, gen);
+            const auto &rsu = static_cast<const RsuSampler &>(*c);
+            ASSERT_TRUE(rsu.rateBinding());
+            if (!first)
+                first = rsu.rateBinding().get();
+            EXPECT_EQ(rsu.rateBinding().get(), first) << "T=" << t;
+        }
+        EXPECT_EQ(parent.rateBindings().builds() - builds, 1u);
+        EXPECT_EQ(parent.rateBindings().hits() - hits, 15u);
+    }
+}
+
+TEST(RateBinding, AlphabetUnionDecidesTheLaneAsBefore)
+{
+    // previousDesign() converts with integer lambda codes, so a
+    // cooling ladder adds codes rung by rung and the alphabet a
+    // sampler has bound so far grows past the packed lane's 8 classes.
+    // At every rung the sampler's binding must hold the alphabet the
+    // union rule restated here gives (union with the new table's
+    // distinct rates, reset to them past 64), take the lane that
+    // alphabet selects, and draw the bytes a binding built over the
+    // restated alphabet draws.
+    RsuConfig cfg = RsuConfig::previousDesign();
+    cfg.raceMode = RaceMode::FastPath;
+    ASSERT_TRUE(RaceFastPath::resolve(cfg));
+    const std::size_t n = 64, m = 16;
+    std::vector<float> e(n * m);
+    rng::Xoshiro256 egen(77);
+    for (float &x : e)
+        x = static_cast<float>(egen.nextBounded(256));
+    RsuSampler sampler(cfg);
+    rng::Xoshiro256 gen(78), ref_gen(78);
+    std::vector<double> alphabet; // restated union so far
+    bool saw_packed = false, saw_general = false;
+    const std::uint64_t mode_word = RaceTableCache::modeWord(cfg);
+    for (const double t : {1000.0, 700.0, 450.0, 300.0, 200.0, 120.0}) {
+        const auto lut = LambdaLutCache::global().get(cfg, t);
+        std::vector<double> table(std::size_t{1} << cfg.energyBits);
+        for (std::size_t q = 0; q < table.size(); ++q)
+            table[q] = static_cast<double>(lut->lookup(q)) * cfg.lambda0();
+        std::vector<double> distinct = table;
+        std::sort(distinct.begin(), distinct.end());
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        const std::vector<double> incoming = alphabet;
+        std::vector<double> merged;
+        std::set_union(alphabet.begin(), alphabet.end(), distinct.begin(),
+                       distinct.end(), std::back_inserter(merged));
+        alphabet = merged.size() <= 64 ? merged : distinct;
+
+        std::vector<int> cur(n, 3), out(n), want(n);
+        sampler.sampleRow(e, static_cast<int>(m), t, cur, out, gen);
+        const RateBinding &b = *sampler.rateBinding();
+        EXPECT_EQ(b.alphabet, alphabet) << "T=" << t;
+        EXPECT_EQ(b.packedOk, alphabet.size() <= 8) << "T=" << t;
+        (alphabet.size() <= 8 ? saw_packed : saw_general) = true;
+
+        // Reference: the same draw over a binding of the restated
+        // incoming alphabet, on the same uniforms.
+        RaceFastPath ref(cfg);
+        ref.bind(RateBinding::make(table, incoming, &mode_word));
+        std::vector<double> u(n * ref.drawsPerPixel());
+        ref_gen.fillUniform(u);
+        std::vector<RaceOutcome> oc(n);
+        ref.raceEnergiesRow(e.data(),
+                            static_cast<double>((1u << cfg.energyBits) - 1),
+                            cfg.decayRateScaling, n, m, u.data(),
+                            oc.data());
+        for (std::size_t p = 0; p < n; ++p)
+            want[p] = oc[p].winner < 0 ? cur[p] : oc[p].winner;
+        EXPECT_EQ(out, want) << "T=" << t;
+    }
+    EXPECT_TRUE(saw_packed);
+    EXPECT_TRUE(saw_general);
+}
+
+TEST(RateBinding, StripedStereoAnnealBuildsOneBindingPerTemperature)
+{
+    // perfbench's stereo16 shape: 128x96, 16 labels, 96 sweeps, 16
+    // stripes on 2 threads.  Every clone rebinds at every new
+    // temperature (16 binds per temperature), but the run builds at
+    // most one binding per distinct temperature, and the labels are
+    // the 1-thread run's.
+    img::StereoSceneSpec spec;
+    spec.width = 128;
+    spec.height = 96;
+    spec.numLabels = 16;
+    const mrf::MrfProblem problem =
+        apps::buildStereoProblem(img::makeStereoScene(spec, 3));
+    RsuConfig cfg = RsuConfig::newDesign();
+    cfg.raceMode = RaceMode::FastPath;
+    mrf::SolverConfig scfg = apps::defaultStereoSolver(96, 1);
+    std::vector<double> temps;
+    for (int s = 0; s < scfg.annealing.sweeps; ++s)
+        temps.push_back(scfg.annealing.temperature(s));
+    std::sort(temps.begin(), temps.end());
+    const std::size_t distinct =
+        std::unique(temps.begin(), temps.end()) - temps.begin();
+
+    obs::Registry &reg = obs::Registry::global();
+    const obs::MetricId builds = reg.counter("core.rate_binding.builds");
+    const obs::MetricId hits = reg.counter("core.rate_binding.hits");
+    scfg.stripes = 16;
+    scfg.threads = 1;
+    RsuSampler one_thread(cfg);
+    const img::LabelMap want =
+        mrf::CheckerboardGibbsSolver(scfg).run(problem, one_thread);
+
+    scfg.threads = 2;
+    const std::uint64_t b0 = reg.counterValue(builds);
+    const std::uint64_t h0 = reg.counterValue(hits);
+    RsuSampler striped(cfg);
+    const img::LabelMap got =
+        mrf::CheckerboardGibbsSolver(scfg).run(problem, striped);
+    EXPECT_EQ(got.data(), want.data());
+    const std::uint64_t built = reg.counterValue(builds) - b0;
+    EXPECT_GE(built, 1u);
+    EXPECT_LE(built, distinct);
+    EXPECT_EQ(built, striped.rateBindings().builds());
+    // Each clone binds once per distinct temperature it reaches.
+    EXPECT_EQ(built + (reg.counterValue(hits) - h0), 16 * distinct);
 }
 
 // -------------------------------------------------------- mode wiring
