@@ -201,14 +201,11 @@ timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
  *  run does. */
 struct FastTiming
 {
-    double fastNsPerSample = 0.0; ///< steady state, row cache engaged
-    double uncachedNsPerSample = 0.0; ///< steady state, no row cache
+    double fastNsPerSample = 0.0; ///< steady state, sampleRow()
     double scalarNsPerSample = 0.0; ///< steady state, per-pixel sample()
     double coldNsPerSample = 0.0; ///< first pass, tables built inline
     std::size_t aliasTables = 0;  ///< distinct tables this workload needs
-    double cacheHitRate = 0.0;    ///< row-cache hits / lookups
-    double drawHitRate = 0.0;     ///< level-B (draw) hits / lookups
-    bool outputsMatch = true;     ///< scalar == batched == cached
+    bool outputsMatch = true;     ///< scalar == batched
 };
 
 FastTiming
@@ -280,96 +277,13 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
             std::chrono::steady_clock::now() - start;
         fast_best = std::min(fast_best, dt.count());
     }
-    result.uncachedNsPerSample =
+    result.fastNsPerSample =
         fast_best * 1e9 / static_cast<double>(samples);
-
-    // Row-cached pipeline: the solver's sweep-persistent per-pixel
-    // quantize/classify cache, with bench-owned key slabs (one per
-    // color-phase row, like the solver's arena).  Slabs are re-zeroed
-    // before each timed pass, so each pass sees the solver's per-run
-    // mix: the first temperature misses, later temperatures hit —
-    // level A (reclassify cached bytes) when the rate table changed,
-    // level B (reuse classify words outright) on the annealing tail
-    // where successive rungs quantize to the identical table.
-    const std::size_t kcw = factory()->rowCacheWords(set.m);
-    std::vector<int> cached_labels;
-    if (kcw > 0) {
-        std::vector<std::vector<std::uint64_t>> keys;
-        for (const std::vector<int> &cur : set.current)
-            keys.emplace_back(cur.size() * kcw, 0);
-        auto cached_pass = [&](mrf::LabelSampler &s, rng::Rng &gen,
-                               std::vector<int> *record) {
-            std::vector<int> out;
-            for (double t : temps)
-                for (std::size_t r = 0; r < set.energies.size();
-                     ++r) {
-                    const std::vector<int> &cur = set.current[r];
-                    out.resize(cur.size());
-                    s.sampleRowCached(set.energies[r], set.m, t, cur,
-                                      out, gen, keys[r], nullptr);
-                    if (record)
-                        record->insert(record->end(), out.begin(),
-                                       out.end());
-                }
-        };
-        double cached_best = 1e300;
-        for (int rep = 0; rep < reps; ++rep) {
-            auto sampler = factory();
-            rng::Xoshiro256 warm(seed);
-            batched_pass(*sampler, warm, nullptr); // warm tables
-            for (std::vector<std::uint64_t> &slab : keys)
-                std::fill(slab.begin(), slab.end(), 0);
-            // One untimed pass primes the row-cache slabs; the solver
-            // keeps them across all sweeps, so steady state (classify
-            // and draw hits) is what the fast path actually runs at.
-            // coldNsPerSample above already reports the miss-heavy
-            // first pass.  The cache is bit-exact, so re-seeding the
-            // generator reproduces the same labels either way.
-            rng::Xoshiro256 prime(seed);
-            cached_pass(*sampler, prime, nullptr);
-            const auto *rsu = dynamic_cast<const core::RsuSampler *>(
-                sampler.get());
-            const core::RaceFastPath::RowCacheStats *rc =
-                rsu ? rsu->rowCacheStats() : nullptr;
-            core::RaceFastPath::RowCacheStats before;
-            if (rc)
-                before = *rc;
-            rng::Xoshiro256 gen(seed);
-            std::vector<int> *rec =
-                rep == 0 ? &cached_labels : nullptr;
-            auto start = std::chrono::steady_clock::now();
-            cached_pass(*sampler, gen, rec);
-            std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - start;
-            cached_best = std::min(cached_best, dt.count());
-            if (rep == 0 && rc) {
-                // Stats accumulate over the sampler's lifetime, so
-                // diff around the timed pass to exclude the prime.
-                const double draws = static_cast<double>(
-                    rc->drawHits - before.drawHits);
-                const double classifies = static_cast<double>(
-                    rc->classifyHits - before.classifyHits);
-                const double misses = static_cast<double>(
-                    rc->misses - before.misses);
-                const double lookups = draws + classifies + misses;
-                if (lookups > 0) {
-                    result.cacheHitRate =
-                        (draws + classifies) / lookups;
-                    result.drawHitRate = draws / lookups;
-                }
-            }
-        }
-        result.fastNsPerSample =
-            cached_best * 1e9 / static_cast<double>(samples);
-    } else {
-        result.fastNsPerSample = result.uncachedNsPerSample;
-    }
 
     // The per-pixel entry, the raster solver's path: a one-pixel row
     // per sample() call.  Fixed draws per pixel keep the fast path's
     // scalar and batched entries on one RNG layout, so their labels
-    // must agree exactly — and the row-cached pass is bit-exact
-    // against both.
+    // must agree exactly.
     scalar_labels.reserve(samples);
     double scalar_best = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
@@ -386,9 +300,7 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
     }
     result.scalarNsPerSample =
         scalar_best * 1e9 / static_cast<double>(samples);
-    result.outputsMatch =
-        scalar_labels == batched_labels &&
-        (kcw == 0 || cached_labels == batched_labels);
+    result.outputsMatch = scalar_labels == batched_labels;
     return result;
 }
 
@@ -402,12 +314,9 @@ struct KernelBreakdown
     double energyPlaneNsPerLabel = 0.0; ///< conditionalEnergiesRow
     double raceNsPerPixel = 0.0;        ///< runTtfRace (binned)
     double eToLambdaNsPerLabel = 0.0;   ///< quantize + table gather
-    /** Fast-path split: the fused quantize+classify front half vs the
-     *  table-probe + SWAR alias draw back half (the part a warm row
-     *  cache cannot skip).  classify = full raceEnergiesRow minus the
-     *  all-draw-hits cached pass. */
-    double fastClassifyNsPerPixel = 0.0;
-    double fastDrawNsPerPixel = 0.0;
+    /** raceEnergiesRow: the fused quantize+classify pass plus the
+     *  table-probe + SWAR alias draw. */
+    double fastRowNsPerPixel = 0.0;
 };
 
 KernelBreakdown
@@ -507,57 +416,27 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
             set.totalPixels);
     }
 
-    // Fast-path classify/draw split.  The full raceEnergiesRow fuses
-    // quantize+classify with the alias draw; the row-cached variant on
-    // an all-warm slab skips the front half entirely (every lookup is
-    // a level-B draw hit), so the difference isolates the classify
-    // cost the energy-plane cache saves per clean pixel.
-    if (m <= 16 && top <= 255.0) {
+    // The fast path's binned row entry over every plane.
+    {
         core::RaceFastPath fast(cfg);
         fast.bindRateTable(table);
         const unsigned draws = fast.drawsPerPixel();
         rng::Xoshiro256 gen(seed + 2);
         std::vector<double> u;
         std::vector<core::RaceOutcome> outcomes;
-        std::vector<std::vector<std::uint64_t>> slabs;
-        for (const std::vector<float> &plane : set.energies)
-            slabs.emplace_back(plane.size() / m *
-                                   core::RaceFastPath::kRowCacheWords,
-                               0);
-        u.resize(set.totalPixels / set.energies.size() * draws + 64);
-        auto full_pass = [&] {
-            for (const std::vector<float> &plane : set.energies) {
-                const std::size_t n = plane.size() / m;
-                if (u.size() < n * draws)
+        bd.fastRowNsPerPixel = bestOf(
+            [&] {
+                for (const std::vector<float> &plane : set.energies) {
+                    const std::size_t n = plane.size() / m;
                     u.resize(n * draws);
-                gen.fillUniform(std::span<double>(u.data(),
-                                                  n * draws));
-                outcomes.resize(n);
-                fast.raceEnergiesRow(plane.data(), top,
-                                     cfg.decayRateScaling, n, m,
-                                     u.data(), outcomes.data());
-            }
-        };
-        auto cached_pass = [&] {
-            for (std::size_t r = 0; r < set.energies.size(); ++r) {
-                const std::vector<float> &plane = set.energies[r];
-                const std::size_t n = plane.size() / m;
-                if (u.size() < n * draws)
-                    u.resize(n * draws);
-                gen.fillUniform(std::span<double>(u.data(),
-                                                  n * draws));
-                outcomes.resize(n);
-                fast.raceEnergiesRowCached(
-                    plane.data(), top, cfg.decayRateScaling, n, m,
-                    u.data(), outcomes.data(), slabs[r].data(),
-                    nullptr);
-            }
-        };
-        const double full = bestOf(full_pass, set.totalPixels);
-        cached_pass(); // prime the slabs: every later pass draw-hits
-        const double draw_only = bestOf(cached_pass, set.totalPixels);
-        bd.fastDrawNsPerPixel = draw_only;
-        bd.fastClassifyNsPerPixel = std::max(0.0, full - draw_only);
+                    gen.fillUniform(u);
+                    outcomes.resize(n);
+                    fast.raceEnergiesRow(plane.data(), top,
+                                         cfg.decayRateScaling, n, m,
+                                         u.data(), outcomes.data());
+                }
+            },
+            set.totalPixels);
     }
     return bd;
 }
@@ -697,30 +576,22 @@ main(int argc, char **argv)
                                          *e.schedule, reps, seed);
             all_match = all_match && ft.outputsMatch;
             std::printf("  %-27s fastpath %6.1f ns/sample   "
-                        "uncached %6.1f   scalar %6.1f   cold %8.1f   "
-                        "%zu tables   cache-hit %4.1f%% (draw %4.1f%%)"
-                        "   %.2fx vs race%s\n",
+                        "scalar %6.1f   cold %8.1f   %zu tables   "
+                        "%.2fx vs race%s\n",
                         "  \\- race_mode=fastpath", ft.fastNsPerSample,
-                        ft.uncachedNsPerSample, ft.scalarNsPerSample,
-                        ft.coldNsPerSample,
-                        ft.aliasTables, 100.0 * ft.cacheHitRate,
-                        100.0 * ft.drawHitRate,
+                        ft.scalarNsPerSample, ft.coldNsPerSample,
+                        ft.aliasTables,
                         t.batchedNsPerSample / ft.fastNsPerSample,
                         ft.outputsMatch ? "" : "  MISMATCH");
             std::fprintf(f,
                          ", \"fastpath_ns_per_sample\": %.2f, "
-                         "\"fastpath_uncached_ns_per_sample\": %.2f, "
                          "\"fastpath_scalar_ns_per_sample\": %.2f, "
                          "\"fastpath_cold_ns_per_sample\": %.2f, "
                          "\"fastpath_alias_tables\": %zu, "
-                         "\"fastpath_cache_hit_rate\": %.4f, "
-                         "\"fastpath_draw_hit_rate\": %.4f, "
                          "\"fastpath_speedup_vs_scalar\": %.3f, "
                          "\"fastpath_outputs_match\": %s",
-                         ft.fastNsPerSample, ft.uncachedNsPerSample,
-                         ft.scalarNsPerSample, ft.coldNsPerSample,
-                         ft.aliasTables,
-                         ft.cacheHitRate, ft.drawHitRate,
+                         ft.fastNsPerSample, ft.scalarNsPerSample,
+                         ft.coldNsPerSample, ft.aliasTables,
                          t.scalarNsPerSample / ft.fastNsPerSample,
                          ft.outputsMatch ? "true" : "false");
         }
@@ -734,24 +605,21 @@ main(int argc, char **argv)
                 "  exp-draw %6.2f ns/draw   energy-plane %6.2f "
                 "ns/label   race %6.2f ns/pixel   e->lambda %6.2f "
                 "ns/label\n"
-                "  fastpath classify %6.2f ns/pixel   fastpath draw "
-                "%6.2f ns/pixel\n",
+                "  fastpath row %6.2f ns/pixel\n",
                 schedule.front(), bd.expDrawNsPerDraw,
                 bd.energyPlaneNsPerLabel, bd.raceNsPerPixel,
-                bd.eToLambdaNsPerLabel, bd.fastClassifyNsPerPixel,
-                bd.fastDrawNsPerPixel);
+                bd.eToLambdaNsPerLabel, bd.fastRowNsPerPixel);
     std::fprintf(f,
                  "\n  ],\n  \"kernel_breakdown\": {\n"
                  "    \"exp_draw_ns_per_draw\": %.2f,\n"
                  "    \"energy_plane_ns_per_label\": %.2f,\n"
                  "    \"race_ns_per_pixel\": %.2f,\n"
                  "    \"e_to_lambda_ns_per_label\": %.2f,\n"
-                 "    \"fastpath_classify_ns_per_pixel\": %.2f,\n"
-                 "    \"fastpath_draw_ns_per_pixel\": %.2f\n"
+                 "    \"fastpath_row_ns_per_pixel\": %.2f\n"
                  "  }\n}\n",
                  bd.expDrawNsPerDraw, bd.energyPlaneNsPerLabel,
                  bd.raceNsPerPixel, bd.eToLambdaNsPerLabel,
-                 bd.fastClassifyNsPerPixel, bd.fastDrawNsPerPixel);
+                 bd.fastRowNsPerPixel);
     std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());
     return all_match ? 0 : 1;

@@ -44,7 +44,7 @@
  * run under `taskset -c 0` records 1.
  *
  * Beside the --sweeps rows (the hot start of an anneal, where few
- * energy planes and row-cache words survive a sweep), the default
+ * energy planes survive a sweep), the default
  * workload list has one full anneal: stereo16 in fast-path mode at
  * perfbench's shape, 128x96 with 16 labels and 96 sweeps, where the
  * caches and the per-temperature binding see a whole schedule.
@@ -322,8 +322,7 @@ main(int argc, char **argv)
     mrf::MrfProblem stereo = apps::buildStereoProblem(scene);
 
     // Stereo at the RSU's packed-lane label count: the workload the
-    // categorical fast path (and its quantize/classify row cache) is
-    // built for.
+    // categorical fast path is built for.
     img::StereoSceneSpec fspec = sspec;
     fspec.numLabels = 16;
     img::StereoScene fscene = img::makeStereoScene(fspec, seed + 17);

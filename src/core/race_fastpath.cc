@@ -326,14 +326,6 @@ RaceFastPath::bind(std::shared_ptr<const RateBinding> binding)
 void
 RaceFastPath::bindRateTable(std::span<const double> rate_table)
 {
-    // Content-identical rebind: revisited annealing rungs (and the
-    // tEnd floor) reproduce the exact same quantized rate table, so
-    // keep the bound binding AND its stamp — that is what lets
-    // row-cache entries survive temperature revisits.
-    if (binding_ && std::equal(rate_table.begin(), rate_table.end(),
-                               binding_->rateTable.begin(),
-                               binding_->rateTable.end()))
-        return;
     bind(RateBinding::make(
         std::vector<double>(rate_table.begin(), rate_table.end()),
         binding_ ? std::span<const double>(binding_->alphabet)
@@ -454,7 +446,7 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
     rowHash_.resize(n);
     kern.quantizeClassifyRow(energies, top, subtract_min,
                              b.classBytes.data(), n, m,
-                             rowWords_.data(), nullptr, 0);
+                             rowWords_.data());
     for (std::size_t p = 0; p < n; ++p) {
         // Pull the pixel's slots into cache while later pixels hash;
         // by the draw pass the probe is an L1 hit instead of a
@@ -466,112 +458,6 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
         out[p] = drawPacked(b, rowWords_[3 * p], rowWords_[3 * p + 1],
                             rowWords_[3 * p + 2], m, u + p * draws,
                             rowHash_[p]);
-}
-
-void
-RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
-                                    bool subtract_min, std::size_t n,
-                                    std::size_t m, const double *u,
-                                    RaceOutcome *out,
-                                    std::uint64_t *cache,
-                                    const std::uint64_t *dirty)
-{
-    RETSIM_ASSERT(packedEligible(m) && top <= 255.0,
-                  "raceEnergiesRowCached outside the packed lane");
-    const RateBinding &b = *binding_;
-    const std::uint64_t stamp = b.stamp;
-    // Nonzero sentinel for word 0: a zero-filled slab can never fake
-    // a valid entry ("RSUCACHE" minus the trailing E, ASCII).
-    constexpr std::uint64_t kMagic = 0x52535543414348ULL;
-    enum : std::uint8_t { kDraw = 0, kClassify = 1, kMiss = 2 };
-    const unsigned draws = drawsPerPixel_;
-    const auto &kern = simd::kernels();
-    rowWords_.resize(3 * n);
-    rowHash_.resize(n);
-    rowState_.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::uint64_t *e = cache + p * kRowCacheWords;
-        const bool changed =
-            dirty && ((dirty[p >> 6] >> (p & 63)) & 1);
-        rowState_[p] = (changed || e[0] != kMagic) ? kMiss
-                       : (e[1] == stamp)           ? kDraw
-                                                   : kClassify;
-    }
-    // Contiguous same-state runs batch through one kernel dispatch
-    // each, so the common whole-row cases (everything a draw hit at a
-    // stable binding; everything a classify hit after a rebind; a
-    // cold slab) run at full vector width instead of per-pixel.
-    for (std::size_t p = 0; p < n;) {
-        const std::uint8_t st = rowState_[p];
-        std::size_t end = p + 1;
-        while (end < n && rowState_[end] == st)
-            ++end;
-        const std::size_t len = end - p;
-        std::uint64_t *entry = cache + p * kRowCacheWords;
-        std::uint64_t *words = rowWords_.data() + 3 * p;
-        if (st == kDraw) {
-            // The alphabet binding is unchanged, so the cached
-            // classify words are exactly what the fused kernel would
-            // recompute; the draw pass below reads them straight off
-            // the slab, so a draw hit moves no words at all.
-            rowCacheStats_.drawHits += len;
-        } else if (st == kClassify) {
-            // Energies unchanged, binding rebuilt: reclassify the
-            // cached quantized bytes (pure integer, no float plane
-            // touch, no quantize kernel).  The step-encoded lane is
-            // byte-compare only (no gathers); both produce words
-            // bit-identical to the fused quantize+classify.
-            if (b.rangeClsOk)
-                kern.classifyRangeRow(b.rangeCls, entry + 2,
-                                      kRowCacheWords, len, m, words);
-            else
-                kern.classifyPackedRow(entry + 2, kRowCacheWords,
-                                       b.classBytes.data(), len, m,
-                                       words);
-            for (std::size_t i = 0; i < len; ++i) {
-                std::uint64_t *e = entry + i * kRowCacheWords;
-                e[1] = stamp;
-                e[4] = words[3 * i];
-                e[5] = words[3 * i + 1];
-                e[6] = words[3 * i + 2];
-            }
-            rowCacheStats_.classifyHits += len;
-        } else {
-            // Miss: the same fused quantize + classify dispatch as
-            // the uncached row, additionally packing the based q
-            // bytes straight into the cache entries for future
-            // classify hits.
-            kern.quantizeClassifyRow(energies + p * m, top,
-                                     subtract_min, b.classBytes.data(),
-                                     len, m, words, entry + 2,
-                                     kRowCacheWords);
-            for (std::size_t i = 0; i < len; ++i) {
-                std::uint64_t *e = entry + i * kRowCacheWords;
-                e[0] = kMagic;
-                e[1] = stamp;
-                e[4] = words[3 * i];
-                e[5] = words[3 * i + 1];
-                e[6] = words[3 * i + 2];
-            }
-            rowCacheStats_.misses += len;
-        }
-        // Table warm-up fused into the run walk (one less traversal
-        // of the slab): by the draw pass below, each pixel's slots
-        // are an L1/L2 hit instead of a serialized probe.  The count
-        // word lives in the slab for every state — classify and miss
-        // runs wrote it back just above.
-        for (std::size_t i = p; i < end; ++i) {
-            rowHash_[i] = RaceTableCache::PackedTable::hash(
-                cache[i * kRowCacheWords + 4]);
-            b.packed->prefetch(rowHash_[i]);
-        }
-        p = end;
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::uint64_t *e = cache + p * kRowCacheWords;
-        out[p] = drawPacked(b, e[4], e[5], e[6], m, u + p * draws,
-                            rowHash_[p]);
-    }
 }
 
 inline RaceOutcome

@@ -264,31 +264,13 @@ class RaceFastPath
   public:
     explicit RaceFastPath(const RsuConfig &cfg);
 
-    /** Words per pixel of the caller-owned row cache consumed by
-     *  raceEnergiesRowCached(): magic, bind generation, two packed
-     *  quantized-byte words (q - base of up to 16 labels) and the
-     *  three classify words (count word + two label->class words). */
-    static constexpr std::size_t kRowCacheWords = 7;
-
-    /** Cumulative row-cache traffic (raceEnergiesRowCached only). */
+    /** Row-cache tallies, read only by perfbench's TracingSampler. */
     struct RowCacheStats
     {
-        std::uint64_t drawHits = 0;     ///< classify words reused
-        std::uint64_t classifyHits = 0; ///< quantized bytes reused
-        std::uint64_t misses = 0;       ///< full quantize + classify
+        std::uint64_t drawHits = 0;
+        std::uint64_t classifyHits = 0;
+        std::uint64_t misses = 0;
     };
-
-    const RowCacheStats &rowCacheStats() const
-    {
-        return rowCacheStats_;
-    }
-
-    /** Whether a pixel of @p m labels takes the packed lane under the
-     *  currently bound alphabet (raceEnergiesRowCached requires it). */
-    bool packedEligible(std::size_t m) const
-    {
-        return binding_ && binding_->packedOk && m <= 16;
-    }
 
     /** Can this config be served by the fast path at all?  Float
      *  time always can (on-the-fly CDF over the rates); binned time
@@ -326,8 +308,7 @@ class RaceFastPath
     /**
      * Bind the quantized-energy -> absolute-rate table @p rate_table
      * through a binding of this instance's own, grown from the bound
-     * alphabet (a content-identical table keeps the bound binding and
-     * its stamp).  For callers without a RateBindingCache: tests and
+     * alphabet.  For callers without a RateBindingCache: tests and
      * the kernel bench.
      */
     void bindRateTable(std::span<const double> rate_table);
@@ -356,29 +337,6 @@ class RaceFastPath
                          RaceOutcome *out);
 
     /**
-     * raceEnergiesRow plus a sweep-persistent per-pixel derived-state
-     * cache: @p cache holds kRowCacheWords u64 per pixel (zero-filled
-     * = empty) and @p dirty — when non-null — is a bitset (bit p =
-     * pixel p) of pixels whose energies changed since the cache words
-     * were written; null means nothing changed.  Clean pixels skip
-     * the quantize pass (their packed q - base bytes are cached) and,
-     * when the bind generation also matches, the classify pass too —
-     * the draw runs straight off the cached count/class words.
-     * Result-identical to raceEnergiesRow on the same inputs: the
-     * cached bytes/words are exactly what the fused kernel would
-     * recompute (quantization depends only on the energies and the
-     * fixed top/subtract_min; classification additionally on the
-     * bound alphabet, which the generation stamp guards).  Requires
-     * packedEligible(m) and top <= 255 (q - base must fit a byte).
-     */
-    void raceEnergiesRowCached(const float *energies, double top,
-                               bool subtract_min, std::size_t n,
-                               std::size_t m, const double *u,
-                               RaceOutcome *out,
-                               std::uint64_t *cache,
-                               const std::uint64_t *dirty);
-
-    /**
      * Float-time race over one pixel's absolute rates: one uniform
      * inverts the prefix-sum CDF, realizing P(i) = rate_i /
      * sum(rate) (rates <= 0 never win; winner -1 when none is
@@ -401,7 +359,7 @@ class RaceFastPath
      * no pointer-chasing through vector headers.  Entries depend only
      * on the count multiset over a stable alphabet, so they survive
      * temperature rebinds.  @p h is the word's hash — hoisted so the
-     * row passes hash once, at prefetch time.
+     * row pass hashes once, at prefetch time.
      */
     [[gnu::always_inline]] inline RaceOutcome
     drawPacked(const RateBinding &b, std::uint64_t word,
@@ -447,7 +405,6 @@ class RaceFastPath
     unsigned drawsPerPixel_ = 1;
     double tMax_ = 0.0; ///< window length in bins
     std::uint64_t modeWord_ = 0;
-    RowCacheStats rowCacheStats_;
     /** The bound alphabet, class map and packed table (shared,
      *  immutable); null until the first bind. */
     std::shared_ptr<const RateBinding> binding_;
@@ -460,9 +417,6 @@ class RaceFastPath
     // hashes.
     std::vector<std::uint64_t> rowWords_;
     std::vector<std::uint64_t> rowHash_;
-    /** Per-pixel cache disposition of the current cached row
-     *  (draw hit / classify hit / miss), run-length batched. */
-    std::vector<std::uint8_t> rowState_;
     // raceEnergiesRow general-lane scratch: one pixel's quantized
     // energies.
     std::vector<double> quantScratch_;

@@ -7,18 +7,13 @@
 #include "core/energy_to_lambda.hh"
 #include "core/race_fastpath.hh"
 #include "obs/metrics.hh"
+#include "simd/kernels.hh"
 #include "util/logging.hh"
 
 namespace retsim {
 namespace core {
 
 namespace {
-
-/** Process-wide stamp counter: every built binding anywhere gets a
- *  fresh nonzero stamp, so cached classify words can never alias
- *  across bindings (a slab that meets another binding just
- *  reclassifies once). */
-std::atomic<std::uint64_t> g_stamp{0};
 
 /** Registry mirrors of the handle counters, like core.lambda_lut.*. */
 struct BindingMetricIds
@@ -105,38 +100,6 @@ classifyTable(RateBinding &b, std::span<const double> incoming,
     b.classBytes.assign(table.size() + 8, 0);
     for (std::size_t i = 0; i < table.size(); ++i)
         b.classBytes[i] = static_cast<std::uint8_t>(b.classOf[i]);
-    // Step encoding of classBytes for the gather-free classify
-    // kernel.  A rate table that decays with energy yields a class
-    // map with one contiguous run per reachable class (<= 8 runs for
-    // the packed lane), so the encoding always fits; the run scan
-    // below validates rather than assumes, and any exotic map just
-    // keeps the table-gather lane.
-    if (table.size() > 256)
-        return;
-    simd::RangeClassifier rc;
-    rc.base = b.classBytes[0];
-    rc.value[0] = rc.base;
-    rc.numValues = 1;
-    std::uint8_t prev = rc.base;
-    for (std::size_t q = 1; q < table.size(); ++q) {
-        const std::uint8_t c = b.classBytes[q];
-        if (c == prev)
-            continue;
-        if (rc.numSteps == 7)
-            return;
-        rc.step[rc.numSteps] = static_cast<std::uint8_t>(q);
-        rc.delta[rc.numSteps] = static_cast<std::uint8_t>(c - prev);
-        ++rc.numSteps;
-        // Segment semantics: value[j] is the class of the j-th run
-        // (numValues == numSteps + 1), which is what lets the SIMD
-        // kernel read each segment's population off the boundary
-        // masks.  A class repeated in non-adjacent runs simply
-        // accumulates into the same count byte.
-        rc.value[rc.numValues++] = c;
-        prev = c;
-    }
-    b.rangeCls = rc;
-    b.rangeClsOk = true;
 }
 
 } // namespace
@@ -156,7 +119,6 @@ RateBinding::make(std::vector<double> rate_table,
                                  [](double r) { return r > 0.0; });
     if (mode_word)
         classifyTable(*b, incoming, *mode_word);
-    b->stamp = g_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
     return b;
 }
 
@@ -225,7 +187,7 @@ RateBindingCache::bind(double temperature, const LambdaLut *lut,
     slot.incoming.assign(alphabet.begin(), alphabet.end());
     // Content-identical rebind: the incoming binding already is this
     // table's binding (the union rule adds nothing to an alphabet
-    // built over the same table), so keep it, stamp and all.
+    // built over the same table), so keep it and skip classifying.
     if (incoming && incoming->rateTable == table)
         slot.binding = incoming;
     else

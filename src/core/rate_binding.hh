@@ -8,10 +8,9 @@
  * temperature (Sec. IV-B.3), not one per unit.  A RateBinding is that
  * conversion in software: the quantized-energy -> rate table and,
  * for the binned fast path, everything RaceFastPath derives from it
- * (rate alphabet, class map and bytes, range classifier, tie
- * probabilities, the shared packed table, the row-cache stamp).  It
- * never changes once built, so any number of samplers on any number
- * of threads may read it.
+ * (rate alphabet, class map and bytes, tie probabilities, the shared
+ * packed table).  It never changes once built, so any number of
+ * samplers on any number of threads may read it.
  *
  * A RateBindingCache is the per-run handle: RsuSampler creates one
  * and clone() passes it on, so a striped or sharded run's clones bind
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "core/rsu_config.hh"
-#include "simd/kernels.hh"
 #include "util/shared_table.hh"
 
 namespace retsim {
@@ -53,10 +51,6 @@ struct RateBinding
     /** classOf as bytes, padded 8 past the end for the fused kernel's
      *  32-bit gathers; built only for the packed lane. */
     std::vector<std::uint8_t> classBytes;
-    /** classBytes as a step function for the gather-free classify
-     *  kernel; valid only while rangeClsOk. */
-    simd::RangeClassifier rangeCls;
-    bool rangeClsOk = false;
     std::vector<double> tieP; ///< per class 1 - e^{-rate}
     bool packedOk = false;    ///< alphabet fits the packed lane
     int zeroClass = -1;       ///< alphabet index of the rate-0 class
@@ -64,16 +58,13 @@ struct RateBinding
     /** The shared packed table of the alphabet; null off the packed
      *  lane. */
     std::shared_ptr<PackedRaceTable> packed;
-    /** Row-cache stamp: process-unique per built binding, never 0.
-     *  Cached classify words carry the stamp they were built under. */
-    std::uint64_t stamp = 0;
 
     /**
      * Bind @p rate_table.  With @p mode_word, also classify it: the
      * alphabet is @p incoming (the binder's alphabet so far) grown by
      * any new rate, exactly the union rule that decides the packed
      * lane, so a binder's lane never depends on who built its
-     * binding.  Gets a fresh stamp.
+     * binding.
      */
     static std::shared_ptr<const RateBinding>
     make(std::vector<double> rate_table, std::span<const double> incoming,
@@ -89,8 +80,7 @@ struct RateBinding
  * temperature builds its binding, the rest hit it, and the run holds a
  * few bindings however long it anneals.  A rate table equal to the
  * incoming binding's (revisited rungs, the tEnd floor) reuses that
- * binding outright, stamp included, so row-cache draw hits survive.
- * Thread-safe: one mutex, taken once per binder per temperature
+ * binding outright, which skips a classification.  Thread-safe: one mutex, taken once per binder per temperature
  * change, never on the per-pixel path.
  */
 class RateBindingCache

@@ -126,7 +126,7 @@ RsuSampler::refreshRateTable(double temperature)
     std::shared_ptr<const RateBinding> next =
         bindings_->bind(temperature, lut_.get(), binding_);
     if (next == binding_)
-        return; // content-identical: same binding, same stamp
+        return; // content-identical: the binding already held
     binding_ = std::move(next);
     rateTable_ = binding_->rateTable.data();
     rateTableAllPositive_ = binding_->allPositive;
@@ -189,66 +189,6 @@ RsuSampler::sampleRowFast(std::span<const float> energies,
             RaceFastPath::raceFloat(rates_.data(), m, fastU_[p]),
             current[p]);
     }
-}
-
-std::size_t
-RsuSampler::rowCacheWords(int numLabels) const
-{
-    if (useFastPath_ && cfg_.timeQuant == TimeQuant::Binned &&
-        numLabels <= 16 && cfg_.energyBits <= 8)
-        return RaceFastPath::kRowCacheWords;
-    return 0;
-}
-
-void
-RsuSampler::sampleRowCached(std::span<const float> energies,
-                            int numLabels, double temperature,
-                            std::span<const int> current,
-                            std::span<int> out, rng::Rng &gen,
-                            std::span<std::uint64_t> cache,
-                            const std::uint64_t *dirty)
-{
-    const std::size_t n = current.size();
-    const std::size_t m = static_cast<std::size_t>(numLabels);
-    if (n == 0)
-        return;
-    if (!useFastPath_ || cfg_.timeQuant != TimeQuant::Binned ||
-        cache.size() < n * RaceFastPath::kRowCacheWords) {
-        sampleRow(energies, numLabels, temperature, current, out,
-                  gen);
-        return;
-    }
-    RETSIM_ASSERT(numLabels >= 1, "no labels to sample");
-    RETSIM_ASSERT(energies.size() == n * m && out.size() == n,
-                  "batch span sizes disagree");
-    RETSIM_ASSERT(temperature > 0.0, "temperature must be positive");
-    totalSamples_ += n;
-    refreshConversion(temperature);
-    // Exactly sampleRowFast's draw discipline: bulk-fill first, so
-    // the generator evolves identically to the uncached row.
-    const unsigned draws = fast_->drawsPerPixel();
-    fastU_.resize(n * draws);
-    gen.fillUniform(fastU_);
-    refreshRateTable(temperature);
-    const double top =
-        static_cast<double>(util::maxUnsigned(cfg_.energyBits));
-    outcomes_.resize(n);
-    if (fast_->packedEligible(m) && top <= 255.0) {
-        fast_->raceEnergiesRowCached(energies.data(), top,
-                                     cfg_.decayRateScaling, n, m,
-                                     fastU_.data(), outcomes_.data(),
-                                     cache.data(), dirty);
-    } else {
-        // Packed lane unavailable under the current alphabet: run the
-        // uncached fused row and poison the slab, so a later eligible
-        // call can never trust words whose dirty history it missed.
-        std::fill(cache.begin(), cache.end(), 0);
-        fast_->raceEnergiesRow(energies.data(), top,
-                               cfg_.decayRateScaling, n, m,
-                               fastU_.data(), outcomes_.data());
-    }
-    for (std::size_t p = 0; p < n; ++p)
-        out[p] = commitOutcome(outcomes_[p], current[p]);
 }
 
 bool

@@ -125,28 +125,13 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
     // Flip-aware energy-plane cache shared by both execution paths
     // (see energy_cache.hh).  Per-run state: fresh all-dirty planes
     // plus a shadow-label sync at entry, so resume replay stays
-    // byte-identical to the uninterrupted run.  The sampler key arena
-    // rides alongside, one slab per (row, color), zero-filled (all
-    // invalid); slab ownership is fixed across sweeps so per-slab
-    // bind-generation stamps stay coherent.
+    // byte-identical to the uninterrupted run.
     std::unique_ptr<EnergyPlaneCache> cache;
-    std::vector<std::uint64_t> keyArena;
-    std::size_t kcw = 0;
     if (config_.energyCache && m <= 256) {
         cache = std::make_unique<EnergyPlaneCache>(
             problem.width(), problem.height(), m, /*phases=*/2);
         cache->syncShadow(labels);
-        kcw = sampler.rowCacheWords(m);
-        if (kcw > 0)
-            keyArena.assign(static_cast<std::size_t>(problem.height()) *
-                                2 *
-                                static_cast<std::size_t>(
-                                    (problem.width() + 1) / 2) *
-                                kcw,
-                            0);
     }
-    const std::size_t keyStride =
-        static_cast<std::size_t>((problem.width() + 1) / 2) * kcw;
 
     if (serial) {
         RowArena arena(problem.width(), m);
@@ -154,11 +139,7 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
         CacheSlot slot;
         CacheSlot *cs = nullptr;
         if (cache) {
-            slot = CacheSlot{cache.get(),
-                             keyArena.empty() ? nullptr
-                                              : keyArena.data(),
-                             kcw, keyStride, 0, problem.height(),
-                             nullptr};
+            slot = CacheSlot{cache.get(), 0, problem.height(), nullptr};
             cs = &slot;
         }
         for (int s = start_sweep; s < config_.annealing.sweeps; ++s) {
@@ -285,11 +266,8 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
         CacheSlot slot;
         CacheSlot *cs = nullptr;
         if (cache) {
-            slot = CacheSlot{
-                cache.get(),
-                keyArena.empty() ? nullptr : keyArena.data(), kcw,
-                keyStride, y0, y1,
-                &deferredMarks[static_cast<std::size_t>(k)]};
+            slot = CacheSlot{cache.get(), y0, y1,
+                             &deferredMarks[static_cast<std::size_t>(k)]};
             cs = &slot;
         }
         for (int y = y0; y < y1; ++y) {

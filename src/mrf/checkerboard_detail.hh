@@ -93,16 +93,13 @@ struct RowArena
 
 /**
  * One executor's view of the flip-aware energy-plane cache: the
- * shared cache plus the sampler key-cache arena and this executor's
- * row-ownership range for the stripe-boundary mark exchange (see
- * energy_cache.hh).  Serial paths own the whole grid and never defer.
+ * shared cache plus this executor's row-ownership range for the
+ * stripe-boundary mark exchange (see energy_cache.hh).  Serial paths
+ * own the whole grid and never defer.
  */
 struct CacheSlot
 {
     EnergyPlaneCache *cache = nullptr;
-    std::uint64_t *keys = nullptr; ///< all slabs; null if kcw == 0
-    std::size_t kcw = 0;           ///< key words per pixel
-    std::size_t keyStride = 0;     ///< key words per slab
     int rowLo = 0;
     int rowHi = 0;
     std::vector<std::uint64_t> *deferred = nullptr;
@@ -116,9 +113,8 @@ struct CacheSlot
  *
  * With a CacheSlot the row's conditionals come from the incremental
  * plane (only dirty pixels recomputed, via the shadow-label fused
- * kernel) and the sampler runs through sampleRowCached with the
- * slab's key arena and the dirty bitset — everything downstream is
- * bit-identical to the uncached path by the sampler contract.
+ * kernel), which is bit-identical to the uncached plane, so the
+ * sampler sees the same energies either way.
  */
 inline StripeCounters
 updateRow(const MrfProblem &problem, LabelSampler &sampler,
@@ -150,22 +146,7 @@ updateRow(const MrfProblem &problem, LabelSampler &sampler,
                           static_cast<std::size_t>(n));
     std::span<const float> energies(eplane,
                                     static_cast<std::size_t>(n) * m);
-    if (cs) {
-        std::span<std::uint64_t> keys;
-        if (cs->keys)
-            keys = std::span<std::uint64_t>(
-                cs->keys +
-                    (static_cast<std::size_t>(y) * 2 + color) *
-                        cs->keyStride,
-                static_cast<std::size_t>(n) * cs->kcw);
-        sampler.sampleRowCached(energies, m, temperature, current,
-                                chosen, gen, keys,
-                                cs->cache->rowDirty(y, color));
-        cs->cache->clearRow(y, color);
-    } else {
-        sampler.sampleRow(energies, m, temperature, current, chosen,
-                          gen);
-    }
+    sampler.sampleRow(energies, m, temperature, current, chosen, gen);
 
     // Write back the row and collect its flips as a bitset; the dirty
     // marks then go in a word at a time (markRowFlips), which marks

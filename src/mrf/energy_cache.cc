@@ -188,8 +188,7 @@ EnergyPlaneCache::refreshRow(const MrfProblem &problem,
     const int n = phasePixels(y, color);
     if (n == 0)
         return 0;
-    const std::size_t base = slab(y, color) * wordsPerSlab_;
-    const std::uint64_t *dw = dirty_.data() + base;
+    std::uint64_t *dw = dirty_.data() + slab(y, color) * wordsPerSlab_;
     float *pl = plane_.data() + slab(y, color) * slabStride_;
     const int x0 = phases_ == 1 ? 0 : (y + color) & 1;
     const int xStep = phases_ == 1 ? 1 : 2;
@@ -229,6 +228,7 @@ EnergyPlaneCache::refreshRow(const MrfProblem &problem,
         recomputed += j - i;
         i = j < n ? next_set(j) : n;
     }
+    std::fill(dw, dw + wordsPerSlab_, 0);
     stats_.recomputed.fetch_add(static_cast<std::uint64_t>(recomputed),
                                 std::memory_order_relaxed);
     stats_.cleanHits.fetch_add(static_cast<std::uint64_t>(n - recomputed),

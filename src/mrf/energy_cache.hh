@@ -112,15 +112,15 @@ class EnergyPlaneCache
     }
 
     /** Dirty bitset of slab (y, color) (bit i = color-local pixel i,
-     *  word layout i>>6 / i&63).  Valid until clearRow. */
+     *  word layout i>>6 / i&63), for tests that observe the marks. */
     const std::uint64_t *
     rowDirty(int y, int color) const
     {
         return dirty_.data() + slab(y, color) * wordsPerSlab_;
     }
 
-    /** Clear slab (y, color)'s dirty bits (after the sampler has
-     *  consumed them). */
+    /** Clear slab (y, color)'s dirty bits without recomputing its
+     *  planes, for tests that observe the marks. */
     void
     clearRow(int y, int color)
     {
@@ -177,8 +177,7 @@ class EnergyPlaneCache
      * Bring slab (y, color) fully up to date: recompute every dirty
      * pixel's plane from the shadow labels (fused u8 runs on interior
      * rows, conditionalEnergies at row ends / other neighborhoods),
-     * leaving the dirty bits SET so the sampler's own key cache can
-     * see which pixels changed; call clearRow once they're consumed.
+     * then clear the slab's dirty bits.
      * @return the slab's pixel count.
      */
     int refreshRow(const MrfProblem &problem,

@@ -99,14 +99,7 @@ class LabelSampler
                            std::span<const int> current,
                            std::span<int> out, rng::Rng &gen);
 
-    /**
-     * Words of caller-owned per-pixel derived-state cache this
-     * sampler can exploit in sampleRowCached(), or 0 when it has no
-     * cached fast path (the default).  The solvers allocate
-     * rowCacheWords(m) u64 words per pixel per color-phase slab,
-     * zero-filled (all-invalid), and keep each slab paired with the
-     * same pixels across sweeps.
-     */
+    /** Unused by the library; kept only for perfbench's TracingSampler. */
     virtual std::size_t
     rowCacheWords(int numLabels) const
     {
@@ -114,22 +107,7 @@ class LabelSampler
         return 0;
     }
 
-    /**
-     * sampleRow plus a sweep-persistent derived-state cache: @p cache
-     * holds rowCacheWords(numLabels) words per pixel (zero-filled =
-     * empty), and @p dirty — when non-null — is a bitset (bit i =
-     * pixel i, word i>>6 / bit i&63) of pixels whose energies CHANGED
-     * since the previous call with this cache slab; for clean pixels
-     * the implementation may reuse cached derived state (quantized
-     * race keys, per-temperature weights) instead of recomputing it
-     * from @p energies.  dirty == nullptr means nothing changed.
-     *
-     * The contract is bit-exactness: outputs AND generator/state
-     * evolution must be byte-identical to sampleRow() on the same
-     * inputs — the cache may only skip recomputation of values that
-     * are provably bit-identical.  The default ignores the cache and
-     * calls sampleRow().
-     */
+    /** Unused by the library; kept only for perfbench's TracingSampler. */
     virtual void
     sampleRowCached(std::span<const float> energies, int numLabels,
                     double temperature, std::span<const int> current,

@@ -152,9 +152,6 @@ struct TileWork
     int up, down; ///< neighbor ranks (-1 = grid boundary)
 
     std::unique_ptr<mrf::EnergyPlaneCache> cache;
-    std::vector<std::uint64_t> keyArena;
-    std::size_t kcw = 0;
-    std::size_t keyStride = 0;
     std::vector<RowArena> scratch;
     std::vector<StripeCounters> counters;
     std::vector<std::vector<std::uint64_t>> deferred;
@@ -194,24 +191,14 @@ struct TileWork
         const int width = problem.width();
         obs::Registry &reg = obs::Registry::global();
         // Same cache gate as the single-process solver; each rank
-        // keeps its own full-grid cache + key arena (only its rows
-        // are ever refreshed, ghost-row slabs stay permanently dirty
-        // and are never served).
+        // keeps its own full-grid cache (only its rows are ever
+        // refreshed, ghost-row slabs stay permanently dirty and are
+        // never served).
         if (config.energyCache && m <= 256) {
             cache = std::make_unique<mrf::EnergyPlaneCache>(
                 width, problem.height(), m, /*phases=*/2);
             cache->syncShadow(labels);
-            kcw = clones[static_cast<std::size_t>(k0)]->rowCacheWords(
-                m);
-            if (kcw > 0)
-                keyArena.assign(
-                    static_cast<std::size_t>(problem.height()) * 2 *
-                        static_cast<std::size_t>((width + 1) / 2) *
-                        kcw,
-                    0);
         }
-        keyStride =
-            static_cast<std::size_t>((width + 1) / 2) * kcw;
         const std::size_t n = static_cast<std::size_t>(k1 - k0);
         scratch.assign(n, RowArena(width, m));
         counters.assign(n, StripeCounters{});
@@ -255,11 +242,7 @@ struct TileWork
         CacheSlot slot;
         CacheSlot *cs = nullptr;
         if (cache) {
-            slot = CacheSlot{cache.get(),
-                             keyArena.empty() ? nullptr
-                                              : keyArena.data(),
-                             kcw, keyStride, y0, y1,
-                             &deferred[i]};
+            slot = CacheSlot{cache.get(), y0, y1, &deferred[i]};
             cs = &slot;
         }
         for (int y = y0; y < y1; ++y) {

@@ -51,29 +51,6 @@ struct BinRaceResult
     std::uint32_t contenders = 0; ///< indices firing within the window
 };
 
-/**
- * Byte -> class map of a packed-lane rate table encoded as a step
- * function for the gather-free classify kernel: class(b) = base +
- * sum of delta[j] over boundaries with b >= step[j], all arithmetic
- * mod 256.  The RSU rate table is monotone in the quantized energy,
- * so its class map has at most one run per alphabet class (<= 8 runs,
- * <= 7 boundaries); RaceFastPath derives the encoding at bind time
- * and falls back to the table-gather kernel when it doesn't fit.
- * value[0..numValues) lists the classes segment by segment
- * (numValues == numSteps + 1; value[j] is the class of the j-th
- * run) — the count-word pass reads each segment's population off
- * the boundary masks and banks it under value[j].
- */
-struct RangeClassifier
-{
-    std::uint8_t base = 0;      ///< class of byte 0
-    std::uint8_t numSteps = 0;  ///< boundaries in step/delta (<= 7)
-    std::uint8_t numValues = 0; ///< segments in value (numSteps + 1)
-    std::uint8_t step[7] = {};  ///< boundary bytes, strictly ascending
-    std::uint8_t delta[7] = {}; ///< class delta (mod 256) per boundary
-    std::uint8_t value[8] = {}; ///< class of each segment (< 8)
-};
-
 /** Dispatched batch kernels; every pointer is non-null. */
 struct KernelTable
 {
@@ -142,42 +119,12 @@ struct KernelTable
      *  dispatch per row keeps the vector constants live across
      *  pixels.  cls values must be < 8, and the table must stay
      *  readable 4 bytes past the largest reachable index (vector
-     *  backends gather 32-bit words).  When @p qpacked is non-null,
-     *  pixel p's based quantized bytes are additionally packed into
-     *  qpacked[p*q_stride] (labels 0-7, byte i = label i) and
-     *  qpacked[p*q_stride + 1] (labels 8+) — the row-cache layout
-     *  classifyPackedRow consumes; bytes truncate, so the packed
-     *  form is only meaningful when top <= 255. */
+     *  backends gather 32-bit words). */
     void (*quantizeClassifyRow)(const float *e, double top,
                                 bool subtract_min,
                                 const std::uint8_t *cls,
                                 std::size_t n, std::size_t m,
-                                std::uint64_t *out,
-                                std::uint64_t *qpacked,
-                                std::size_t q_stride);
-    /** Re-classify a row of packed-lane pixels from their cached
-     *  packed quantized bytes (pixel p's two q words at
-     *  qpacked[p*q_stride], layout as emitted by quantizeClassifyRow)
-     *  into the same out[3p..3p+2] words — pure integer, and
-     *  bit-identical to quantizeClassifyRow's words for the energies
-     *  that produced the bytes (top <= 255).  This is the row-cache
-     *  classify-hit lane: only the byte -> class table changed since
-     *  the bytes were cached, so no float plane is touched. */
-    void (*classifyPackedRow)(const std::uint64_t *qpacked,
-                              std::size_t q_stride,
-                              const std::uint8_t *cls, std::size_t n,
-                              std::size_t m, std::uint64_t *out);
-    /** classifyPackedRow with the byte -> class table given as a
-     *  RangeClassifier step encoding instead of a 256-entry gather
-     *  table: bit-identical words whenever the encoding reproduces
-     *  the table (RaceFastPath validates that at bind time).  The
-     *  x86 backends classify a whole 16-label pixel with a handful
-     *  of byte compares — no gathers — which is what makes the
-     *  row-cache classify hit cheap. */
-    void (*classifyRangeRow)(const RangeClassifier &rc,
-                             const std::uint64_t *qpacked,
-                             std::size_t q_stride, std::size_t n,
-                             std::size_t m, std::uint64_t *out);
+                                std::uint64_t *out);
     /** Fused conditional-energy runs over the solvers' 8-bit shadow
      *  label plane: out[p*m+i] = s[p*s_step+i] + the four pairwise
      *  rows selected by single-byte neighbor loads at p*idx_step from

@@ -87,58 +87,22 @@ quantizeGatherRates(const float *e, double top, bool subtract_min,
 void
 quantizeClassifyRow(const float *e, double top, bool subtract_min,
                     const std::uint8_t *cls, std::size_t n,
-                    std::size_t m, std::uint64_t *out,
-                    std::uint64_t *qpacked, std::size_t q_stride)
+                    std::size_t m, std::uint64_t *out)
 {
     if (m == 16 && top < 16777216.0) {
         // The intrinsic core handles full-width pixels; top < 2^24
         // keeps the float-domain clamp bound exact.
-        for (std::size_t p = 0; p < n; ++p) {
-            std::uint64_t *qp =
-                qpacked ? qpacked + p * q_stride : nullptr;
+        for (std::size_t p = 0; p < n; ++p)
             detail::quantizeClassify16Avx2(
                 e + p * 16, top, subtract_min, cls, out[3 * p],
-                out[3 * p + 1], out[3 * p + 2], qp,
-                qp ? qp + 1 : nullptr);
-        }
-        return;
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-        std::uint64_t *qp =
-            qpacked ? qpacked + p * q_stride : nullptr;
-        detail::quantizeClassifyT<VAvx2>(e + p * m, top, subtract_min,
-                                      cls, m, out[3 * p],
-                                      out[3 * p + 1],
-                                      out[3 * p + 2], qp,
-                                      qp ? qp + 1 : nullptr);
-    }
-}
-
-void
-classifyPackedRow(const std::uint64_t *qpacked, std::size_t q_stride,
-                  const std::uint8_t *cls, std::size_t n,
-                  std::size_t m, std::uint64_t *out)
-{
-    if (m == 16) {
-        for (std::size_t p = 0; p < n; ++p)
-            detail::classifyPacked16Avx2(
-                qpacked[p * q_stride], qpacked[p * q_stride + 1],
-                cls, out[3 * p], out[3 * p + 1], out[3 * p + 2]);
+                out[3 * p + 1], out[3 * p + 2]);
         return;
     }
     for (std::size_t p = 0; p < n; ++p)
-        detail::classifyPackedT(qpacked[p * q_stride],
-                                qpacked[p * q_stride + 1], cls, m,
-                                out[3 * p], out[3 * p + 1],
-                                out[3 * p + 2]);
-}
-
-void
-classifyRangeRow(const RangeClassifier &rc,
-                 const std::uint64_t *qpacked, std::size_t q_stride,
-                 std::size_t n, std::size_t m, std::uint64_t *out)
-{
-    detail::classifyRangeRowSse(rc, qpacked, q_stride, n, m, out);
+        detail::quantizeClassifyT<VAvx2>(e + p * m, top, subtract_min,
+                                         cls, m, out[3 * p],
+                                         out[3 * p + 1],
+                                         out[3 * p + 2]);
 }
 
 void
@@ -170,8 +134,7 @@ tableAvx2()
                                expBatch,      expDraw,   expWeights,
                                addRows5,      argmin,      quantizeEnergies,      expDrawBin,
                                gatherRates,   quantizeGatherRates,
-                               quantizeClassifyRow, classifyPackedRow,
-                               classifyRangeRow,
+                               quantizeClassifyRow,
                                energyRunU8,   gibbsWeightsRow};
     return t;
 }

@@ -88,38 +88,12 @@ quantizeGatherRates(const float *e, double top, bool subtract_min,
 void
 quantizeClassifyRow(const float *e, double top, bool subtract_min,
                     const std::uint8_t *cls, std::size_t n,
-                    std::size_t m, std::uint64_t *out,
-                    std::uint64_t *qpacked, std::size_t q_stride)
-{
-    for (std::size_t p = 0; p < n; ++p) {
-        std::uint64_t *qp =
-            qpacked ? qpacked + p * q_stride : nullptr;
-        detail::quantizeClassifyT<VNeon>(e + p * m, top, subtract_min,
-                                      cls, m, out[3 * p],
-                                      out[3 * p + 1],
-                                      out[3 * p + 2], qp,
-                                      qp ? qp + 1 : nullptr);
-    }
-}
-
-void
-classifyPackedRow(const std::uint64_t *qpacked, std::size_t q_stride,
-                  const std::uint8_t *cls, std::size_t n,
-                  std::size_t m, std::uint64_t *out)
+                    std::size_t m, std::uint64_t *out)
 {
     for (std::size_t p = 0; p < n; ++p)
-        detail::classifyPackedT(qpacked[p * q_stride],
-                                qpacked[p * q_stride + 1], cls, m,
-                                out[3 * p], out[3 * p + 1],
-                                out[3 * p + 2]);
-}
-
-void
-classifyRangeRow(const RangeClassifier &rc,
-                 const std::uint64_t *qpacked, std::size_t q_stride,
-                 std::size_t n, std::size_t m, std::uint64_t *out)
-{
-    detail::classifyRangeRowT(rc, qpacked, q_stride, n, m, out);
+        detail::quantizeClassifyT<VNeon>(e + p * m, top, subtract_min,
+                                         cls, m, out[3 * p], out[3 * p + 1],
+                                         out[3 * p + 2]);
 }
 
 void
@@ -151,8 +125,7 @@ tableNeon()
                                expBatch,      expDraw,   expWeights,
                                addRows5,      argmin,      quantizeEnergies,      expDrawBin,
                                gatherRates,   quantizeGatherRates,
-                               quantizeClassifyRow, classifyPackedRow,
-                               classifyRangeRow,
+                               quantizeClassifyRow,
                                energyRunU8,   gibbsWeightsRow};
     return t;
 }

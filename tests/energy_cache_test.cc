@@ -6,14 +6,13 @@
  * solver must produce byte-identical labels, traces and sampler state
  * to the uncached run — across both solvers, serial and striped
  * execution, 4- and 8-neighborhoods, every sampler (including the RSU
- * packed fast path and its per-pixel quantize/classify row cache),
- * tie-break modes, boundary-heavy tiny grids, and label alphabets
- * wide enough to leave the packed lane.  On top of the equivalence
- * sweep: the cache must actually engage (clean-hit counters advance),
- * its invalidation total must count every dirty mark exactly once,
- * and a run killed and resumed with the cache on must replay to the
- * same bytes as an uninterrupted run with the cache off (cache state
- * is per-run, never checkpointed).
+ * packed fast path), tie-break modes, boundary-heavy tiny grids, and
+ * label alphabets wide enough to leave the packed lane.  On top of
+ * the equivalence sweep: the cache must actually engage (clean-hit
+ * counters advance), its invalidation total must count every dirty
+ * mark exactly once, and a run killed and resumed with the cache on
+ * must replay to the same bytes as an uninterrupted run with the
+ * cache off (cache state is per-run, never checkpointed).
  */
 
 #include <gtest/gtest.h>
@@ -234,8 +233,8 @@ TEST(EnergyCache, StripedManyThinStripesStressBoundaryMarks)
 {
     // Height 16 with 8 stripes: every stripe is 2 rows, so almost
     // every flip defers a dirty mark across a stripe boundary.
-    // The RSU fast path is the sampler with a row cache, so its run
-    // checks that the deferred marks also reach the sampler's slabs.
+    // The RSU fast-path run repeats the check with the packed lane
+    // drawing every row from the cached planes.
     mrf::MrfProblem p = randomProblem(12, 16, 6, 301);
     mrf::SolverConfig cfg = annealConfig(6, 3);
     cfg.threads = 4;
@@ -288,7 +287,7 @@ TEST(EnergyCache, TinyAndDegenerateGrids)
 TEST(EnergyCache, WideAlphabetLeavesPackedLane)
 {
     // 24 labels: the RSU packed lane (m <= 16) is out, so the sampler
-    // publishes no row cache and the solver runs energy caching only.
+    // draws every row through the general lane.
     mrf::MrfProblem p = randomProblem(15, 11, 24, 67);
     const mrf::SolverConfig cfg = annealConfig(5, 13);
     expectCacheTransparent(

@@ -464,8 +464,8 @@ TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
         for (TieBreak tie : {TieBreak::Random, TieBreak::First}) {
             const RsuConfig cfg = binnedCfg(tie, 5, policy);
             const std::size_t draws = RaceFastPath(cfg).drawsPerPixel();
-            // Inputs of every row of every bind; odd rows take the
-            // row-cached entry.
+            // Inputs of every row of every bind; odd rows are drawn
+            // in two calls, so a row also crosses a call boundary.
             const std::size_t rows = binds.size() * kRows;
             rng::Xoshiro256 gen(43);
             std::vector<float> e(rows * kN * kM);
@@ -479,16 +479,10 @@ TEST(RaceFastPathMemo, HistoryAndGrowthNeverChangeADraw)
                             RaceOutcome *out) {
                 const float *ep = e.data() + (row * kN + p0) * kM;
                 const double *up = u.data() + (row * kN + p0) * draws;
-                if (row % 2 == 0) {
-                    fp.raceEnergiesRow(ep, kTop, false, n, kM, up, out);
-                    return;
-                }
-                std::vector<std::uint64_t> slab(
-                    n * RaceFastPath::kRowCacheWords, 0);
-                const std::uint64_t all_dirty =
-                    (std::uint64_t{1} << n) - 1;
-                fp.raceEnergiesRowCached(ep, kTop, false, n, kM, up,
-                                         out, slab.data(), &all_dirty);
+                const std::size_t head = row % 2 == 0 ? n : n / 2;
+                fp.raceEnergiesRow(ep, kTop, false, head, kM, up, out);
+                fp.raceEnergiesRow(ep + head * kM, kTop, false, n - head,
+                                   kM, up + head * draws, out + head);
             };
 
             std::vector<RaceOutcome> ref(rows * kN);

@@ -372,10 +372,10 @@ TEST(BackendEquivalence, AllKernelsBitIdenticalToScalar)
     }
 }
 
-/** One packed-lane pixel's classify words and based q bytes. */
+/** One packed-lane pixel's classify words. */
 struct PackedWords
 {
-    std::uint64_t word = 0, cw0 = 0, cw1 = 0, qlo = 0, qhi = 0;
+    std::uint64_t word = 0, cw0 = 0, cw1 = 0;
 };
 
 /**
@@ -383,8 +383,7 @@ struct PackedWords
  * pixel of @p m <= 16 labels: round each energy to nearest and clamp
  * it to [0, top], subtract the pixel's minimum when asked, count
  * each class in its byte of the count word, and put label i's class
- * (and its based q byte) in byte i % 8 of cw0 / qlo (i < 8) or of
- * cw1 / qhi.
+ * in byte i % 8 of cw0 (i < 8) or of cw1.
  */
 PackedWords
 literalPackedWords(const float *e, double top, bool subtract_min,
@@ -403,20 +402,14 @@ literalPackedWords(const float *e, double top, bool subtract_min,
         const unsigned shift = 8 * static_cast<unsigned>(i % 8);
         w.word += std::uint64_t{1} << (8 * c);
         (i < 8 ? w.cw0 : w.cw1) |= c << shift;
-        (i < 8 ? w.qlo : w.qhi) |= b << shift;
     }
     return w;
 }
 
 TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
 {
-    // The packed quantize/classify family behind the RSU row cache:
-    // quantizeClassifyRow (with the based-q side channel), the
-    // classifyPackedRow replay of those bytes, and the gather-free
-    // classifyRangeRow step encoding.  All three must agree with the
-    // scalar reference bit for bit on every runnable backend, the
-    // replayed bytes must reproduce the fused words exactly, and the
-    // step encoding must match the byte table it was derived from —
+    // The packed lane's fused quantize/classify kernel must agree with
+    // the scalar reference bit for bit on every runnable backend,
     // including the m < 16 lanes the SIMD paths mask rather than
     // skip.  The scalar reference itself is held to
     // literalPackedWords(), so a fault shared by every backend (the
@@ -425,14 +418,12 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
     const simd::KernelTable &ref =
         simd::kernelsFor(simd::Backend::Scalar);
     const double top = 255.0;
-    const std::size_t q_stride = core::RaceFastPath::kRowCacheWords;
     rng::Xoshiro256 gen(97);
 
-    // A step classifier like bindRateTable derives: strictly
-    // decreasing class values (rates decay with energy; the union
-    // alphabet may skip values) over <= 7 random boundaries — plus
-    // the byte table it abbreviates.
-    simd::RangeClassifier rc;
+    // A byte -> class table like a decaying rate table's: strictly
+    // decreasing class values (the union alphabet may skip values)
+    // over random boundaries, padded 8 bytes past the end for the
+    // vector backends' 32-bit gathers, as RateBinding pads its own.
     std::vector<std::uint8_t> boundaries;
     while (boundaries.size() < 5) {
         const auto b =
@@ -442,24 +433,13 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
             boundaries.push_back(b);
     }
     std::sort(boundaries.begin(), boundaries.end());
-    std::uint8_t vals[6] = {7, 6, 4, 3, 1, 0}; // skips like a union
-    rc.base = vals[0];
-    rc.numSteps = 5;
-    rc.numValues = 6;
-    for (std::size_t j = 0; j < 5; ++j) {
-        rc.step[j] = boundaries[j];
-        rc.delta[j] =
-            static_cast<std::uint8_t>(vals[j + 1] - vals[j]);
-    }
-    for (std::size_t j = 0; j < 6; ++j)
-        rc.value[j] = vals[j];
-    std::vector<std::uint8_t> cls(256);
+    const std::uint8_t vals[6] = {7, 6, 4, 3, 1, 0}; // skips like a union
+    std::vector<std::uint8_t> cls(256 + 8, 0);
     for (std::size_t b = 0; b < 256; ++b) {
-        std::uint8_t c = rc.base;
-        for (std::size_t j = 0; j < rc.numSteps; ++j)
-            if (b >= rc.step[j])
-                c = static_cast<std::uint8_t>(c + rc.delta[j]);
-        cls[b] = c;
+        std::size_t j = 0;
+        while (j < boundaries.size() && b >= boundaries[j])
+            ++j;
+        cls[b] = vals[j];
     }
 
     for (simd::Backend b : simd::runnableBackends()) {
@@ -477,21 +457,12 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
                                  std::to_string(m) +
                                  (subtract_min ? " based" : " raw"));
                     std::vector<std::uint64_t> w1(3 * n), w2(3 * n);
-                    std::vector<std::uint64_t> q1(n * q_stride,
-                                                  0xa5a5a5a5a5a5a5a5ULL);
-                    std::vector<std::uint64_t> q2(q1);
                     k.quantizeClassifyRow(e.data(), top, subtract_min,
-                                          cls.data(), n, m, w1.data(),
-                                          q1.data(), q_stride);
+                                          cls.data(), n, m, w1.data());
                     ref.quantizeClassifyRow(e.data(), top,
                                             subtract_min, cls.data(),
-                                            n, m, w2.data(),
-                                            q2.data(), q_stride);
+                                            n, m, w2.data());
                     EXPECT_EQ(w1, w2);
-                    // Whole-buffer compare: the untouched stride gap
-                    // (sentinel) proves neither lane writes outside
-                    // its two q words.
-                    EXPECT_EQ(q1, q2);
                     for (std::size_t p = 0; p < n; ++p) {
                         const PackedWords lit = literalPackedWords(
                             e.data() + p * m, top, subtract_min, cls,
@@ -501,32 +472,7 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
                             << "pixel " << p;
                         EXPECT_EQ(w2[3 * p + 2], lit.cw1)
                             << "pixel " << p;
-                        EXPECT_EQ(q2[p * q_stride], lit.qlo)
-                            << "pixel " << p;
-                        EXPECT_EQ(q2[p * q_stride + 1], lit.qhi)
-                            << "pixel " << p;
                     }
-
-                    // Replaying the packed bytes must reproduce the
-                    // fused words, on this backend and on scalar.
-                    std::vector<std::uint64_t> r1(3 * n), r2(3 * n);
-                    k.classifyPackedRow(q1.data(), q_stride,
-                                        cls.data(), n, m, r1.data());
-                    ref.classifyPackedRow(q1.data(), q_stride,
-                                          cls.data(), n, m,
-                                          r2.data());
-                    EXPECT_EQ(r1, w1);
-                    EXPECT_EQ(r2, w1);
-
-                    // The step encoding is the same function as the
-                    // byte table it was derived from.
-                    std::vector<std::uint64_t> g1(3 * n), g2(3 * n);
-                    k.classifyRangeRow(rc, q1.data(), q_stride, n, m,
-                                       g1.data());
-                    ref.classifyRangeRow(rc, q1.data(), q_stride, n,
-                                         m, g2.data());
-                    EXPECT_EQ(g1, w1);
-                    EXPECT_EQ(g2, w1);
                 }
             }
         }

@@ -5,8 +5,9 @@
  *
  * For each of the four quality-gate miniature problems (stereo,
  * denoising, motion, segmentation — same scenes, seeds and schedules
- * as tools/quality_gate) it runs the serial striped
- * CheckerboardGibbsSolver as the reference and then the
+ * as tools/quality_gate) and each of the new design's two race modes
+ * (the literal race and the categorical fast path) it runs the serial
+ * striped CheckerboardGibbsSolver as the reference and then the
  * ShardedCheckerboardSolver at every {2, 4} shard count × {loopback,
  * socket} transport, and requires BYTE-IDENTICAL results across all of
  * them:
@@ -16,13 +17,13 @@
  *   - the final SOLVERCP snapshot payload (labels + RNG streams +
  *     caller/stripe sampler states + trace).
  *
- * It then runs the crash drill: a forked child solves the stereo
- * miniature on the socket transport with --die semantics (worker rank
- * 1 _Exit(17)s after a mid-run checkpoint and rank 0 propagates exit
- * 17), the parent verifies the exit code, resumes from the surviving
- * snapshot, and requires the resumed run's final snapshot and labels
- * to be byte-identical to the uninterrupted reference.  Exit 0 only if
- * every comparison holds.
+ * It then runs the crash drill in the same race mode: a forked child
+ * solves the miniature on the socket transport with --die semantics
+ * (worker rank 1 _Exit(17)s after a mid-run checkpoint and rank 0
+ * propagates exit 17), the parent verifies the exit code, resumes
+ * from the surviving snapshot, and requires the resumed run's final
+ * snapshot and labels to be byte-identical to the uninterrupted
+ * reference.  Exit 0 only if every comparison holds.
  *
  *   --tmpdir=D   scratch directory for drill snapshots (default ".")
  *
@@ -63,9 +64,11 @@ using namespace retsim;
 shard::SolverTuning g_tuning;
 
 core::RsuSampler
-makeSampler()
+makeSampler(core::RaceMode mode)
 {
-    return core::RsuSampler(core::RsuConfig::newDesign());
+    core::RsuConfig cfg = core::RsuConfig::newDesign();
+    cfg.raceMode = mode;
+    return core::RsuSampler(cfg);
 }
 
 /** Everything the equivalence contract covers, from one run. */
@@ -160,11 +163,11 @@ withSnapshotCapture(const mrf::SolverConfig &base,
 }
 
 RunResult
-runSerial(const Miniature &m)
+runSerial(const Miniature &m, core::RaceMode mode)
 {
     RunResult r;
     mrf::SolverConfig cfg = withSnapshotCapture(m.config, &r.snapshot);
-    auto sampler = makeSampler();
+    auto sampler = makeSampler(mode);
     r.labels =
         mrf::CheckerboardGibbsSolver(cfg).run(m.problem, sampler,
                                               &r.trace);
@@ -172,12 +175,13 @@ runSerial(const Miniature &m)
 }
 
 RunResult
-runSharded(const Miniature &m, const shard::ShardOptions &options)
+runSharded(const Miniature &m, core::RaceMode mode,
+           const shard::ShardOptions &options)
 {
     RunResult r;
     mrf::SolverConfig cfg = withSnapshotCapture(m.config, &r.snapshot);
     shard::applySolverTuning(g_tuning, &cfg);
-    auto sampler = makeSampler();
+    auto sampler = makeSampler(mode);
     r.labels = shard::ShardedCheckerboardSolver(cfg, options)
                    .run(m.problem, sampler, &r.trace);
     return r;
@@ -219,17 +223,19 @@ compareRuns(const std::string &what, const RunResult &ref,
 }
 
 /**
- * Kill-one-shard drill on the stereo miniature: child process runs the
- * socket-transport solve with worker rank 1 dying after the first
- * checkpoint at or past mid-anneal, parent verifies exit 17, resumes
- * from the snapshot the drill left behind, and compares against the
- * uninterrupted reference.
+ * Kill-one-shard drill on one miniature in race mode @p mode: child
+ * process runs the socket-transport solve with worker rank 1 dying
+ * after the first checkpoint at or past mid-anneal, parent verifies
+ * exit 17, resumes from the snapshot the drill left behind, and
+ * compares against the uninterrupted reference.
  */
 void
-runCrashDrill(const Miniature &m, const RunResult &ref,
-              const std::string &tmpdir)
+runCrashDrill(const Miniature &m, core::RaceMode mode,
+              const RunResult &ref, const std::string &tmpdir)
 {
-    const std::string path = tmpdir + "/shard_drill_" + m.name +
+    const std::string tag = core::toString(mode) + " " + m.name;
+    const std::string path = tmpdir + "/shard_drill_" +
+                             core::toString(mode) + "_" + m.name +
                              ".ckpt";
     const int dieAt = m.config.annealing.sweeps / 2;
 
@@ -247,7 +253,7 @@ runCrashDrill(const Miniature &m, const RunResult &ref,
         options.transport = shard::ShardOptions::Transport::Socket;
         options.dieRank = 1;
         options.dieAtSweep = dieAt;
-        auto sampler = makeSampler();
+        auto sampler = makeSampler(mode);
         shard::ShardedCheckerboardSolver(cfg, options)
             .run(m.problem, sampler);
         // The die path exits 17 before run() returns.
@@ -259,7 +265,7 @@ runCrashDrill(const Miniature &m, const RunResult &ref,
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 17) {
         std::fprintf(stderr,
                      "FAIL drill %s: expected exit 17, status 0x%x\n",
-                     m.name.c_str(), status);
+                     tag.c_str(), status);
         ++g_failures;
         return;
     }
@@ -275,7 +281,7 @@ runCrashDrill(const Miniature &m, const RunResult &ref,
                   cp->sweepsDone);
     std::printf("     drill %s: worker killed after sweep %d, "
                 "resuming\n",
-                m.name.c_str(), cp->sweepsDone);
+                tag.c_str(), cp->sweepsDone);
 
     RunResult resumed;
     mrf::SolverConfig cfg =
@@ -285,10 +291,10 @@ runCrashDrill(const Miniature &m, const RunResult &ref,
     shard::ShardOptions options;
     options.shards = 2;
     options.transport = shard::ShardOptions::Transport::Socket;
-    auto sampler = makeSampler();
+    auto sampler = makeSampler(mode);
     resumed.labels = shard::ShardedCheckerboardSolver(cfg, options)
                          .run(m.problem, sampler, &resumed.trace);
-    compareRuns("drill " + m.name + " kill+resume vs serial", ref,
+    compareRuns("drill " + tag + " kill+resume vs serial", ref,
                 resumed);
     std::remove(path.c_str());
 }
@@ -306,31 +312,34 @@ main(int argc, char **argv)
                     g_tuning.threads);
 
     std::vector<Miniature> minis = buildMiniatures();
-    for (const Miniature &m : minis) {
-        RunResult ref = runSerial(m);
-        std::printf("ref  %s: %d sweeps, stripes=%d\n",
-                    m.name.c_str(), m.config.annealing.sweeps,
-                    m.config.stripes);
-        for (int shards : {2, 4}) {
-            for (auto transport :
-                 {shard::ShardOptions::Transport::Loopback,
-                  shard::ShardOptions::Transport::Socket}) {
-                shard::ShardOptions options;
-                options.shards = shards;
-                options.transport = transport;
-                RunResult got = runSharded(m, options);
-                compareRuns(
-                    m.name + " shards=" + std::to_string(shards) +
-                        " transport=" +
-                        (transport ==
-                                 shard::ShardOptions::Transport::
-                                     Loopback
-                             ? "loopback"
-                             : "socket"),
-                    ref, got);
+    for (core::RaceMode mode :
+         {core::RaceMode::Race, core::RaceMode::FastPath}) {
+        for (const Miniature &m : minis) {
+            const std::string tag = core::toString(mode) + " " + m.name;
+            RunResult ref = runSerial(m, mode);
+            std::printf("ref  %s: %d sweeps, stripes=%d\n",
+                        tag.c_str(), m.config.annealing.sweeps,
+                        m.config.stripes);
+            for (int shards : {2, 4}) {
+                for (auto transport :
+                     {shard::ShardOptions::Transport::Loopback,
+                      shard::ShardOptions::Transport::Socket}) {
+                    shard::ShardOptions options;
+                    options.shards = shards;
+                    options.transport = transport;
+                    RunResult got = runSharded(m, mode, options);
+                    compareRuns(
+                        tag + " shards=" + std::to_string(shards) +
+                            " transport=" +
+                            (transport == shard::ShardOptions::
+                                              Transport::Loopback
+                                 ? "loopback"
+                                 : "socket"),
+                        ref, got);
+                }
             }
+            runCrashDrill(m, mode, ref, tmpdir);
         }
-        runCrashDrill(m, ref, tmpdir);
     }
 
     if (g_failures > 0) {
