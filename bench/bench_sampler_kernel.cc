@@ -204,7 +204,10 @@ struct FastTiming
     double fastNsPerSample = 0.0; ///< steady state, sampleRow()
     double scalarNsPerSample = 0.0; ///< steady state, per-pixel sample()
     double coldNsPerSample = 0.0; ///< first pass, tables built inline
-    std::size_t aliasTables = 0;  ///< distinct tables this workload needs
+    /** Class tables the cold pass built (the RaceTableCache::misses()
+     *  delta): the distinct tables this workload needs, whether cached
+     *  (general lane) or copied into packed entries (packed lane). */
+    std::size_t aliasTables = 0;
     bool outputsMatch = true;     ///< scalar == batched
 };
 
@@ -252,6 +255,7 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
     // workload touches is built inside the timed region.
     {
         cache.clear();
+        const std::uint64_t built = cache.misses();
         auto sampler = factory();
         rng::Xoshiro256 gen(seed);
         auto start = std::chrono::steady_clock::now();
@@ -260,7 +264,8 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
             std::chrono::steady_clock::now() - start;
         result.coldNsPerSample =
             dt.count() * 1e9 / static_cast<double>(samples);
-        result.aliasTables = cache.size();
+        result.aliasTables =
+            static_cast<std::size_t>(cache.misses() - built);
     }
 
     std::vector<int> scalar_labels, batched_labels;

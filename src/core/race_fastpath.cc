@@ -224,6 +224,14 @@ RaceTableCache::get(const Key &key)
     return slot ? *slot : build(); // full: an uncached table
 }
 
+RaceTable
+RaceTableCache::buildUncached(const Key &key)
+{
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    obs::Registry::global().add(RaceCacheMetricIds::get().misses, 1);
+    return buildFromKey(key);
+}
+
 const RaceTable *
 RaceTableCache::find(const Key &key) const
 {
@@ -369,7 +377,7 @@ RaceFastPath::buildPacked(const RateBinding &b, std::uint64_t word)
 {
     PackedRaceEntry e;
     // Decode the counts, build the transcendental gates, and (Random
-    // lane) copy the class table out of the cache.
+    // lane) copy the class table's alias arrays in.
     const std::vector<double> &alphabet = b.alphabet;
     double r_tot = 0.0;
     for (std::size_t c = 0; c < alphabet.size(); ++c) {
@@ -385,18 +393,19 @@ RaceFastPath::buildPacked(const RateBinding &b, std::uint64_t word)
         classKey(alphabet,
                  [&](std::size_t c) { return (word >> (8 * c)) & 0xff; },
                  e.slotClass);
-        // Float thresholds perturb each outcome probability by
-        // O(2^-24) — far below what any statistical consumer can
-        // resolve.
-        const std::shared_ptr<const RaceTable> table =
-            RaceTableCache::global().get(key_);
-        const std::size_t k = table->outcomes();
+        // Built, not cached: the entry keeps its own copy, and the
+        // shared packed table keeps the entry, so nothing would look
+        // the class table up again.  Float thresholds perturb each
+        // outcome probability by O(2^-24) — far below what any
+        // statistical consumer can resolve.
+        const RaceTable table = RaceTableCache::global().buildUncached(key_);
+        const std::size_t k = table.outcomes();
         RETSIM_ASSERT(k <= 16,
                       "packed race entry overflow: > 8 classes");
         e.outcomes = static_cast<double>(k);
         for (std::size_t j = 0; j < k; ++j) {
-            e.aliasProb[j] = static_cast<float>(table->aliasProb[j]);
-            e.alias[j] = static_cast<std::uint8_t>(table->alias[j]);
+            e.aliasProb[j] = static_cast<float>(table.aliasProb[j]);
+            e.alias[j] = static_cast<std::uint8_t>(table.alias[j]);
         }
     }
     return e;

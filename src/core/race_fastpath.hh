@@ -34,12 +34,14 @@
  * uniformly among the tied set, whose composition couples all
  * labels; its (winner class, tie) conditional law is tabulated per
  * rate multiset — exchangeability lets equal-rate labels share one
- * table slot, with the winner drawn uniformly inside the class — and
- * the tables are cached process-wide in RaceTableCache.  Because
- * the quantized designs draw their rates from a tiny alphabet (the
- * lambda codes times lambda_0 — temperature only selects which codes
- * an energy maps to), the cache key is the (rate, count) multiset
- * itself: tables are shared across temperatures, stripes and sweeps.
+ * table slot, with the winner drawn uniformly inside the class.  The
+ * key is the (rate, count) multiset itself, temperature-free.  The
+ * packed lane (<= 8 rate classes, m <= 16 labels) copies a table's
+ * alias arrays into the packed entry of its count word; that entry,
+ * shared process-wide per rate alphabet, is what temperatures,
+ * stripes and sweeps share, so the class table is built and dropped.
+ * Only the general lane caches class tables, in RaceTableCache,
+ * because it reads one for every pixel.
  *
  * Correctness contract: the fast path is *distribution*-equivalent
  * to the literal race (chi-squared equivalence against a brute-force
@@ -127,21 +129,23 @@ struct PackedRaceEntry
 };
 
 /**
- * Process-wide store of the fast path's race entries: the Random-tie
- * RaceTables, and one table of PackedRaceEntry per (mode word, rate
- * alphabet) that every RaceFastPath bound to that alphabet probes on
- * its per-pixel path.  All are util::SharedTables, so a hit takes no
- * lock, and stripe clones share every entry instead of each
- * re-learning them.
+ * Process-wide store of the fast path's race entries: one table of
+ * PackedRaceEntry per (mode word, rate alphabet) that every
+ * RaceFastPath bound to that alphabet probes on its per-pixel path,
+ * and the general lane's Random-tie RaceTables.  All are
+ * util::SharedTables, so a hit takes no lock, and stripe clones share
+ * every entry instead of each re-learning them.
  *
  * A RaceTable key is fully self-describing — word 0 packs the mode
  * bits and the remaining words carry ascending (rate bit pattern,
  * count) pairs over the firing classes — so the cache builds missing
  * tables from the key alone.  Temperature is deliberately NOT part of
- * the key: the rates already capture it, which is what lets revisited
- * annealing rungs and coinciding code vectors at different
- * temperatures share one build (asserted by the cross-temperature
- * cache test).
+ * the key: the rates already capture it, so revisited annealing rungs
+ * and coinciding code vectors at different temperatures share one
+ * general-lane build.  The packed lane builds its class tables with
+ * buildUncached(): each is copied into one packed entry, which the
+ * shared packed table then keeps, so a cached copy would never be
+ * read again.
  */
 class RaceTableCache
 {
@@ -156,6 +160,10 @@ class RaceTableCache
     /** Fetch-or-build the table for a canonical key; counts a hit or
      *  a miss. */
     std::shared_ptr<const RaceTable> get(const Key &key);
+
+    /** Build the table for a canonical key without caching it, for a
+     *  caller that copies it out once; counts a miss (a table built). */
+    RaceTable buildUncached(const Key &key);
 
     /** The table for @p key if one is cached, else null: one lock-free
      *  probe, not counted. */
@@ -180,11 +188,12 @@ class RaceTableCache
      *  without going through a sampler). */
     static RaceTable buildFromKey(const Key &key);
 
-    /** Tables currently held. */
+    /** Tables currently held (general lane only). */
     std::size_t size() const { return tables_.size(); }
-    /** get() calls answered without building. */
+    /** get() calls answered without building (general lane only). */
     std::uint64_t hits() const { return hits_.load(); }
-    /** get() calls that had to build a new table. */
+    /** Class tables built: get() misses plus buildUncached() calls,
+     *  so every lane's builds count (core.race_fastpath.misses). */
     std::uint64_t misses() const { return misses_.load(); }
 
     /** Empty the race tables and every packed table and reset the

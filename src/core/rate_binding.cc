@@ -128,6 +128,13 @@ RateBindingCache::RateBindingCache(const RsuConfig &cfg, bool classify)
 {
 }
 
+void
+RateBindingCache::share()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    shared_ = true;
+}
+
 std::vector<double>
 RateBindingCache::buildTable(double temperature,
                              const LambdaLut *lut) const
@@ -181,8 +188,12 @@ RateBindingCache::bind(double temperature, const LambdaLut *lut,
     // Built under the lock, so a run's clones racing to one new
     // temperature build it once and the rest hit.
     std::vector<double> table = buildTable(temperature, lut);
-    Entry &slot = recent_[next_];
-    next_ = (next_ + 1) % kRecent;
+    // An unshared handle's one binder holds its binding itself, so
+    // the handle keeps only the newest (slot 0) and a binding left
+    // behind is freed; once shared, the ring resumes after slot 0.
+    const std::size_t at = shared_ ? next_ : 0;
+    next_ = (at + 1) % kRecent;
+    Entry &slot = recent_[at];
     slot.temperatureBits = t_bits;
     slot.incoming.assign(alphabet.begin(), alphabet.end());
     // Content-identical rebind: the incoming binding already is this

@@ -75,13 +75,16 @@ struct RateBinding
  * A run's bindings, keyed on (LUT key, lambda_0, temperature, incoming
  * alphabet); the LUT key's config fields and lambda_0 are the
  * handle's, fixed at construction, so an entry keys on the other
- * two.  A run's clones all bind one temperature per sweep, so
- * the handle keeps the last kRecent keys: the first clone to reach a
- * temperature builds its binding, the rest hit it, and the run holds a
- * few bindings however long it anneals.  A rate table equal to the
- * incoming binding's (revisited rungs, the tEnd floor) reuses that
- * binding outright, which skips a classification.  Thread-safe: one mutex, taken once per binder per temperature
- * change, never on the per-pixel path.
+ * two.  A run's clones all bind one temperature per sweep, so a
+ * shared handle keeps the last kRecent keys: the first clone to reach
+ * a temperature builds its binding, the rest hit it, and the run
+ * holds a few bindings however long it anneals.  Until share() marks
+ * it shared (clone() does), a handle has one binder and keeps one
+ * entry, so a sampler that is never cloned holds no binding beyond
+ * its own.  A rate table equal to the incoming binding's (revisited
+ * rungs, the tEnd floor) reuses that binding outright, which skips a
+ * classification.  Thread-safe: one mutex, taken once per binder per
+ * temperature change and per clone, never on the per-pixel path.
  */
 class RateBindingCache
 {
@@ -98,6 +101,10 @@ class RateBindingCache
     std::shared_ptr<const RateBinding>
     bind(double temperature, const LambdaLut *lut,
          const std::shared_ptr<const RateBinding> &incoming);
+
+    /** Mark the handle as bound by more than one sampler (clone()):
+     *  from now on it keeps kRecent entries instead of one. */
+    void share();
 
     /** bind() calls answered from the handle. */
     std::uint64_t hits() const { return hits_.load(); }
@@ -124,6 +131,7 @@ class RateBindingCache
     std::mutex mutex_;
     std::array<Entry, kRecent> recent_;
     std::size_t next_ = 0; ///< ring slot the next build overwrites
+    bool shared_ = false;  ///< share() called: ring of kRecent, else 1
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> builds_{0};
 };

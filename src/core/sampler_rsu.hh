@@ -83,15 +83,16 @@ class RsuSampler : public mrf::LabelSampler
 
     /**
      * Same device configuration, fresh conversion cache and counters,
-     * and this sampler's RateBindingCache, so a run's clones bind
-     * each temperature through one shared binding.  The RSU draws
-     * entropy from the solver-provided generator, so the stream index
-     * is unused.
+     * and this sampler's RateBindingCache, marked shared, so a run's
+     * clones bind each temperature through one shared binding.  The
+     * RSU draws entropy from the solver-provided generator, so the
+     * stream index is unused.
      */
     std::unique_ptr<mrf::LabelSampler>
     clone(std::uint64_t stream) const override
     {
         (void)stream;
+        bindings_->share();
         return std::make_unique<RsuSampler>(cfg_, bindings_);
     }
 

@@ -10,7 +10,15 @@ namespace mrf {
 
 EnergyPlaneCache::EnergyPlaneCache(int width, int height,
                                    int numLabels, int phases)
-    : width_(width), height_(height), m_(numLabels), phases_(phases)
+    : EnergyPlaneCache(width, height, numLabels, phases, 0, height)
+{
+}
+
+EnergyPlaneCache::EnergyPlaneCache(int width, int height,
+                                   int numLabels, int phases, int rowLo,
+                                   int rowHi)
+    : width_(width), height_(height), m_(numLabels), phases_(phases),
+      rowLo_(rowLo), rowHi_(rowHi)
 {
     RETSIM_ASSERT(width >= 1 && height >= 1, "bad cache dimensions");
     RETSIM_ASSERT(phases == 1 || phases == 2,
@@ -19,13 +27,17 @@ EnergyPlaneCache::EnergyPlaneCache(int width, int height,
     RETSIM_ASSERT(numLabels >= 1 && numLabels <= 256,
                   "shadow label plane needs m <= 256, got ",
                   numLabels);
+    RETSIM_ASSERT(rowLo >= 0 && rowLo < rowHi && rowHi <= height,
+                  "bad cache row window [", rowLo, ", ", rowHi, ")");
+    RETSIM_ASSERT(phases == 2 || (rowLo == 0 && rowHi == height),
+                  "only color-phase caches take a row window");
     pixelsPerSlab_ =
         phases == 1 ? static_cast<std::size_t>(width)
                     : static_cast<std::size_t>((width + 1) / 2);
     wordsPerSlab_ = (pixelsPerSlab_ + 63) / 64;
     slabStride_ = pixelsPerSlab_ * static_cast<std::size_t>(m_);
     const std::size_t slabs =
-        static_cast<std::size_t>(height) * phases;
+        static_cast<std::size_t>(rowHi - rowLo) * phases;
     plane_.assign(slabs * slabStride_, 0.0f);
     dirty_.assign(slabs * wordsPerSlab_, 0);
     shadow_.assign(static_cast<std::size_t>(width) * height, 0);
@@ -53,6 +65,7 @@ EnergyPlaneCache::markFlip(int x, int y, Neighborhood neighborhood,
                            int rowLo, int rowHi,
                            std::vector<std::uint64_t> *deferred)
 {
+    checkRows(rowLo, rowHi);
     std::uint64_t marks = 0;
     auto touch = [&](int nx, int ny) {
         if (nx < 0 || nx >= width_ || ny < 0 || ny >= height_)
@@ -89,6 +102,8 @@ EnergyPlaneCache::markRowFlips(int y, int color,
                                std::vector<std::uint64_t> *deferred)
 {
     RETSIM_ASSERT(phases_ == 2, "row flip marks need color-phase slabs");
+    checkRow(y);
+    checkRows(rowLo, rowHi);
     const int n = phasePixels(y, color);
     const int other = color ^ 1;
     const int n_other = phasePixels(y, other);
@@ -172,9 +187,11 @@ EnergyPlaneCache::markRowFlips(int y, int color,
 void
 EnergyPlaneCache::applyDeferred(std::vector<std::uint64_t> &deferred)
 {
-    for (std::uint64_t p : deferred)
-        mark(static_cast<int>(p >> 32),
-             static_cast<int>(p & 0xffffffffu));
+    for (std::uint64_t p : deferred) {
+        const int y = static_cast<int>(p & 0xffffffffu);
+        checkRow(y);
+        mark(static_cast<int>(p >> 32), y);
+    }
     stats_.invalidations.fetch_add(deferred.size(),
                                    std::memory_order_relaxed);
     deferred.clear();
@@ -185,6 +202,7 @@ EnergyPlaneCache::refreshRow(const MrfProblem &problem,
                              const img::LabelMap &labels, int y,
                              int color)
 {
+    checkRow(y);
     const int n = phasePixels(y, color);
     if (n == 0)
         return 0;

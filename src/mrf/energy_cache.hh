@@ -37,10 +37,16 @@
  * concurrently (within a phase a stripe writes dirty bits only for
  * rows it owns, and reads only its own current-color slabs).
  *
+ * Sharded use: a shard rank refreshes, marks and serves only the rows
+ * it owns, so its color-phase cache holds planes and dirty bits for a
+ * row window [rowLo, rowHi) — the rank's rows — and nothing for the
+ * rest of the grid.
+ *
  * The cache also owns the 8-bit shadow label plane (m <= 256)
  * consumed by the fused energyRunU8 row kernel: solvers mirror every
  * label write into it, cutting neighbor-gather bandwidth 4x versus
- * the int LabelMap.
+ * the int LabelMap.  The shadow plane always covers the whole grid:
+ * a window's edge rows read their neighbor rows' labels from it.
  */
 
 #ifndef RETSIM_MRF_ENERGY_CACHE_HH
@@ -52,6 +58,7 @@
 
 #include "img/image.hh"
 #include "mrf/problem.hh"
+#include "util/logging.hh"
 
 namespace retsim {
 namespace mrf {
@@ -87,7 +94,24 @@ class EnergyPlaneCache
      */
     EnergyPlaneCache(int width, int height, int numLabels, int phases);
 
+    /**
+     * A color-phase cache (@p phases == 2) whose planes and dirty
+     * bits cover rows [@p rowLo, @p rowHi) only: a shard rank's own
+     * rows.  Touching a slab outside the window is an assert; the
+     * shadow label plane stays full-grid.
+     */
+    EnergyPlaneCache(int width, int height, int numLabels, int phases,
+                     int rowLo, int rowHi);
+
     int phases() const { return phases_; }
+
+    /** Bytes held by the energy planes: the window's slabs only. */
+    std::size_t
+    planeBytes() const
+    {
+        return plane_.size() * sizeof(float);
+    }
+
     const EnergyCacheStats &stats() const { return stats_; }
 
     /** Mark every pixel dirty (run start / resume). */
@@ -108,6 +132,7 @@ class EnergyPlaneCache
     float *
     plane(int y, int color)
     {
+        checkRow(y);
         return plane_.data() + slab(y, color) * slabStride_;
     }
 
@@ -116,6 +141,7 @@ class EnergyPlaneCache
     const std::uint64_t *
     rowDirty(int y, int color) const
     {
+        checkRow(y);
         return dirty_.data() + slab(y, color) * wordsPerSlab_;
     }
 
@@ -124,6 +150,7 @@ class EnergyPlaneCache
     void
     clearRow(int y, int color)
     {
+        checkRow(y);
         std::uint64_t *w =
             dirty_.data() + slab(y, color) * wordsPerSlab_;
         for (std::size_t k = 0; k < wordsPerSlab_; ++k)
@@ -135,7 +162,8 @@ class EnergyPlaneCache
      * neighbor's.  Marks for rows outside [rowLo, rowHi) are appended
      * to @p deferred (packed (x << 32) | y) instead of written —
      * that's the stripe-boundary exchange; pass the full row range
-     * and nullptr on serial paths.  Returns the written marks, which
+     * and nullptr on serial paths.  [rowLo, rowHi) must lie in the
+     * cache's row window.  Returns the written marks, which
      * the caller adds to stats() (addInvalidations); deferred ones
      * count when they are applied.
      */
@@ -154,7 +182,8 @@ class EnergyPlaneCache
      * flip word shifts by the row parity, carrying across words), and
      * its up/down neighbors are pixel i of the other color's slabs of
      * rows y -/+ 1.  A row outside [rowLo, rowHi) gets one (x << 32) |
-     * row entry in @p deferred per flip.  The written marks are
+     * row entry in @p deferred per flip.  Row @p y and [rowLo, rowHi)
+     * must lie in the cache's row window.  The written marks are
      * counted with one add.
      */
     void markRowFlips(int y, int color, const std::uint64_t *flips,
@@ -169,8 +198,8 @@ class EnergyPlaneCache
     }
 
     /** Apply (and drain) marks packed like markFlip's deferred ones
-     *  — stripe-boundary marks, or a shard's ghost-row marks —
-     *  counting them with one add. */
+     *  — stripe-boundary marks, or a shard's ghost-row marks, all in
+     *  the row window — counting them with one add. */
     void applyDeferred(std::vector<std::uint64_t> &deferred);
 
     /**
@@ -213,6 +242,16 @@ class EnergyPlaneCache
     void syncShadow(const img::LabelMap &labels);
 
   private:
+    /** Assert that rows [@p lo, @p hi) lie in the row window. */
+    void
+    checkRows(int lo, int hi) const
+    {
+        RETSIM_ASSERT(lo >= rowLo_ && hi <= rowHi_, "rows [", lo, ", ",
+                      hi, ") outside the energy cache's rows [", rowLo_,
+                      ", ", rowHi_, ")");
+    }
+    void checkRow(int y) const { checkRows(y, y + 1); }
+
     /** Mark one pixel's own plane dirty; the caller counts it. */
     void
     mark(int x, int y)
@@ -224,12 +263,14 @@ class EnergyPlaneCache
             std::uint64_t{1} << (i & 63);
     }
 
+    /** Slab index of (y, color) in plane_ / dirty_: rows count from
+     *  the window's first (raster caches always cover the grid). */
     std::size_t
     slab(int y, int color) const
     {
         return phases_ == 1
                    ? static_cast<std::size_t>(y)
-                   : static_cast<std::size_t>(y) * 2 + color;
+                   : static_cast<std::size_t>(y - rowLo_) * 2 + color;
     }
 
     int
@@ -242,6 +283,8 @@ class EnergyPlaneCache
     int height_;
     int m_;
     int phases_;
+    int rowLo_; ///< row window [rowLo_, rowHi_) of plane_ / dirty_
+    int rowHi_;
     std::size_t pixelsPerSlab_; ///< allocation bound (phase maximum)
     std::size_t wordsPerSlab_;
     std::size_t slabStride_; ///< floats per slab

@@ -190,13 +190,14 @@ struct TileWork
         const int m = problem.numLabels();
         const int width = problem.width();
         obs::Registry &reg = obs::Registry::global();
-        // Same cache gate as the single-process solver; each rank
-        // keeps its own full-grid cache (only its rows are ever
-        // refreshed, ghost-row slabs stay permanently dirty and are
-        // never served).
+        // Same cache gate as the single-process solver; each rank's
+        // cache holds planes for its own rows [lo, hi) only, the only
+        // rows it refreshes, marks and serves (other ranks' marks are
+        // dropped, ghost-row marks land on the inner row), plus the
+        // full-grid shadow labels its edge rows read.
         if (config.energyCache && m <= 256) {
             cache = std::make_unique<mrf::EnergyPlaneCache>(
-                width, problem.height(), m, /*phases=*/2);
+                width, problem.height(), m, /*phases=*/2, lo, hi);
             cache->syncShadow(labels);
         }
         const std::size_t n = static_cast<std::size_t>(k1 - k0);

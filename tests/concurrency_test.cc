@@ -157,8 +157,8 @@ TEST(ThreadedCheckerboard, RsuSamplerDeterministicWhenStriped)
     // clone/stripe path too (it draws from the stripe's generator).
     // The fast path's clones share the process-wide race tables;
     // emptying them before each run makes the threads race the
-    // inserts, and its 48x48, 16-level problem fills ~200 race tables
-    // and a packed table past their first doubling.
+    // inserts, and its 48x48, 16-level problem fills a packed table
+    // past its first doubling.
     SolverConfig cfg = annealConfig(4, 19);
     cfg.stripes = 4;
     core::RsuConfig fast = core::RsuConfig::newDesign();

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
@@ -488,6 +489,144 @@ TEST(EnergyCache, RowFlipMarksMatchPerFlipMarks)
         }
     }
     EXPECT_GT(cases, 1000u);
+}
+
+// ------------------------------------- a row window equals the grid
+
+TEST(EnergyCache, RowWindowMatchesFullGrid)
+{
+    // A shard rank's cache holds planes and dirty bits for its own
+    // rows only.  Driven through one random sequence of refreshRow,
+    // markRowFlips (over stripes inside the window, the out-of-window
+    // deferred marks dropped as a rank drops them) and applyDeferred,
+    // a windowed cache must hold bit-identical planes and dirty words
+    // to a full-grid cache on every row of its window, count the same
+    // traffic, and allocate planes for its rows only.  Widths
+    // straddle the 64-pixel word edges; windows include the first and
+    // last rows and single rows.
+    constexpr int kHeight = 9, kLabels = 3;
+    std::size_t steps = 0;
+    for (const int w : {1, 63, 64, 65}) {
+        const mrf::MrfProblem problem =
+            randomProblem(w, kHeight, kLabels, 300 + w);
+        const std::pair<int, int> windows[] = {
+            {0, kHeight}, {0, 3}, {6, kHeight}, {2, 7}, {0, 1},
+            {kHeight - 1, kHeight}, {4, 5}};
+        for (const auto &[lo, hi] : windows) {
+            const std::string what = "w=" + std::to_string(w) +
+                                     " rows=[" + std::to_string(lo) +
+                                     "," + std::to_string(hi) + ")";
+            mrf::EnergyPlaneCache full(w, kHeight, kLabels, 2);
+            mrf::EnergyPlaneCache win(w, kHeight, kLabels, 2, lo, hi);
+            EXPECT_EQ(win.planeBytes() * kHeight,
+                      full.planeBytes() * static_cast<std::size_t>(hi - lo))
+                << what;
+            rng::Xoshiro256 gen(static_cast<std::uint64_t>(w * 64 + lo));
+            // A uniform int in [a, b).
+            const auto pick = [&](int a, int b) {
+                return a + static_cast<int>(gen.nextBounded(
+                               static_cast<std::uint64_t>(b - a)));
+            };
+            img::LabelMap labels(w, kHeight, 0);
+            for (int y = 0; y < kHeight; ++y)
+                for (int x = 0; x < w; ++x)
+                    labels(x, y) = pick(0, kLabels);
+            full.syncShadow(labels);
+            win.syncShadow(labels);
+            const auto keep_window = [&](std::vector<std::uint64_t> &d) {
+                std::erase_if(d, [&](std::uint64_t p) {
+                    const int y = static_cast<int>(p & 0xffffffffu);
+                    return y < lo || y >= hi;
+                });
+            };
+            for (int step = 0; step < 160; ++step, ++steps) {
+                const int y = pick(lo, hi);
+                const int color = pick(0, 2);
+                const int n = full.phasePixels(y, color);
+                switch (gen.nextBounded(3)) {
+                  case 0:
+                    ASSERT_EQ(full.refreshRow(problem, labels, y, color),
+                              win.refreshRow(problem, labels, y, color));
+                    break;
+                  case 1: {
+                    // Flip a random subset of the row, then mark it as
+                    // a stripe [slo, shi) around y inside the window.
+                    const int slo = pick(lo, y + 1);
+                    const int shi = pick(y + 1, hi + 1);
+                    std::vector<std::uint64_t> flips(
+                        (static_cast<std::size_t>(n) + 63) / 64 + 1, 0);
+                    const int x0 = (y + color) & 1;
+                    for (int i = 0; i < n; ++i) {
+                        if (pick(0, 3) != 0)
+                            continue;
+                        const int x = x0 + 2 * i;
+                        const int nv =
+                            (labels(x, y) + pick(1, kLabels)) % kLabels;
+                        labels(x, y) = nv;
+                        full.setShadow(x, y, nv);
+                        win.setShadow(x, y, nv);
+                        flips[static_cast<std::size_t>(i) >> 6] |=
+                            std::uint64_t{1} << (i & 63);
+                    }
+                    std::vector<std::uint64_t> dfull, dwin;
+                    full.markRowFlips(y, color, flips.data(), slo, shi,
+                                      &dfull);
+                    win.markRowFlips(y, color, flips.data(), slo, shi,
+                                     &dwin);
+                    ASSERT_EQ(dfull, dwin) << what;
+                    keep_window(dfull);
+                    keep_window(dwin);
+                    full.applyDeferred(dfull);
+                    win.applyDeferred(dwin);
+                    break;
+                  }
+                  default: {
+                    std::vector<std::uint64_t> marks;
+                    for (int k = 0; k < 4; ++k)
+                        marks.push_back(
+                            (static_cast<std::uint64_t>(pick(0, w)) << 32) |
+                            static_cast<std::uint64_t>(pick(lo, hi)));
+                    std::vector<std::uint64_t> copy = marks;
+                    full.applyDeferred(marks);
+                    win.applyDeferred(copy);
+                  }
+                }
+                for (int sy = lo; sy < hi; ++sy) {
+                    for (int sc = 0; sc < 2; ++sc) {
+                        const int sn = full.phasePixels(sy, sc);
+                        const std::size_t words =
+                            (static_cast<std::size_t>(sn) + 63) / 64;
+                        for (std::size_t k = 0; k < words; ++k)
+                            ASSERT_EQ(full.rowDirty(sy, sc)[k],
+                                      win.rowDirty(sy, sc)[k])
+                                << what << " step " << step << " slab ("
+                                << sy << ", " << sc << ") word " << k;
+                        const std::size_t floats =
+                            static_cast<std::size_t>(sn) * kLabels;
+                        ASSERT_TRUE(std::equal(
+                            full.plane(sy, sc), full.plane(sy, sc) + floats,
+                            win.plane(sy, sc),
+                            [](float a, float b) {
+                                return std::bit_cast<std::uint32_t>(a) ==
+                                       std::bit_cast<std::uint32_t>(b);
+                            }))
+                            << what << " step " << step << " plane ("
+                            << sy << ", " << sc << ")";
+                    }
+                }
+                ASSERT_EQ(full.stats().invalidations.load(),
+                          win.stats().invalidations.load())
+                    << what << " step " << step;
+                ASSERT_EQ(full.stats().recomputed.load(),
+                          win.stats().recomputed.load())
+                    << what << " step " << step;
+                ASSERT_EQ(full.stats().cleanHits.load(),
+                          win.stats().cleanHits.load())
+                    << what << " step " << step;
+            }
+        }
+    }
+    EXPECT_EQ(steps, 4u * 7u * 160u);
 }
 
 // ------------------------------------- dirty-mark totals are exact

@@ -9,10 +9,12 @@
  * >= 1e6 draws under a 0.1% chi-square.  Around that: the degenerate
  * inputs the table builder must survive (cut-off labels, a single
  * firing label, all-zero rows, one-bin windows), cross-temperature
- * cache-key sharing, scalar-vs-row bit-exactness of the fast-path
- * samplers, shared packed tables sized to their working set (no draw
- * depends on a table's history or size), and the RaceMode::Auto
- * selection rules.
+ * entry sharing (the packed lane builds its class tables uncached,
+ * the general lane caches them), scalar-vs-row bit-exactness of the
+ * fast-path samplers, shared packed tables sized to their working
+ * set (no draw depends on a table's history or size), rate bindings
+ * (one per temperature for a run's clones, one in all for a sampler
+ * nobody cloned), and the RaceMode::Auto selection rules.
  */
 
 #include <gtest/gtest.h>
@@ -335,13 +337,47 @@ TEST(RaceTableCache, SharesTablesAcrossTemperatures)
     EXPECT_EQ(cache.misses(), 1u);
 
     // At T = 0.25 every nonzero energy is cut off, so b binds the
-    // alphabet {0, lambda_max}: another packed table, whose fill must
-    // hit the cached race table.
+    // alphabet {0, lambda_max}: another packed table, whose fill
+    // builds its own class table.  A packed entry copies its class
+    // table in, so the cache keeps none of them.
     RsuSampler b(cfg);
     b.sample(energies, 0.25, 0, gen);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_GE(cache.hits(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(RaceTableCache, GeneralLaneCachesItsClassTables)
+{
+    // 20 labels exceed the packed lane's 16, so a Random-tie fast-path
+    // sampler draws through the general lane, which reads a class
+    // table for every interior pixel.  Those tables stay cached: a
+    // second sampler drawing the same row builds none.
+    RaceTableCache &cache = RaceTableCache::global();
+    cache.clear();
+    RsuConfig cfg = RsuConfig::newDesign();
+    cfg.raceMode = RaceMode::FastPath;
+    ASSERT_EQ(cfg.tieBreak, TieBreak::Random);
+    const std::size_t n = 64, m = 20;
+    std::vector<float> e(n * m);
+    rng::Xoshiro256 egen(61);
+    for (float &x : e)
+        x = static_cast<float>(egen.nextBounded(40));
+    std::vector<int> cur(n, 0), first(n), second(n);
+    rng::Xoshiro256 g1(62), g2(62);
+
+    RsuSampler a(cfg);
+    a.sampleRow(e, static_cast<int>(m), 4.0, cur, first, g1);
+    ASSERT_FALSE(a.rateBinding()->packedOk && m <= 16);
+    const std::uint64_t built = cache.misses();
+    EXPECT_GT(built, 0u);
+    EXPECT_EQ(cache.size(), built);
+
+    RsuSampler b(cfg);
+    b.sampleRow(e, static_cast<int>(m), 4.0, cur, second, g2);
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(cache.misses(), built);
+    EXPECT_EQ(cache.size(), built);
 }
 
 TEST(RaceTableCache, BuildFromKeyRoundTripsThroughGet)
@@ -560,6 +596,10 @@ TEST(RaceFastPathMemo, StereoAnnealFitsInOneMebibyte)
     obs::Registry &reg = obs::Registry::global();
     EXPECT_EQ(reg.gaugeValue(reg.gauge("core.race_fastpath.table_bytes")),
               static_cast<double>(cache.packedBytes()));
+    // Every draw took the packed lane, whose class tables live only
+    // inside packed entries: the MiB above is the whole footprint.
+    EXPECT_GT(cache.misses(), 0u);
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 // ------------------------------------------- branch-free draw helpers
@@ -641,6 +681,45 @@ TEST(RateBinding, ClonesShareOneBindingPerTemperature)
         }
         EXPECT_EQ(parent.rateBindings().builds() - builds, 1u);
         EXPECT_EQ(parent.rateBindings().hits() - hits, 15u);
+    }
+}
+
+TEST(RateBinding, UnsharedHandleKeepsOneBinding)
+{
+    // A sampler nobody cloned is its handle's only binder, so the
+    // handle keeps just the binding in use: climbing a ladder of
+    // distinct rate tables frees each rung's binding at the next
+    // rebind, in either race mode.  Once clone() shares the handle it
+    // keeps its recent bindings for the clones again.
+    for (const RaceMode mode : {RaceMode::Race, RaceMode::FastPath}) {
+        RsuConfig cfg = RsuConfig::newDesign();
+        cfg.raceMode = mode;
+        const std::size_t n = 16, m = 16;
+        std::vector<float> e(n * m);
+        rng::Xoshiro256 gen(9);
+        for (float &x : e)
+            x = static_cast<float>(gen.nextBounded(200));
+        std::vector<int> cur(n, 0), out(n);
+        RsuSampler sampler(cfg);
+        std::weak_ptr<const RateBinding> previous;
+        std::vector<double> previous_table;
+        for (const double t : {9.0, 6.0, 4.0, 2.5, 1.5, 1.0, 0.6}) {
+            sampler.sampleRow(e, static_cast<int>(m), t, cur, out, gen);
+            const std::shared_ptr<const RateBinding> &b =
+                sampler.rateBinding();
+            ASSERT_TRUE(b);
+            ASSERT_NE(b->rateTable, previous_table) << "T=" << t;
+            EXPECT_TRUE(previous.expired()) << "T=" << t;
+            previous = b;
+            previous_table = b->rateTable;
+        }
+        EXPECT_EQ(sampler.rateBindings().hits(), 0u);
+
+        const std::unique_ptr<mrf::LabelSampler> clone = sampler.clone(0);
+        sampler.sampleRow(e, static_cast<int>(m), 0.4, cur, out, gen);
+        ASSERT_NE(sampler.rateBinding()->rateTable, previous_table);
+        EXPECT_FALSE(previous.expired())
+            << "a shared handle keeps its recent bindings";
     }
 }
 

@@ -7,14 +7,22 @@
  * cross-rank synchronization point the transport has.  The threaded
  * case additionally runs an intra-rank thread pool, putting the async
  * halo posts, the deferred ghost waits and the pool's stripe dispatch
- * under TSan at once.  Runs in the "concurrency" ctest label
- * alongside the striped-solver suite.
+ * under TSan at once.  Both cases also run the RSU fast path, whose
+ * rank threads race their first inserts into one shared packed race
+ * table and bind through one shared rate-binding handle, and each of
+ * whose ranks keeps an energy-plane cache over its own rows only.
+ * Runs in the "concurrency" ctest label alongside the striped-solver
+ * suite.
  */
 
+#include <functional>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/race_fastpath.hh"
+#include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
 #include "img/image.hh"
 #include "mrf/checkerboard.hh"
@@ -42,7 +50,8 @@ makeProblem(int width, int height, int num_labels)
 }
 
 // Runs the sharded anneal on `threads` intra-rank threads at 2 and 4
-// loopback shards and expects the serial striped run's bytes.
+// loopback shards and expects the serial striped run's bytes, with the
+// software sampler and with the RSU new design's fast path.
 void
 expectLoopbackMatchesStriped(int threads)
 {
@@ -54,26 +63,45 @@ expectLoopbackMatchesStriped(int threads)
     cfg.seed = 1234;
     cfg.stripes = 5;
 
-    mrf::SolverTrace refTrace;
-    core::SoftwareSampler refSampler;
-    img::LabelMap ref = mrf::CheckerboardGibbsSolver(cfg).run(
-        problem, refSampler, &refTrace);
+    core::RsuConfig fast = core::RsuConfig::newDesign();
+    fast.raceMode = core::RaceMode::FastPath;
+    struct Input
+    {
+        std::string name;
+        std::function<std::unique_ptr<mrf::LabelSampler>()> make;
+    };
+    const Input inputs[] = {
+        {"software",
+         [] { return std::make_unique<core::SoftwareSampler>(); }},
+        {"rsu-fastpath",
+         [&] { return std::make_unique<core::RsuSampler>(fast); }},
+    };
+    for (const Input &in : inputs) {
+        SCOPED_TRACE(in.name);
+        mrf::SolverConfig run_cfg = cfg;
+        mrf::SolverTrace refTrace;
+        const std::unique_ptr<mrf::LabelSampler> refSampler = in.make();
+        img::LabelMap ref = mrf::CheckerboardGibbsSolver(run_cfg).run(
+            problem, *refSampler, &refTrace);
 
-    cfg.threads = threads;
-    for (int shards : {2, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        shard::ShardOptions options;
-        options.shards = shards;
-        options.transport = shard::ShardOptions::Transport::Loopback;
-        mrf::SolverTrace trace;
-        core::SoftwareSampler sampler;
-        img::LabelMap got =
-            shard::ShardedCheckerboardSolver(cfg, options)
-                .run(problem, sampler, &trace);
-        EXPECT_EQ(got.data(), ref.data());
-        EXPECT_EQ(trace.energyPerSweep, refTrace.energyPerSweep);
-        EXPECT_EQ(trace.labelChanges, refTrace.labelChanges);
-        EXPECT_EQ(trace.pixelUpdates, refTrace.pixelUpdates);
+        run_cfg.threads = threads;
+        for (int shards : {2, 4}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards));
+            // Empty tables, so the ranks race the packed inserts.
+            core::RaceTableCache::global().clear();
+            shard::ShardOptions options;
+            options.shards = shards;
+            options.transport = shard::ShardOptions::Transport::Loopback;
+            mrf::SolverTrace trace;
+            const std::unique_ptr<mrf::LabelSampler> sampler = in.make();
+            img::LabelMap got =
+                shard::ShardedCheckerboardSolver(run_cfg, options)
+                    .run(problem, *sampler, &trace);
+            EXPECT_EQ(got.data(), ref.data());
+            EXPECT_EQ(trace.energyPerSweep, refTrace.energyPerSweep);
+            EXPECT_EQ(trace.labelChanges, refTrace.labelChanges);
+            EXPECT_EQ(trace.pixelUpdates, refTrace.pixelUpdates);
+        }
     }
 }
 
