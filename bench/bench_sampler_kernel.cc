@@ -10,11 +10,20 @@
  * an annealing-style temperature schedule.  Both paths start from the
  * same seed, so their chosen labels must agree exactly (checked); the
  * difference is time only.  Emits BENCH_sampler_kernel.json so later
- * PRs can regress the kernel speedup.
+ * changes can regress the kernel speedup.
+ *
+ * Timing protocol (--reps=N): every timed pass follows an untimed
+ * warm-up pass and is measured in the calling thread's CPU time.  A
+ * sampler's scalar and batched passes (and its fast path's row and
+ * per-pixel passes) alternate rep by rep, so a noisy phase of the
+ * host hits both.  Each row reports the min over the reps under the
+ * plain *_ns_per_sample keys, and the median and interquartile range
+ * under *_median and *_iqr.
  */
 
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <span>
 #include <vector>
@@ -23,6 +32,7 @@
 #include "bench_common.hh"
 #include "core/energy_to_lambda.hh"
 #include "core/race_fastpath.hh"
+#include "core/rate_binding.hh"
 #include "core/sampler_cdf.hh"
 #include "core/sampler_rsu.hh"
 #include "core/ttf_race.hh"
@@ -80,6 +90,62 @@ gatherPlanes(const mrf::MrfProblem &problem, std::uint64_t seed)
     return set;
 }
 
+/** CPU time of the calling thread, in seconds. */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/** Thread CPU seconds of @p fn. */
+template <typename Fn>
+double
+cpuSecondsOf(Fn &&fn)
+{
+    const double t0 = threadCpuSeconds();
+    fn();
+    return threadCpuSeconds() - t0;
+}
+
+/** Linear-interpolated @p q quantile of @p v. */
+double
+quantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/** One row's per-rep times as ns per unit: min, median and IQR. */
+struct Spread
+{
+    double min = 0.0;
+    double median = 0.0;
+    double iqr = 0.0;
+
+    static Spread of(const std::vector<double> &seconds,
+                     std::size_t units)
+    {
+        const double k = 1e9 / static_cast<double>(units);
+        return {quantile(seconds, 0.0) * k, quantile(seconds, 0.5) * k,
+                (quantile(seconds, 0.75) - quantile(seconds, 0.25)) * k};
+    }
+};
+
+/** `, "key": min, "key_median": median, "key_iqr": iqr`. */
+void
+printSpread(std::FILE *f, const char *key, const Spread &s)
+{
+    std::fprintf(f, ", \"%s\": %.2f, \"%s_median\": %.2f, "
+                 "\"%s_iqr\": %.2f",
+                 key, s.min, key, s.median, key, s.iqr);
+}
+
 /** Geometric annealing schedule, the solver's temperature profile. */
 std::vector<double>
 temperatureSchedule(int steps, double t0, double t_end)
@@ -97,18 +163,18 @@ temperatureSchedule(int steps, double t0, double t_end)
 
 struct KernelTiming
 {
-    double scalarNsPerSample = 0.0;
-    double batchedNsPerSample = 0.0;
+    Spread scalar;  ///< ns per sample, per-pixel sample()
+    Spread batched; ///< ns per sample, sampleRow()
     bool outputsMatch = true;
 };
 
 /**
  * Time one sampler through both entry points over the same planes and
- * temperatures.  Fresh sampler + reseeded generator per pass keeps the
- * draw sequences identical; the min over reps discards scheduler
- * noise.  One untimed warm-up pass per path pre-builds conversion
- * tables (shared LUT cache, rate tables) so neither path bills
- * first-touch cost.
+ * temperatures, alternating the two rep by rep.  Fresh sampler +
+ * reseeded generator per pass keeps the draw sequences identical.
+ * One untimed warm-up pass per path pre-builds conversion tables
+ * (shared LUT cache, rate tables) so neither path bills first-touch
+ * cost.
  */
 KernelTiming
 timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
@@ -155,40 +221,24 @@ timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
     scalar_labels.reserve(samples);
     batched_labels.reserve(samples);
 
-    double scalar_best = 1e300, batched_best = 1e300;
+    // One rep of @p pass: untimed warm-up, then the timed pass, whose
+    // labels the first rep records.
+    auto rep_of = [&](auto &pass, int rep, std::vector<int> &labels) {
+        auto sampler = factory();
+        rng::Xoshiro256 warm(seed);
+        pass(*sampler, warm, nullptr);
+        rng::Xoshiro256 gen(seed);
+        std::vector<int> *rec = rep == 0 ? &labels : nullptr;
+        return cpuSecondsOf([&] { pass(*sampler, gen, rec); });
+    };
+    std::vector<double> scalar_s, batched_s;
     for (int rep = 0; rep < reps; ++rep) {
-        {
-            auto sampler = factory();
-            rng::Xoshiro256 warm(seed);
-            scalar_pass(*sampler, warm, nullptr); // warm-up, untimed
-            rng::Xoshiro256 gen(seed);
-            std::vector<int> *rec =
-                rep == 0 ? &scalar_labels : nullptr;
-            auto start = std::chrono::steady_clock::now();
-            scalar_pass(*sampler, gen, rec);
-            std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - start;
-            scalar_best = std::min(scalar_best, dt.count());
-        }
-        {
-            auto sampler = factory();
-            rng::Xoshiro256 warm(seed);
-            batched_pass(*sampler, warm, nullptr); // warm-up, untimed
-            rng::Xoshiro256 gen(seed);
-            std::vector<int> *rec =
-                rep == 0 ? &batched_labels : nullptr;
-            auto start = std::chrono::steady_clock::now();
-            batched_pass(*sampler, gen, rec);
-            std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - start;
-            batched_best = std::min(batched_best, dt.count());
-        }
+        scalar_s.push_back(rep_of(scalar_pass, rep, scalar_labels));
+        batched_s.push_back(rep_of(batched_pass, rep, batched_labels));
     }
 
-    result.scalarNsPerSample =
-        scalar_best * 1e9 / static_cast<double>(samples);
-    result.batchedNsPerSample =
-        batched_best * 1e9 / static_cast<double>(samples);
+    result.scalar = Spread::of(scalar_s, samples);
+    result.batched = Spread::of(batched_s, samples);
     result.outputsMatch = scalar_labels == batched_labels;
     return result;
 }
@@ -201,8 +251,8 @@ timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
  *  run does. */
 struct FastTiming
 {
-    double fastNsPerSample = 0.0; ///< steady state, sampleRow()
-    double scalarNsPerSample = 0.0; ///< steady state, per-pixel sample()
+    Spread fast;   ///< steady state, sampleRow()
+    Spread scalar; ///< steady state, per-pixel sample()
     double coldNsPerSample = 0.0; ///< first pass, tables built inline
     /** Class tables the cold pass built (the RaceTableCache::misses()
      *  delta): the distinct tables this workload needs, whether cached
@@ -258,67 +308,51 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
         const std::uint64_t built = cache.misses();
         auto sampler = factory();
         rng::Xoshiro256 gen(seed);
-        auto start = std::chrono::steady_clock::now();
-        batched_pass(*sampler, gen, nullptr);
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - start;
         result.coldNsPerSample =
-            dt.count() * 1e9 / static_cast<double>(samples);
+            cpuSecondsOf([&] { batched_pass(*sampler, gen, nullptr); }) *
+            1e9 / static_cast<double>(samples);
         result.aliasTables =
             static_cast<std::size_t>(cache.misses() - built);
     }
 
+    // The row entry alternates with the per-pixel entry, the raster
+    // solver's path: a one-pixel row per sample() call.  Fixed draws
+    // per pixel keep the two on one RNG layout, so their labels must
+    // agree exactly.
+    auto rep_of = [&](auto &pass, int rep, std::vector<int> &labels) {
+        auto sampler = factory();
+        rng::Xoshiro256 warm(seed);
+        pass(*sampler, warm, nullptr); // warm-up, untimed
+        rng::Xoshiro256 gen(seed);
+        std::vector<int> *rec = rep == 0 ? &labels : nullptr;
+        return cpuSecondsOf([&] { pass(*sampler, gen, rec); });
+    };
     std::vector<int> scalar_labels, batched_labels;
-    double fast_best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-        auto sampler = factory();
-        rng::Xoshiro256 warm(seed);
-        batched_pass(*sampler, warm, nullptr); // warm-up, untimed
-        rng::Xoshiro256 gen(seed);
-        std::vector<int> *rec = rep == 0 ? &batched_labels : nullptr;
-        auto start = std::chrono::steady_clock::now();
-        batched_pass(*sampler, gen, rec);
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - start;
-        fast_best = std::min(fast_best, dt.count());
-    }
-    result.fastNsPerSample =
-        fast_best * 1e9 / static_cast<double>(samples);
-
-    // The per-pixel entry, the raster solver's path: a one-pixel row
-    // per sample() call.  Fixed draws per pixel keep the fast path's
-    // scalar and batched entries on one RNG layout, so their labels
-    // must agree exactly.
     scalar_labels.reserve(samples);
-    double scalar_best = 1e300;
+    std::vector<double> fast_s, scalar_s;
     for (int rep = 0; rep < reps; ++rep) {
-        auto sampler = factory();
-        rng::Xoshiro256 warm(seed);
-        scalar_pass(*sampler, warm, nullptr); // warm-up, untimed
-        rng::Xoshiro256 gen(seed);
-        std::vector<int> *rec = rep == 0 ? &scalar_labels : nullptr;
-        auto start = std::chrono::steady_clock::now();
-        scalar_pass(*sampler, gen, rec);
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - start;
-        scalar_best = std::min(scalar_best, dt.count());
+        fast_s.push_back(rep_of(batched_pass, rep, batched_labels));
+        scalar_s.push_back(rep_of(scalar_pass, rep, scalar_labels));
     }
-    result.scalarNsPerSample =
-        scalar_best * 1e9 / static_cast<double>(samples);
+    result.fast = Spread::of(fast_s, samples);
+    result.scalar = Spread::of(scalar_s, samples);
     result.outputsMatch = scalar_labels == batched_labels;
     return result;
 }
 
-/** Where the sample time goes, one stage at a time: the four hot
- *  kernels of the batched pipeline measured in isolation on the same
- *  planes (exp-draw at the sampler's per-pixel burst width, so the
- *  numbers add up to roughly the batched ns/sample above). */
+/** Where the sample time goes, one stage at a time: the hot kernels
+ *  of the literal and fast-path draws measured in isolation on the
+ *  same planes (exp-draw at the sampler's per-pixel burst width; the
+ *  e->lambda and race stages together are the literal draw). */
 struct KernelBreakdown
 {
     double expDrawNsPerDraw = 0.0;      ///< -log(u)/lambda conversion
     double energyPlaneNsPerLabel = 0.0; ///< conditionalEnergiesRow
-    double raceNsPerPixel = 0.0;        ///< runTtfRace (binned)
-    double eToLambdaNsPerLabel = 0.0;   ///< quantize + table gather
+    /** raceFiringSet (binned) over the firing sets e->lambda left. */
+    double raceNsPerPixel = 0.0;
+    /** firingRates: quantize, E_min, keep the firing labels, read
+     *  their rates. */
+    double eToLambdaNsPerLabel = 0.0;
     /** raceEnergiesRow: the fused quantize+classify pass plus the
      *  table-probe + SWAR alias draw. */
     double fastRowNsPerPixel = 0.0;
@@ -334,27 +368,21 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
     auto bestOf = [&](auto &&fn, std::size_t units) {
         fn(); // warm-up, untimed
         double best = 1e300;
-        for (int rep = 0; rep < reps; ++rep) {
-            auto start = std::chrono::steady_clock::now();
-            fn();
-            std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - start;
-            best = std::min(best, dt.count());
-        }
+        for (int rep = 0; rep < reps; ++rep)
+            best = std::min(best, cpuSecondsOf(fn));
         return best * 1e9 / static_cast<double>(units);
     };
 
-    // The RSU's energy-to-rate table at this temperature (what the
-    // batched sampler gathers through), and whether every entry fires.
+    // The RSU's energy-to-rate table at this temperature, bound as
+    // the sampler binds it (its firing bound is what e->lambda keeps).
     core::RsuConfig cfg = core::RsuConfig::newDesign();
     auto lut = core::LambdaLutCache::global().get(cfg, temperature);
     const std::size_t entries = std::size_t{1} << cfg.energyBits;
     std::vector<double> table(entries);
-    bool all_fire = true;
-    for (std::size_t e = 0; e < entries; ++e) {
+    for (std::size_t e = 0; e < entries; ++e)
         table[e] = static_cast<double>(lut->lookup(e)) * cfg.lambda0();
-        all_fire = all_fire && table[e] > 0.0;
-    }
+    const std::size_t bound =
+        core::RateBinding::make(table, {}, nullptr)->firingBound;
     const double top =
         static_cast<double>(util::maxUnsigned(cfg.energyBits));
 
@@ -389,34 +417,40 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
             set.totalPixels * m);
     }
 
-    // e->lambda: quantize + gather every pixel of every plane.
+    // e->lambda: every pixel of every plane to its firing set (pixel
+    // p's at offset p*m, its size in firing[p]).
     std::vector<std::vector<double>> rate_planes;
-    for (const std::vector<float> &plane : set.energies)
+    std::vector<std::vector<std::uint32_t>> label_planes;
+    std::vector<std::vector<std::size_t>> firing;
+    for (const std::vector<float> &plane : set.energies) {
         rate_planes.emplace_back(plane.size());
+        label_planes.emplace_back(plane.size());
+        firing.emplace_back(plane.size() / m);
+    }
     auto convert_all = [&] {
         for (std::size_t r = 0; r < set.energies.size(); ++r) {
             const std::vector<float> &plane = set.energies[r];
-            double *rates = rate_planes[r].data();
-            for (std::size_t p = 0; p * m < plane.size(); ++p)
-                kern.quantizeGatherRates(plane.data() + p * m, top,
-                                         cfg.decayRateScaling,
-                                         table.data(), rates + p * m,
-                                         m);
+            for (std::size_t p = 0; p < firing[r].size(); ++p)
+                firing[r][p] = kern.firingRates(
+                    plane.data() + p * m, top, cfg.decayRateScaling,
+                    table.data(), bound, m, rate_planes[r].data() + p * m,
+                    label_planes[r].data() + p * m);
         }
     };
     bd.eToLambdaNsPerLabel = bestOf(convert_all, set.totalPixels * m);
 
-    // race: the full TTF race of every pixel of those rate planes.
+    // race: the binned TTF race of every pixel's firing set.
     {
         core::RaceRowScratch scratch;
         bd.raceNsPerPixel = bestOf(
             [&] {
                 rng::Xoshiro256 gen(seed + 1);
-                for (const std::vector<double> &rates : rate_planes)
-                    for (std::size_t off = 0; off < rates.size();
-                         off += m)
-                        core::runTtfRace({rates.data() + off, m}, cfg,
-                                         gen, scratch, all_fire);
+                for (std::size_t r = 0; r < firing.size(); ++r)
+                    for (std::size_t p = 0; p < firing[r].size(); ++p)
+                        core::raceFiringSet(
+                            rate_planes[r].data() + p * m,
+                            label_planes[r].data() + p * m,
+                            firing[r][p], cfg, gen, scratch);
             },
             set.totalPixels);
     }
@@ -561,21 +595,22 @@ main(int argc, char **argv)
         KernelTiming t =
             timeKernel(e.factory, planes, *e.schedule, reps, seed);
         all_match = all_match && t.outputsMatch;
-        double speedup = t.scalarNsPerSample / t.batchedNsPerSample;
-        std::printf("  %-27s scalar %8.1f ns/sample   batched %8.1f "
-                    "ns/sample   %.2fx%s\n",
-                    e.name, t.scalarNsPerSample, t.batchedNsPerSample,
-                    speedup, t.outputsMatch ? "" : "  MISMATCH");
+        double speedup = t.scalar.min / t.batched.min;
+        std::printf("  %-27s scalar %8.1f (median %8.1f) ns/sample   "
+                    "batched %8.1f (median %8.1f) ns/sample   "
+                    "%.2fx%s\n",
+                    e.name, t.scalar.min, t.scalar.median,
+                    t.batched.min, t.batched.median, speedup,
+                    t.outputsMatch ? "" : "  MISMATCH");
         std::fprintf(f,
                      "%s\n    {\"name\": \"%s\", "
-                     "\"t0\": %g, \"t_end\": %g, "
-                     "\"scalar_ns_per_sample\": %.2f, "
-                     "\"batched_ns_per_sample\": %.2f, "
-                     "\"speedup\": %.3f, \"outputs_match\": %s",
+                     "\"t0\": %g, \"t_end\": %g",
                      first ? "" : ",", e.name, e.schedule->front(),
-                     e.schedule->back(), t.scalarNsPerSample,
-                     t.batchedNsPerSample, speedup,
-                     t.outputsMatch ? "true" : "false");
+                     e.schedule->back());
+        printSpread(f, "scalar_ns_per_sample", t.scalar);
+        printSpread(f, "batched_ns_per_sample", t.batched);
+        std::fprintf(f, ", \"speedup\": %.3f, \"outputs_match\": %s",
+                     speedup, t.outputsMatch ? "true" : "false");
         if (e.fastFactory) {
             FastTiming ft = timeFastPath(e.fastFactory, planes,
                                          *e.schedule, reps, seed);
@@ -583,21 +618,19 @@ main(int argc, char **argv)
             std::printf("  %-27s fastpath %6.1f ns/sample   "
                         "scalar %6.1f   cold %8.1f   %zu tables   "
                         "%.2fx vs race%s\n",
-                        "  \\- race_mode=fastpath", ft.fastNsPerSample,
-                        ft.scalarNsPerSample, ft.coldNsPerSample,
-                        ft.aliasTables,
-                        t.batchedNsPerSample / ft.fastNsPerSample,
+                        "  \\- race_mode=fastpath", ft.fast.min,
+                        ft.scalar.min, ft.coldNsPerSample,
+                        ft.aliasTables, t.batched.min / ft.fast.min,
                         ft.outputsMatch ? "" : "  MISMATCH");
+            printSpread(f, "fastpath_ns_per_sample", ft.fast);
+            printSpread(f, "fastpath_scalar_ns_per_sample", ft.scalar);
             std::fprintf(f,
-                         ", \"fastpath_ns_per_sample\": %.2f, "
-                         "\"fastpath_scalar_ns_per_sample\": %.2f, "
-                         "\"fastpath_cold_ns_per_sample\": %.2f, "
+                         ", \"fastpath_cold_ns_per_sample\": %.2f, "
                          "\"fastpath_alias_tables\": %zu, "
                          "\"fastpath_speedup_vs_scalar\": %.3f, "
                          "\"fastpath_outputs_match\": %s",
-                         ft.fastNsPerSample, ft.scalarNsPerSample,
                          ft.coldNsPerSample, ft.aliasTables,
-                         t.scalarNsPerSample / ft.fastNsPerSample,
+                         t.scalar.min / ft.fast.min,
                          ft.outputsMatch ? "true" : "false");
         }
         std::fprintf(f, "}");

@@ -224,6 +224,13 @@ RaceTableCache::get(const Key &key)
     return slot ? *slot : build(); // full: an uncached table
 }
 
+void
+RaceTableCache::countHits(std::uint64_t n)
+{
+    hits_.fetch_add(n, std::memory_order_relaxed);
+    obs::Registry::global().add(RaceCacheMetricIds::get().hits, n);
+}
+
 RaceTable
 RaceTableCache::buildUncached(const Key &key)
 {
@@ -366,8 +373,10 @@ RaceFastPath::lookupClassTable()
     classKey(binding_->alphabet,
              [&](std::size_t c) { return counts_[c]; }, nullptr);
     RaceTableCache &cache = RaceTableCache::global();
-    if (const RaceTable *t = cache.find(key_))
+    if (const RaceTable *t = cache.find(key_)) {
+        ++classHits_;
         return t;
+    }
     spillTable_ = cache.get(key_);
     return spillTable_.get();
 }
@@ -448,6 +457,10 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
             out[p] = raceGeneral(quantScratch_.data(),
                                  subtract_min ? e_min : 0.0, m,
                                  u + p * draws);
+        }
+        if (classHits_ != 0) {
+            RaceTableCache::global().countHits(classHits_);
+            classHits_ = 0;
         }
         return;
     }
@@ -777,34 +790,27 @@ RaceFastPath::raceGeneral(const double *q, double base, std::size_t m,
 }
 
 RaceOutcome
-RaceFastPath::raceFloat(const double *rates, std::size_t m, double u)
+RaceFastPath::raceFloat(const double *rates, const std::uint32_t *labels,
+                        std::size_t n, double u)
 {
     RaceOutcome oc;
-    double total = 0.0;
-    unsigned firing = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-        if (rates[i] > 0.0) {
-            total += rates[i];
-            ++firing;
-        }
-    }
-    if (!(total > 0.0))
+    if (n == 0)
         return oc; // every label cut off: no sample
-    oc.contenders = firing;
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        total += rates[i];
+    oc.contenders = static_cast<unsigned>(n);
     const double target = u * total;
     double acc = 0.0;
-    int last = -1;
-    for (std::size_t i = 0; i < m; ++i) {
-        if (!(rates[i] > 0.0))
-            continue;
+    for (std::size_t i = 0; i < n; ++i) {
         acc += rates[i];
-        last = static_cast<int>(i);
         if (target < acc) {
-            oc.winner = last;
+            oc.winner = static_cast<int>(labels[i]);
             return oc;
         }
     }
-    oc.winner = last; // rounding left target >= acc at the end
+    // Rounding left target >= acc at the end.
+    oc.winner = static_cast<int>(labels[n - 1]);
     return oc;
 }
 

@@ -161,12 +161,16 @@ class RaceTableCache
      *  a miss. */
     std::shared_ptr<const RaceTable> get(const Key &key);
 
+    /** Count @p n hits a caller served through find(), tallied over
+     *  a row so the per-pixel probe stays free of atomics. */
+    void countHits(std::uint64_t n);
+
     /** Build the table for a canonical key without caching it, for a
      *  caller that copies it out once; counts a miss (a table built). */
     RaceTable buildUncached(const Key &key);
 
     /** The table for @p key if one is cached, else null: one lock-free
-     *  probe, not counted. */
+     *  probe, not counted (see countHits()). */
     const RaceTable *find(const Key &key) const;
 
     /**
@@ -346,13 +350,15 @@ class RaceFastPath
                          RaceOutcome *out);
 
     /**
-     * Float-time race over one pixel's absolute rates: one uniform
-     * inverts the prefix-sum CDF, realizing P(i) = rate_i /
-     * sum(rate) (rates <= 0 never win; winner -1 when none is
-     * positive).  Stateless — float mode needs no tables.
+     * Float-time race over one pixel's firing set (the @p n positive
+     * rates in label order and their @p labels, as raceFiringSet()
+     * takes it): one uniform inverts the prefix-sum CDF, realizing
+     * P(i) = rate_i / sum(rate); winner -1 when n == 0.  Stateless —
+     * float mode needs no tables.
      */
-    static RaceOutcome raceFloat(const double *rates, std::size_t m,
-                                 double u);
+    static RaceOutcome raceFloat(const double *rates,
+                                 const std::uint32_t *labels,
+                                 std::size_t n, double u);
 
   private:
     /**
@@ -379,7 +385,8 @@ class RaceFastPath
     RaceOutcome raceGeneral(const double *q, double base,
                             std::size_t m, const double *u);
     /** The Random-tie class table for the current pixel's counts_
-     *  (alphabet-indexed label counts), straight from RaceTableCache. */
+     *  (alphabet-indexed label counts), straight from RaceTableCache;
+     *  a hit is tallied in classHits_. */
     const RaceTable *lookupClassTable();
     /** The packed entry of @p word (hash @p h) in @p b's table: the
      *  hit is one lock-free probe, inlined into the draw; a miss takes
@@ -437,6 +444,9 @@ class RaceFastPath
     /** Keeps an uncached class table (cache full) alive for its
      *  pixel's draw. */
     std::shared_ptr<const RaceTable> spillTable_;
+    /** Class-table hits of the current row, counted into
+     *  RaceTableCache once the row is drawn. */
+    std::uint64_t classHits_ = 0;
 };
 
 } // namespace core

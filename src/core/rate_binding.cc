@@ -112,11 +112,11 @@ RateBinding::make(std::vector<double> rate_table,
     RETSIM_ASSERT(!rate_table.empty(), "binding an empty rate table");
     auto b = std::make_shared<RateBinding>();
     b->rateTable = std::move(rate_table);
-    // When no entry is zero (no probability cutoff bites at this
-    // temperature) every label of every pixel fires, which lets the
-    // float-time race skip its firing scan.
-    b->allPositive = std::all_of(b->rateTable.begin(), b->rateTable.end(),
-                                 [](double r) { return r > 0.0; });
+    const std::vector<double> &t = b->rateTable;
+    b->firingBound = static_cast<std::size_t>(
+        std::find_if(t.begin(), t.end(),
+                     [](double r) { return !(r > 0.0); }) -
+        t.begin());
     if (mode_word)
         classifyTable(*b, incoming, *mode_word);
     return b;
@@ -205,6 +205,14 @@ RateBindingCache::bind(double temperature, const LambdaLut *lut,
         slot.binding = RateBinding::make(std::move(table), alphabet,
                                          classify_ ? &modeWord_
                                                    : nullptr);
+    // A built table is non-increasing in energy and cut-off zeroes
+    // only its tail, so every entry past firingBound is zero: the
+    // literal draw's firing test (index < firingBound) relies on it.
+    const RateBinding &b = *slot.binding;
+    RETSIM_ASSERT(std::all_of(b.rateTable.begin() + b.firingBound,
+                              b.rateTable.end(),
+                              [](double r) { return r == 0.0; }),
+                  "rate table is not a positive prefix and a zero tail");
     builds_.fetch_add(1, std::memory_order_relaxed);
     reg.add(ids.builds, 1);
     return slot.binding;

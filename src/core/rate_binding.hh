@@ -43,7 +43,12 @@ using PackedRaceTable = util::SharedTable<std::uint64_t, PackedRaceEntry>;
 struct RateBinding
 {
     std::vector<double> rateTable; ///< quantized energy -> rate
-    bool allPositive = false;      ///< no entry is zero (all fire)
+    /** Leading positive entries of rateTable.  In a table
+     *  RateBindingCache builds every later entry is zero (asserted:
+     *  the table is non-increasing in energy and cut-off zeroes only
+     *  its tail), so a label fires iff its table index lies below
+     *  it. */
+    std::size_t firingBound = 0;
 
     // ---- fast-path classification (only when built with a mode word)
     std::vector<double> alphabet;       ///< sorted distinct rates

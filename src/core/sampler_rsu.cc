@@ -129,7 +129,7 @@ RsuSampler::refreshRateTable(double temperature)
         return; // content-identical: the binding already held
     binding_ = std::move(next);
     rateTable_ = binding_->rateTable.data();
-    rateTableAllPositive_ = binding_->allPositive;
+    firingBound_ = binding_->firingBound;
     if (useFastPath_ && cfg_.timeQuant == TimeQuant::Binned)
         fast_->bind(binding_);
 }
@@ -180,37 +180,44 @@ RsuSampler::sampleRowFast(std::span<const float> energies,
             out[p] = commitOutcome(outcomes_[p], current[p]);
         return;
     }
-    // Float time: each pixel's literal rates, filled just before its
-    // draw (stages 1-3 draw nothing); one uniform inverts the
-    // categorical CDF over them.
+    // Float time: each pixel's literal firing set, filled just before
+    // its draw (stages 1-3 draw nothing); one uniform inverts the
+    // categorical CDF over it.
     for (std::size_t p = 0; p < n; ++p) {
-        fillRates(energies.data() + p * m, m, temperature);
+        const std::size_t firing =
+            fillRates(energies.data() + p * m, m, temperature);
         out[p] = commitOutcome(
-            RaceFastPath::raceFloat(rates_.data(), m, fastU_[p]),
+            RaceFastPath::raceFloat(rates_.data(), labels_.data(),
+                                    firing, fastU_[p]),
             current[p]);
     }
 }
 
-bool
+std::size_t
 RsuSampler::fillRates(const float *energies, std::size_t m,
                       double temperature)
 {
-    rates_.resize(m);
+    if (rates_.size() < m) {
+        rates_.resize(m);
+        labels_.resize(m);
+    }
     double *r = rates_.data();
+    std::uint32_t *labels = labels_.data();
     if (!cfg_.floatEnergy) {
-        // Quantized energies index the per-temperature rate table
-        // directly, so stages 1-3 are one fused quantize + E_min +
-        // gather kernel call.
+        // Quantized energies index the per-temperature rate table,
+        // whose positive entries are a prefix: stages 1-3 are one
+        // kernel call from the energies to the firing set.
         refreshRateTable(temperature);
         const double top =
             static_cast<double>(util::maxUnsigned(cfg_.energyBits));
-        simd::kernels().quantizeGatherRates(energies, top,
-                                            cfg_.decayRateScaling,
-                                            rateTable_, r, m);
-        return rateTableAllPositive_;
+        return simd::kernels().firingRates(energies, top,
+                                           cfg_.decayRateScaling,
+                                           rateTable_, firingBound_, m,
+                                           r, labels);
     }
     // Float-energy escape: scaled energies are continuous, so the
-    // conversion stays per label.
+    // conversion stays per label, and the positive rates are kept at
+    // the running count.
     const double lambda0 = cfg_.lambda0();
     double e_min = 0.0;
     if (cfg_.decayRateScaling) {
@@ -219,29 +226,34 @@ RsuSampler::fillRates(const float *energies, std::size_t m,
             e_min = std::min(e_min, static_cast<double>(energies[j]));
         e_min = std::max(e_min, 0.0);
     }
+    std::size_t firing = 0;
     for (std::size_t j = 0; j < m; ++j) {
         double scaled =
             std::max(static_cast<double>(energies[j]), 0.0) - e_min;
-        if (cfg_.lambdaQuant == LambdaQuant::Float)
-            r[j] = realLambda(scaled, temperature, cfg_) * lambda0;
-        else
-            r[j] = static_cast<double>(
-                       quantizeLambda(scaled, temperature, cfg_)) *
-                   lambda0;
+        const double rate =
+            cfg_.lambdaQuant == LambdaQuant::Float
+                ? realLambda(scaled, temperature, cfg_) * lambda0
+                : static_cast<double>(
+                      quantizeLambda(scaled, temperature, cfg_)) *
+                      lambda0;
+        r[firing] = rate;
+        labels[firing] = static_cast<std::uint32_t>(j);
+        firing += rate > 0.0 ? 1u : 0u;
     }
-    return false;
+    return firing;
 }
 
 int
 RsuSampler::drawLiteral(const float *energies, std::size_t m,
                         double temperature, int current, rng::Rng &gen)
 {
-    // Stages 1-3 (quantize, decay-rate scaling, energy-to-lambda),
-    // then stages 4-5: sample the exponentials and select
-    // first-to-fire.
-    const bool all_fire = fillRates(energies, m, temperature);
-    return commitOutcome(
-        runTtfRace(rates_, cfg_, gen, raceScratch_, all_fire), current);
+    // Stages 1-3 (quantize, decay-rate scaling, energy-to-lambda,
+    // cut-off) leave the firing set; stages 4-5 sample its
+    // exponentials and select first-to-fire.
+    const std::size_t firing = fillRates(energies, m, temperature);
+    return commitOutcome(raceFiringSet(rates_.data(), labels_.data(),
+                                       firing, cfg_, gen, raceScratch_),
+                         current);
 }
 
 int

@@ -150,28 +150,31 @@ class RsuSampler : public mrf::LabelSampler
     void refreshRateTable(double temperature);
 
     /**
-     * Stages 1-3 of one pixel of @p m labels into rates_.  Quantized
-     * energies take one fused quantize + E_min + rate-table gather
-     * kernel call; the float-energy escape converts label by label
-     * (realLambda / quantizeLambda x lambda0).  Returns whether every
-     * rate is known positive (the race's all-fire hint).
+     * Stages 1-3 of one pixel of @p m labels, straight to its firing
+     * set: the firing labels' rates in rates_ and their indices in
+     * labels_, in label order.  Quantized energies take one
+     * firingRates kernel call (quantize, E_min, keep the labels below
+     * the binding's firingBound, read only their table entries); the
+     * float-energy escape converts label by label (realLambda /
+     * quantizeLambda x lambda0) and keeps the positive rates.
+     * Returns the firing count.
      */
-    bool fillRates(const float *energies, std::size_t m,
-                   double temperature);
+    std::size_t fillRates(const float *energies, std::size_t m,
+                          double temperature);
 
     /** Counter bookkeeping shared by every race flavor: bump
      *  no-sample/tie counters and map "no label fired" to the kept
      *  current label. */
     int commitOutcome(const RaceOutcome &oc, int current);
 
-    /** The literal race for one pixel: fillRates(), runTtfRace(),
-     *  commitOutcome(). */
+    /** The literal race for one pixel: fillRates(),
+     *  raceFiringSet(), commitOutcome(). */
     int drawLiteral(const float *energies, std::size_t m,
                     double temperature, int current, rng::Rng &gen);
 
     /** The fast path for @p n pixels (binned: fused quantize +
      *  classify + table draw straight off the energies; float time:
-     *  each pixel's CDF inversion over its fillRates() rates). */
+     *  each pixel's CDF inversion over its fillRates() firing set). */
     void sampleRowFast(std::span<const float> energies, std::size_t n,
                        std::size_t m, double temperature,
                        std::span<const int> current, std::span<int> out,
@@ -180,17 +183,19 @@ class RsuSampler : public mrf::LabelSampler
     RsuConfig cfg_;
     double cachedTemperature_ = -1.0;
     std::shared_ptr<const LambdaLut> lut_;
-    std::vector<double> rates_; ///< one pixel's rates from fillRates()
+    /** One pixel's firing set from fillRates(): rates and labels. */
+    std::vector<double> rates_;
+    std::vector<std::uint32_t> labels_;
 
     // ---- rate binding and race scratch -------------------------------
     /** The run's bindings, shared with every clone. */
     std::shared_ptr<RateBindingCache> bindings_;
     double rateTableTemperature_ = -1.0;
     std::shared_ptr<const RateBinding> binding_; ///< rateTableTemperature_'s
-    /** binding_'s rate table and all-fire flag, read by fillRates()
+    /** binding_'s rate table and firing bound, read by fillRates()
      *  once per literal-race pixel without the pointer hop. */
     const double *rateTable_ = nullptr;
-    bool rateTableAllPositive_ = false;
+    std::size_t firingBound_ = 0;
     std::vector<RaceOutcome> outcomes_;
     RaceRowScratch raceScratch_;
 

@@ -34,12 +34,11 @@ struct RaceOutcome
 };
 
 /** Caller-owned scratch buffers for the race kernels (kept across
- *  calls so the hot path never allocates). */
+ *  calls so the hot path never allocates).  They only grow. */
 struct RaceRowScratch
 {
-    std::vector<double> rates; ///< compacted rates of firing labels
-    std::vector<std::uint32_t> index; ///< label of each compacted rate
-                                      ///< (binned mode)
+    std::vector<double> rates; ///< runTtfRace: compacted firing rates
+    std::vector<std::uint32_t> index; ///< runTtfRace: their labels
     std::vector<double> t;     ///< uniforms; converted to TTFs in place
                                ///< (float mode) or consumed raw by the
                                ///< fused expDrawBin kernel (binned mode)
@@ -47,17 +46,19 @@ struct RaceRowScratch
 };
 
 /**
- * Run one race over per-label absolute decay rates (per time bin);
- * rate <= 0 means the label is cut off and never fires.
+ * Race one pixel's firing set: the @p n labels that fire, their
+ * positive rates in label order in @p rates and their label indices
+ * in @p labels (what the simd firingRates kernel writes straight from
+ * the energies).  n == 0 is a pixel with no contender: winner -1, and
+ * nothing is drawn.
  *
- * Binned mode draws each TTF, truncates beyond tMaxBins() and
- * resolves bin ties with cfg.tieBreak, in one pass over the labels:
- * compact the firing rates with their label indices, bulk-fill their
- * uniforms, draw + quantize + reduce them in one fused expDrawBin
- * call, walk a random tie over the compacted bins and look the
- * winner's label up.  Float mode compares the continuous TTFs (ties
- * have measure zero), which realizes exact first-to-fire
- * probabilities P(i) = rate_i / sum(rate).
+ * Binned mode fills one uniform per firing label, draws + quantizes +
+ * reduces them in one fused expDrawBin call (a lone contender takes
+ * its one-draw early-out), truncates beyond tMaxBins(), resolves a
+ * bin tie with cfg.tieBreak and maps the winner back through
+ * @p labels.  Float mode compares the continuous TTFs (ties have
+ * measure zero), which realizes exact first-to-fire probabilities
+ * P(i) = rate_i / sum(rate).
  *
  * Draw layout (the reproducibility contract): the pixel's firing
  * labels consume one uniform each, in label order, bulk-filled and
@@ -66,21 +67,25 @@ struct RaceRowScratch
  * exactly one bounded draw AFTER the pixel's TTF uniforms.  Identical
  * for every SIMD backend.
  */
-RaceOutcome runTtfRace(std::span<const double> rates,
-                       const RsuConfig &cfg, rng::Rng &gen);
+RaceOutcome raceFiringSet(const double *rates,
+                          const std::uint32_t *labels, std::size_t n,
+                          const RsuConfig &cfg, rng::Rng &gen,
+                          RaceRowScratch &scratch);
 
 /**
- * Same race, but reusing caller-owned scratch (the no-scratch
- * overload uses a per-thread buffer) and optionally asserting via
- * @p allFireHint that every rate is positive, which skips the
- * float-time firing scan (the binned race's compaction pass is its
- * firing scan).  Bit-identical outcome and RNG consumption to the
- * overload above whenever the hint is honest.
+ * The same race over per-label absolute decay rates (per time bin):
+ * rate <= 0 means the label is cut off and never fires.  Compacts the
+ * firing labels (rate > 0) into @p scratch and races them through
+ * raceFiringSet(), so outcome and RNG consumption equal the literal
+ * draw's.  For callers that hold a whole rate vector.
  */
 RaceOutcome runTtfRace(std::span<const double> rates,
                        const RsuConfig &cfg, rng::Rng &gen,
-                       RaceRowScratch &scratch,
-                       bool allFireHint = false);
+                       RaceRowScratch &scratch);
+
+/** runTtfRace() over a per-thread scratch. */
+RaceOutcome runTtfRace(std::span<const double> rates,
+                       const RsuConfig &cfg, rng::Rng &gen);
 
 } // namespace core
 } // namespace retsim

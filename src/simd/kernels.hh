@@ -94,21 +94,19 @@ struct KernelTable
     BinRaceResult (*expDrawBin)(const double *u, const double *rates,
                                 std::size_t n, double t_max,
                                 bool drop_truncated, double *bins);
-    /** out[i] = table[(size_t)(q[i] - e_min)]: the energy-to-rate
-     *  table stage.  Every q[i] - e_min must be an exact non-negative
-     *  integer below 2^32 indexing into table.  In-place (q == out)
-     *  is supported. */
-    void (*gatherRates)(const double *q, double e_min,
-                        const double *table, double *out,
-                        std::size_t n);
-    /** Fused quantizeEnergies + gatherRates over one pixel's label
-     *  energies: rates[i] = table[q(e[i]) - (subtract_min ? min_j
-     *  q(e[j]) : 0)].  Value-identical to calling the two standalone
-     *  kernels; one dispatch instead of two on the per-pixel path. */
-    void (*quantizeGatherRates)(const float *e, double top,
-                                bool subtract_min,
-                                const double *table, double *rates,
-                                std::size_t n);
+    /** The literal RSU draw's stages 1-3 straight to one pixel's
+     *  firing set: quantize e exactly like quantizeEnergies (staged in
+     *  rates), take E_min, and keep, in label order, the labels i whose
+     *  table index k = q[i] - (subtract_min ? E_min : 0) lies below
+     *  bound — the rate table's positive prefix — writing rates[j] =
+     *  table[k] and labels[j] = i for the j-th kept label.  Returns
+     *  the firing count.  rates and labels hold n entries each;
+     *  table must cover every index up to top.  Only the kept labels'
+     *  table entries are read. */
+    std::size_t (*firingRates)(const float *e, double top,
+                               bool subtract_min, const double *table,
+                               std::size_t bound, std::size_t n,
+                               double *rates, std::uint32_t *labels);
     /** Fused quantizeEnergies + race-class pack for the categorical
      *  fast path over a row of pixels (pixel p's m <= 16 label
      *  energies at e + p*m): quantize exactly like quantizeEnergies,

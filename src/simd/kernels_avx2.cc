@@ -67,20 +67,29 @@ expDrawBin(const double *u, const double *rates, std::size_t n,
                                       drop_truncated, bins);
 }
 
-void
-gatherRates(const double *q, double e_min, const double *table,
-            double *out, std::size_t n)
+std::size_t
+firingRates(const float *e, double top, bool subtract_min,
+            const double *table, std::size_t bound, std::size_t n,
+            double *rates, std::uint32_t *labels)
 {
-    detail::gatherRatesT<VAvx2>(q, e_min, table, out, n);
-}
-
-void
-quantizeGatherRates(const float *e, double top, bool subtract_min,
-                    const double *table, double *rates,
-                    std::size_t n)
-{
-    detail::quantizeGatherRatesT<VAvx2>(e, top, subtract_min, table,
-                                        rates, n);
+    // The intrinsic core keeps up to 32 labels in registers; top <
+    // 2^24 keeps the float-domain clamp bound exact.
+    if (top < 16777216.0) {
+        if (n <= 8)
+            return detail::firingRatesAvx2<1>(e, top, subtract_min,
+                                              table, bound, n, rates,
+                                              labels);
+        if (n <= 16)
+            return detail::firingRatesAvx2<2>(e, top, subtract_min,
+                                              table, bound, n, rates,
+                                              labels);
+        if (n <= 32)
+            return detail::firingRatesAvx2<4>(e, top, subtract_min,
+                                              table, bound, n, rates,
+                                              labels);
+    }
+    return detail::firingRatesT<VAvx2>(e, top, subtract_min, table,
+                                       bound, n, rates, labels);
 }
 
 
@@ -133,7 +142,7 @@ tableAvx2()
     static const KernelTable t{Backend::Avx2, "avx2",    logBatch,
                                expBatch,      expDraw,   expWeights,
                                addRows5,      argmin,      quantizeEnergies,      expDrawBin,
-                               gatherRates,   quantizeGatherRates,
+                               firingRates,
                                quantizeClassifyRow,
                                energyRunU8,   gibbsWeightsRow};
     return t;

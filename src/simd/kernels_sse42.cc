@@ -67,20 +67,13 @@ expDrawBin(const double *u, const double *rates, std::size_t n,
                                       drop_truncated, bins);
 }
 
-void
-gatherRates(const double *q, double e_min, const double *table,
-            double *out, std::size_t n)
+std::size_t
+firingRates(const float *e, double top, bool subtract_min,
+            const double *table, std::size_t bound, std::size_t n,
+            double *rates, std::uint32_t *labels)
 {
-    detail::gatherRatesT<VSse42>(q, e_min, table, out, n);
-}
-
-void
-quantizeGatherRates(const float *e, double top, bool subtract_min,
-                    const double *table, double *rates,
-                    std::size_t n)
-{
-    detail::quantizeGatherRatesT<VSse42>(e, top, subtract_min, table,
-                                        rates, n);
+    return detail::firingRatesT<VSse42>(e, top, subtract_min, table,
+                                        bound, n, rates, labels);
 }
 
 
@@ -123,7 +116,7 @@ tableSse42()
     static const KernelTable t{Backend::Sse42, "sse42",   logBatch,
                                expBatch,       expDraw,   expWeights,
                                addRows5,       argmin,       quantizeEnergies,       expDrawBin,
-                               gatherRates,   quantizeGatherRates,
+                               firingRates,
                                quantizeClassifyRow,
                                energyRunU8,   gibbsWeightsRow};
     return t;

@@ -51,6 +51,7 @@
 #ifndef RETSIM_SIMD_VECMATH_HH
 #define RETSIM_SIMD_VECMATH_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -644,7 +645,9 @@ quantizeEnergiesT(const float *e, double top, double *q, std::size_t n)
  * bin/reduce constants together overflow the vector register file,
  * and the resulting per-iteration spills cost more than the staging
  * store+reload, which stays in L1.)  Every reduced quantity is
- * exact, so all backends agree.
+ * exact, so all backends agree.  A lone contender (n == 1, half the
+ * literal draws once cut-off bites) skips both loops: one scalar draw
+ * and bin give the same result.
  */
 template <typename V>
 inline BinRaceResult
@@ -654,6 +657,23 @@ expDrawBinT(const double *u, const double *rates, std::size_t n,
     constexpr std::size_t w = V::kWidth;
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const double overflow = drop_truncated ? kInf : t_max;
+
+    if (n == 1) {
+        // One contender: the scalar tail's arithmetic, and the result
+        // the lane merge below would reach, without its lane set-up
+        // and five-way lane store.
+        const double tt = -vlogNormalCore<VScalar>(u[0], 0.0) / rates[0];
+        const double bin =
+            tt < t_max ? VScalar::floor(tt) + 1.0 : overflow;
+        bins[0] = bin;
+        BinRaceResult r;
+        r.bestBin = bin;
+        if (bin < kInf) {
+            r.tied = 1;
+            r.contenders = 1;
+        }
+        return r;
+    }
 
     // Stage 1: TTFs into the bins buffer (the expDraw arithmetic).
     {
@@ -772,49 +792,38 @@ expDrawBinT(const double *u, const double *rates, std::size_t n,
 }
 
 /**
- * out[i] = table[(size_t)(q[i] - e_min)].  The caller guarantees each
- * q[i] - e_min is an exact non-negative integer below 2^32, so the
- * index is recovered from the shifter-pivot bit image (add 1.5*2^52,
- * take the low mantissa bits) without a float-to-int instruction the
- * vec.hh op set would otherwise need.
+ * The literal RSU draw's stages 1-3 straight to one pixel's firing
+ * set: quantize the label energies exactly like quantizeEnergiesT
+ * (staged in @p rates), take E_min, and keep, in label order, the
+ * labels i whose table index k = q[i] - (subtract_min ? E_min : 0)
+ * lies below @p bound, the rate table's positive prefix.  The j-th
+ * kept label gets rates[j] = table[k] and labels[j] = i; returns how
+ * many were kept.  The left-pack is one branch-free lane-at-a-time
+ * pass (each index is stored at the running count, which only a
+ * firing label advances; on the two-lane backends it measured as fast
+ * as a vector left-pack by the compare mask), and only the kept
+ * labels' table entries are read.  Every stored value is selected,
+ * never computed, so all backends agree bit for bit.
  */
 template <typename V>
-inline void
-gatherRatesT(const double *q, double e_min, const double *table,
-             double *out, std::size_t n)
-{
-    constexpr std::size_t w = V::kWidth;
-    const typename V::vd vmin = V::set1(e_min);
-    const typename V::vd shifter = V::set1(kShifter);
-    const typename V::vi mask = V::set1i(0xFFFFFFFFULL);
-    std::size_t i = 0;
-    for (; i + w <= n; i += w) {
-        typename V::vd d = V::sub(V::load(q + i), vmin);
-        typename V::vi idx =
-            V::andi(V::toBits(V::add(d, shifter)), mask);
-        V::store(out + i, V::gather(table, idx));
-    }
-    for (; i < n; ++i)
-        out[i] = table[static_cast<std::size_t>(q[i] - e_min)];
-}
-
-/**
- * The fused RSU stage-1..3 pixel pipeline: quantize the label
- * energies (quantizeEnergiesT, staged in @p rates), optionally
- * subtract the row minimum (decay-rate scaling), and gather the
- * energy-to-rate table entries in place (gatherRatesT).  Exactly the
- * composition of the two standalone kernels — one dispatched call
- * per pixel instead of two.
- */
-template <typename V>
-inline void
-quantizeGatherRatesT(const float *e, double top, bool subtract_min,
-                     const double *table, double *rates,
-                     std::size_t n)
+inline std::size_t
+firingRatesT(const float *e, double top, bool subtract_min,
+             const double *table, std::size_t bound, std::size_t n,
+             double *rates, std::uint32_t *labels)
 {
     const double e_min = quantizeEnergiesT<V>(e, top, rates, n);
-    gatherRatesT<V>(rates, subtract_min ? e_min : 0.0, table, rates,
-                    n);
+    const double base = subtract_min ? e_min : 0.0;
+    const double fire_below = static_cast<double>(bound);
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double k = rates[i] - base;
+        rates[j] = k;
+        labels[j] = static_cast<std::uint32_t>(i);
+        j += k < fire_below ? 1u : 0u;
+    }
+    for (std::size_t f = 0; f < j; ++f)
+        rates[f] = table[static_cast<std::size_t>(rates[f])];
+    return j;
 }
 
 /**
@@ -1030,6 +1039,106 @@ quantizeClassify16Avx2(const float *e, double top, bool subtract_min,
     a = _mm_add_epi64(a, _mm_unpackhi_epi64(a, a));
     word = static_cast<std::uint64_t>(_mm_cvtsi128_si64(a));
     return static_cast<double>(e_min);
+}
+
+/** Lane lists of the 8-lane masks: nibble i of row b holds the lane of
+ *  b's i-th set bit, so row b is the dword permute that left-packs
+ *  those lanes. */
+struct PackNibblesAvx2
+{
+    std::uint32_t row[256];
+};
+
+constexpr PackNibblesAvx2
+makePackNibblesAvx2()
+{
+    PackNibblesAvx2 t{};
+    for (unsigned b = 0; b < 256; ++b) {
+        unsigned out = 0;
+        for (unsigned l = 0; l < 8; ++l)
+            if ((b >> l) & 1)
+                t.row[b] |= l << (4 * out++);
+    }
+    return t;
+}
+
+inline constexpr PackNibblesAvx2 kPackNibblesAvx2 = makePackNibblesAvx2();
+
+/*
+ * AVX2 core of firingRatesT for n <= 8 * C labels and top < 2^24 (the
+ * caller gates on both).  The energies are quantized in the float
+ * domain, exactly as in quantizeClassify16Avx2, and stay in C
+ * registers through E_min and the firing test.  Each 8-lane chunk is
+ * then left-packed by one dword permute whose lane list comes from
+ * kPackNibblesAvx2, into stack buffers, so the caller's buffers need
+ * no room past n.
+ */
+template <int C>
+inline std::size_t
+firingRatesAvx2(const float *e, double top, bool subtract_min,
+                const double *table, std::size_t bound, std::size_t n,
+                double *rates, std::uint32_t *labels)
+{
+    const __m256 vtop = _mm256_set1_ps(static_cast<float>(top));
+    const __m256 vzero = _mm256_setzero_ps();
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+    const int ni = static_cast<int>(n);
+    __m256 q[C];
+    __m256 vmin = vtop;
+    for (int c = 0; c < C; ++c) {
+        // Lanes past n load nothing and hold top, which leaves E_min
+        // alone; maxps returns its second operand for a NaN, clamping
+        // NaN energies to 0 like the scalar quantizer.
+        const __m256i live =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(ni - 8 * c), iota);
+        const float *chunk = e + std::min<std::size_t>(8 * c, n);
+        __m256 r =
+            _mm256_round_ps(_mm256_maskload_ps(chunk, live), kRound);
+        r = _mm256_min_ps(_mm256_max_ps(r, vzero), vtop);
+        q[c] = _mm256_blendv_ps(vtop, r, _mm256_castsi256_ps(live));
+        vmin = _mm256_min_ps(vmin, q[c]);
+    }
+    __m128 mn = _mm_min_ps(_mm256_castps256_ps128(vmin),
+                           _mm256_extractf128_ps(vmin, 1));
+    mn = _mm_min_ps(mn, _mm_movehl_ps(mn, mn));
+    mn = _mm_min_ss(mn, _mm_shuffle_ps(mn, mn, 1));
+    const __m256 base = subtract_min ? _mm256_broadcastss_ps(mn) : vzero;
+    const __m256 vbound = _mm256_set1_ps(static_cast<float>(bound));
+    const __m256i shifts =
+        _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
+    const __m256i seven = _mm256_set1_epi32(7);
+    alignas(32) std::int32_t kept[8 * C + 8];
+    alignas(32) std::int32_t kept_labels[8 * C + 8];
+    std::size_t j = 0;
+    for (int c = 0; c < C; ++c) {
+        const __m256 k = _mm256_sub_ps(q[c], base);
+        const int rest = ni - 8 * c;
+        const unsigned live =
+            rest >= 8 ? 0xffu : rest > 0 ? (1u << rest) - 1u : 0u;
+        const unsigned bits =
+            static_cast<unsigned>(_mm256_movemask_ps(
+                _mm256_cmp_ps(k, vbound, _CMP_LT_OQ))) &
+            live;
+        const __m256i perm = _mm256_and_si256(
+            _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(
+                                  kPackNibblesAvx2.row[bits])),
+                              shifts),
+            seven);
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(kept + j),
+            _mm256_permutevar8x32_epi32(_mm256_cvttps_epi32(k), perm));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(kept_labels + j),
+            _mm256_permutevar8x32_epi32(
+                _mm256_add_epi32(iota, _mm256_set1_epi32(8 * c)), perm));
+        j += static_cast<std::size_t>(std::popcount(bits));
+    }
+    for (std::size_t f = 0; f < j; ++f) {
+        rates[f] = table[kept[f]];
+        labels[f] = static_cast<std::uint32_t>(kept_labels[f]);
+    }
+    return j;
 }
 #endif // RETSIM_SIMD_BACKEND_AVX2
 

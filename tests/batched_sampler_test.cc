@@ -252,18 +252,24 @@ TEST(BatchedSampler, CdfLutMatchesScalar)
             m);
 }
 
+/** Label counts around the SIMD widths the firing-set kernel and the
+ *  race split at: one label, odd tails, whole vectors and past 32. */
+constexpr int kRsuWidths[] = {1, 2, 3, 5, 16, 25, 33};
+
 TEST(BatchedSampler, RsuNewDesignMatchesScalar)
 {
     // Binned time + random tie-break: the order-preserving per-pixel
     // race path.
-    for (int m : {2, 16})
+    for (int m : kRsuWidths)
         expectRsuMatchesLiteral(RsuConfig::newDesign(), m);
 }
 
 TEST(BatchedSampler, RsuPreviousDesignMatchesScalar)
 {
-    // Integer lambda, no scaling, no cut-off, tight truncation.
-    expectRsuMatchesLiteral(RsuConfig::previousDesign(), 16);
+    // Integer lambda, no scaling, no cut-off, tight truncation: every
+    // label fires.
+    for (int m : kRsuWidths)
+        expectRsuMatchesLiteral(RsuConfig::previousDesign(), m);
 }
 
 TEST(BatchedSampler, RsuDeterministicTieBreaksMatchScalar)
@@ -273,7 +279,8 @@ TEST(BatchedSampler, RsuDeterministicTieBreaksMatchScalar)
     for (TieBreak tb : {TieBreak::First, TieBreak::Last}) {
         RsuConfig cfg = RsuConfig::newDesign();
         cfg.tieBreak = tb;
-        expectRsuMatchesLiteral(cfg, 16);
+        for (int m : {1, 5, 16, 33})
+            expectRsuMatchesLiteral(cfg, m);
     }
 }
 
@@ -281,10 +288,27 @@ TEST(BatchedSampler, RsuClampTruncationMatchesScalar)
 {
     RsuConfig cfg = RsuConfig::newDesign();
     cfg.truncationPolicy = TruncationPolicy::ClampToLastBin;
-    expectRsuMatchesLiteral(cfg, 16);
+    for (int m : {1, 5, 16, 33})
+        expectRsuMatchesLiteral(cfg, m);
 
     cfg.tieBreak = TieBreak::First; // clamp + fused race path
     expectRsuMatchesLiteral(cfg, 16);
+
+    // The Fig. 8 corners: the shortest and longest windows at the
+    // lightest and heaviest truncation, under both policies.
+    for (TruncationPolicy policy : {TruncationPolicy::InfiniteTtf,
+                                    TruncationPolicy::ClampToLastBin}) {
+        for (unsigned time_bits : {3u, 8u}) {
+            for (double truncation : {0.01, 0.9}) {
+                RsuConfig corner = RsuConfig::newDesign();
+                corner.truncationPolicy = policy;
+                corner.timeBits = time_bits;
+                corner.truncation = truncation;
+                for (int m : {1, 5, 16})
+                    expectRsuMatchesLiteral(corner, m);
+            }
+        }
+    }
 }
 
 TEST(BatchedSampler, RsuFloatEscapesMatchScalar)

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "apps/stereo.hh"
@@ -241,9 +242,20 @@ TEST(RaceFastPathFloat, CdfInversionMatchesRateRatios)
     rng::Xoshiro256 gen(7);
     std::vector<std::uint64_t> wins(rates.size(), 0);
     const std::size_t kDraws = 1u << 20;
+    // The firing set raceFloat takes: the positive rates in label
+    // order and their labels.
+    std::vector<double> firing;
+    std::vector<std::uint32_t> labels;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        if (rates[i] > 0.0) {
+            firing.push_back(rates[i]);
+            labels.push_back(static_cast<std::uint32_t>(i));
+        }
+    }
     for (std::size_t d = 0; d < kDraws; ++d) {
         const RaceOutcome oc = RaceFastPath::raceFloat(
-            rates.data(), rates.size(), gen.nextDouble());
+            firing.data(), labels.data(), firing.size(),
+            gen.nextDouble());
         ASSERT_GE(oc.winner, 0);
         EXPECT_FALSE(oc.tie);
         EXPECT_EQ(oc.contenders, 3u); // cut-off label excluded
@@ -372,12 +384,18 @@ TEST(RaceTableCache, GeneralLaneCachesItsClassTables)
     const std::uint64_t built = cache.misses();
     EXPECT_GT(built, 0u);
     EXPECT_EQ(cache.size(), built);
+    // Every class-table read of a's row built its table or hit one a
+    // built earlier in the row.
+    const std::uint64_t hits = cache.hits();
+    const std::uint64_t reads = built + hits;
 
     RsuSampler b(cfg);
     b.sampleRow(e, static_cast<int>(m), 4.0, cur, second, g2);
     EXPECT_EQ(second, first);
     EXPECT_EQ(cache.misses(), built);
     EXPECT_EQ(cache.size(), built);
+    // b's row makes the same reads, and every one is a counted hit.
+    EXPECT_EQ(cache.hits() - hits, reads);
 }
 
 TEST(RaceTableCache, BuildFromKeyRoundTripsThroughGet)
@@ -650,6 +668,77 @@ TEST(RaceFastPathDraw, SelectBitAndAliasPickMatchLoopForms)
 }
 
 // ------------------------------------------- one binding per temperature
+
+TEST(RateBinding, FiringBoundIsThePositivePrefix)
+{
+    // Over every rate-table shape the apps' anneals bind, the table's
+    // positive entries form a prefix, and firingBound is its length:
+    // the literal draw's firing test (index < firingBound) keeps
+    // exactly the labels with a positive rate.  Without cut-off a
+    // quantized lambda never reaches zero, so every label fires.
+    struct Anneal
+    {
+        double t0, tEnd;
+    };
+    // defaultDenoisingSolver, defaultMotionSolver,
+    // defaultSegmentationSolver and defaultStereoSolver.
+    const Anneal anneals[] = {{24.0, 0.6}, {40.0, 0.8}, {24.0, 1.0},
+                              {48.0, 0.8}};
+    std::size_t bindings = 0, partial = 0;
+    for (const RsuConfig &preset :
+         {RsuConfig::newDesign(), RsuConfig::previousDesign()}) {
+        for (LambdaQuant lq : {LambdaQuant::Integer, LambdaQuant::Pow2,
+                               LambdaQuant::Float}) {
+            for (bool cutoff : {false, true}) {
+                for (bool scaling : {false, true}) {
+                    for (unsigned bits : {3u, 5u, 8u}) {
+                        RsuConfig cfg = preset;
+                        cfg.lambdaQuant = lq;
+                        cfg.probabilityCutoff = cutoff;
+                        cfg.decayRateScaling = scaling;
+                        cfg.energyBits = bits;
+                        RateBindingCache handle(cfg, false);
+                        for (const Anneal &a : anneals) {
+                            mrf::AnnealingSchedule sched;
+                            sched.t0 = a.t0;
+                            sched.tEnd = a.tEnd;
+                            sched.sweeps = 32;
+                            for (int s = 0; s < sched.sweeps; ++s) {
+                                const double t = sched.temperature(s);
+                                std::optional<LambdaLut> lut;
+                                if (lq != LambdaQuant::Float)
+                                    lut.emplace(cfg, t);
+                                const auto b = handle.bind(
+                                    t, lut ? &*lut : nullptr, nullptr);
+                                const std::vector<double> &table =
+                                    b->rateTable;
+                                std::size_t prefix = 0;
+                                while (prefix < table.size() &&
+                                       table[prefix] > 0.0)
+                                    ++prefix;
+                                ASSERT_EQ(b->firingBound, prefix)
+                                    << cfg.describe() << " T=" << t;
+                                for (std::size_t i = prefix;
+                                     i < table.size(); ++i)
+                                    ASSERT_EQ(table[i], 0.0)
+                                        << cfg.describe() << " T=" << t
+                                        << " entry " << i;
+                                if (!cutoff &&
+                                    lq != LambdaQuant::Float) {
+                                    ASSERT_EQ(prefix, table.size());
+                                }
+                                ++bindings;
+                                partial += prefix < table.size();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(bindings, 2u * 3 * 2 * 2 * 3 * 4 * 32);
+    EXPECT_GT(partial, 0u); // cut-off really shortens some tables
+}
 
 TEST(RateBinding, ClonesShareOneBindingPerTemperature)
 {

@@ -193,7 +193,8 @@ TEST(Vecmath, ExpDrawBinMatchesScalarRestatement)
 {
     rng::Xoshiro256 gen(21);
     for (int trial = 0; trial < 200; ++trial) {
-        const std::size_t n = 1 + gen.nextBounded(40);
+        // The first trials hold a lone contender (the early-out).
+        const std::size_t n = trial < 24 ? 1 : 1 + gen.nextBounded(40);
         const double t_max = 1.0 + static_cast<double>(
                                        gen.nextBounded(64));
         const bool drop = gen.nextBounded(2) != 0;
@@ -286,17 +287,21 @@ TEST(BackendEquivalence, AllKernelsBitIdenticalToScalar)
             std::vector<double> table(256);
             for (std::size_t i = 0; i < table.size(); ++i)
                 table[i] = 1.0 / (1.0 + static_cast<double>(i));
-            k.gatherRates(a1.data(), 0.0, table.data(), a1.data(),
-                          n);
-            ref.gatherRates(a2.data(), 0.0, table.data(), a2.data(),
-                            n);
+            std::vector<std::uint32_t> l1(n), l2(n);
+            const std::size_t fire = k.firingRates(
+                e.data(), 255.0, true, table.data(), 40, n, a1.data(),
+                l1.data());
+            ASSERT_EQ(fire, ref.firingRates(e.data(), 255.0, true,
+                                            table.data(), 40, n,
+                                            a2.data(), l2.data()));
+            a1.resize(fire);
+            a2.resize(fire);
+            l1.resize(fire);
+            l2.resize(fire);
             EXPECT_EQ(a1, a2);
-
-            k.quantizeGatherRates(e.data(), 255.0, true,
-                                  table.data(), a1.data(), n);
-            ref.quantizeGatherRates(e.data(), 255.0, true,
-                                    table.data(), a2.data(), n);
-            EXPECT_EQ(a1, a2);
+            EXPECT_EQ(l1, l2);
+            a1.resize(n);
+            a2.resize(n);
 
             if (n > 0) {
                 EXPECT_EQ(k.argmin(u.data(), n),
@@ -527,6 +532,97 @@ TEST(BackendEquivalence, RowFusedKernelsMatchTheirComposition)
     EXPECT_EQ(f_fused, f_comp);
 }
 
+/** The firingRates contract, restated with branches: quantize with
+ *  util-style clamping, subtract E_min under scaling, keep the labels
+ *  whose index lies below @p bound, and look their rates up. */
+std::size_t
+referenceFiringRates(const std::vector<float> &e, double top,
+                     bool subtract_min, const std::vector<double> &table,
+                     std::size_t bound, std::vector<double> &rates,
+                     std::vector<std::uint32_t> &labels)
+{
+    std::vector<double> q(e.size());
+    double e_min = top;
+    for (std::size_t i = 0; i < e.size(); ++i) {
+        double r = std::nearbyint(static_cast<double>(e[i]));
+        if (!(r > 0.0))
+            r = 0.0; // NaN and negatives
+        if (r > top)
+            r = top;
+        q[i] = r;
+        e_min = std::min(e_min, r);
+    }
+    rates.clear();
+    labels.clear();
+    for (std::size_t i = 0; i < e.size(); ++i) {
+        const auto k = static_cast<std::size_t>(
+            q[i] - (subtract_min ? e_min : 0.0));
+        if (k < bound) {
+            rates.push_back(table[k]);
+            labels.push_back(static_cast<std::uint32_t>(i));
+        }
+    }
+    return rates.size();
+}
+
+TEST(BackendEquivalence, FiringRatesBitIdenticalToScalar)
+{
+    // Every width up to 40 labels (whole vectors, tails and the
+    // one-vector case), energies that quantize below 0, above top, to
+    // NaN and into ties at E_min, with and without decay-rate scaling,
+    // over tables whose positive prefix takes every length from 0 to
+    // the table size.  Every backend, the scalar one included, must
+    // match a branchy restatement exactly, count and values.
+    constexpr double kTop = 31.0;
+    std::vector<double> table(32);
+    for (std::size_t i = 0; i < table.size(); ++i)
+        table[i] = 16.0 / (1.0 + static_cast<double>(i));
+    rng::Xoshiro256 gen(0xf1e);
+    for (std::size_t n = 0; n <= 40; ++n) {
+        std::vector<float> e(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            switch (gen.nextBounded(6)) {
+              case 0: e[i] = -3.5f; break;
+              case 1: e[i] = 40.0f + static_cast<float>(i); break;
+              case 2:
+                e[i] = std::numeric_limits<float>::quiet_NaN();
+                break;
+              case 3: e[i] = 2.0f; break; // ties at E_min
+              default:
+                e[i] = static_cast<float>(gen.nextDouble() * 34.0);
+                break;
+            }
+        }
+        for (bool scale : {false, true}) {
+            for (std::size_t bound = 0; bound <= table.size();
+                 ++bound) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " scale=" << scale
+                             << " bound=" << bound);
+                std::vector<double> want_r;
+                std::vector<std::uint32_t> want_l;
+                const std::size_t want = referenceFiringRates(
+                    e, kTop, scale, table, bound, want_r, want_l);
+                for (simd::Backend b : simd::runnableBackends()) {
+                    SCOPED_TRACE(simd::backendName(b));
+                    const simd::KernelTable &k = simd::kernelsFor(b);
+                    std::vector<double> r(n, -1.0);
+                    std::vector<std::uint32_t> l(n, 999u);
+                    const std::size_t got =
+                        k.firingRates(e.data(), kTop, scale,
+                                      table.data(), bound, n, r.data(),
+                                      l.data());
+                    ASSERT_EQ(got, want);
+                    r.resize(got);
+                    l.resize(got);
+                    EXPECT_EQ(r, want_r);
+                    EXPECT_EQ(l, want_l);
+                }
+            }
+        }
+    }
+}
+
 TEST(BackendEquivalence, RaceDrawsLabelsAndRngStateIdentical)
 {
     // Same races under every backend: identical outcomes AND
@@ -555,6 +651,24 @@ TEST(BackendEquivalence, RaceDrawsLabelsAndRngStateIdentical)
             run.winners.push_back(oc.winner);
             run.bins.push_back(oc.winningBin);
         }
+        // The literal draw from energies: firingRates, then the race
+        // over the firing set, one pixel per sample() call, across
+        // widths and temperatures where cut-off leaves one contender,
+        // several or none.
+        core::RsuSampler sampler(cfg);
+        for (int trial = 0; trial < 256; ++trial) {
+            const std::size_t m = 1 + rate_gen.nextBounded(33);
+            std::vector<float> e(m);
+            for (float &x : e)
+                x = static_cast<float>(rate_gen.nextDouble() * 300.0 -
+                                       20.0);
+            const double temps[] = {40.0, 4.0, 0.7};
+            run.winners.push_back(
+                sampler.sample(e, temps[trial % 3], -1, gen));
+        }
+        run.bins.push_back(
+            static_cast<unsigned>(sampler.noSampleEvents()));
+        run.bins.push_back(static_cast<unsigned>(sampler.tieEvents()));
         run.rng_after = gen.next64();
         return run;
     };
