@@ -340,38 +340,45 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
     return result;
 }
 
-/** Where the sample time goes, one stage at a time: the hot kernels
- *  of the literal and fast-path draws measured in isolation on the
- *  same planes (exp-draw at the sampler's per-pixel burst width; the
- *  e->lambda and race stages together are the literal draw). */
-struct KernelBreakdown
+/** Min over @p reps timed runs of @p fn, after one untimed warm-up,
+ *  in ns per unit of work. */
+template <typename Fn>
+double
+bestNsPerUnit(Fn &&fn, std::size_t units, int reps)
 {
-    double expDrawNsPerDraw = 0.0;      ///< -log(u)/lambda conversion
-    double energyPlaneNsPerLabel = 0.0; ///< conditionalEnergiesRow
-    /** raceFiringSet (binned) over the firing sets e->lambda left. */
-    double raceNsPerPixel = 0.0;
+    fn();
+    double best = 1e300;
+    for (int rep = 0; rep < reps; ++rep)
+        best = std::min(best, cpuSecondsOf(fn));
+    return best * 1e9 / static_cast<double>(units);
+}
+
+/** The literal and fast-path draws' temperature-dependent stages at
+ *  one temperature (the e->lambda and race stages together are the
+ *  literal draw). */
+struct StageTiming
+{
+    double temperature = 0.0;
+    /** Mean firing-set size: the labels e->lambda keeps per pixel. */
+    double firingLabelsPerPixel = 0.0;
     /** firingRates: quantize, E_min, keep the firing labels, read
      *  their rates. */
     double eToLambdaNsPerLabel = 0.0;
+    /** raceFiringSet (binned) over the firing sets e->lambda left. */
+    double raceNsPerPixel = 0.0;
     /** raceEnergiesRow: the fused quantize+classify pass plus the
      *  table-probe + SWAR alias draw. */
     double fastRowNsPerPixel = 0.0;
 };
 
-KernelBreakdown
-timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
-              double temperature, int reps, std::uint64_t seed)
+StageTiming
+timeStages(const PlaneSet &set, double temperature, int reps,
+           std::uint64_t seed)
 {
-    KernelBreakdown bd;
+    StageTiming st;
+    st.temperature = temperature;
     const std::size_t m = static_cast<std::size_t>(set.m);
     const simd::KernelTable &kern = simd::kernels();
-    auto bestOf = [&](auto &&fn, std::size_t units) {
-        fn(); // warm-up, untimed
-        double best = 1e300;
-        for (int rep = 0; rep < reps; ++rep)
-            best = std::min(best, cpuSecondsOf(fn));
-        return best * 1e9 / static_cast<double>(units);
-    };
 
     // The RSU's energy-to-rate table at this temperature, bound as
     // the sampler binds it (its firing bound is what e->lambda keeps).
@@ -385,37 +392,6 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
         core::RateBinding::make(table, {}, nullptr)->firingBound;
     const double top =
         static_cast<double>(util::maxUnsigned(cfg.energyBits));
-
-    // exp-draw, chunked at the per-pixel burst width m.
-    {
-        const std::size_t n = m * 4096;
-        std::vector<double> u(n), rates(n), out(n);
-        rng::Xoshiro256 gen(seed);
-        gen.fillUniformOpenLow(u);
-        for (double &r : rates)
-            r = 0.05 + gen.nextDouble() * 4.0;
-        bd.expDrawNsPerDraw = bestOf(
-            [&] {
-                for (std::size_t off = 0; off < n; off += m)
-                    kern.expDraw(u.data() + off, rates.data() + off,
-                                 out.data() + off, m);
-            },
-            n);
-    }
-
-    // energy-plane: the conditional-energy rows the planes came from.
-    {
-        std::vector<float> plane(
-            static_cast<std::size_t>((problem.width() + 1) / 2) * m);
-        bd.energyPlaneNsPerLabel = bestOf(
-            [&] {
-                for (int color = 0; color < 2; ++color)
-                    for (int y = 0; y < problem.height(); ++y)
-                        problem.conditionalEnergiesRow(
-                            set.labels, y, (y + color) % 2, 2, plane);
-            },
-            set.totalPixels * m);
-    }
 
     // e->lambda: every pixel of every plane to its firing set (pixel
     // p's at offset p*m, its size in firing[p]).
@@ -437,12 +413,19 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
                     label_planes[r].data() + p * m);
         }
     };
-    bd.eToLambdaNsPerLabel = bestOf(convert_all, set.totalPixels * m);
+    st.eToLambdaNsPerLabel =
+        bestNsPerUnit(convert_all, set.totalPixels * m, reps);
+    std::size_t fired = 0;
+    for (const std::vector<std::size_t> &row : firing)
+        for (std::size_t f : row)
+            fired += f;
+    st.firingLabelsPerPixel = static_cast<double>(fired) /
+                              static_cast<double>(set.totalPixels);
 
     // race: the binned TTF race of every pixel's firing set.
     {
         core::RaceRowScratch scratch;
-        bd.raceNsPerPixel = bestOf(
+        st.raceNsPerPixel = bestNsPerUnit(
             [&] {
                 rng::Xoshiro256 gen(seed + 1);
                 for (std::size_t r = 0; r < firing.size(); ++r)
@@ -452,7 +435,7 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
                             label_planes[r].data() + p * m,
                             firing[r][p], cfg, gen, scratch);
             },
-            set.totalPixels);
+            set.totalPixels, reps);
     }
 
     // The fast path's binned row entry over every plane.
@@ -463,7 +446,7 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
         rng::Xoshiro256 gen(seed + 2);
         std::vector<double> u;
         std::vector<core::RaceOutcome> outcomes;
-        bd.fastRowNsPerPixel = bestOf(
+        st.fastRowNsPerPixel = bestNsPerUnit(
             [&] {
                 for (const std::vector<float> &plane : set.energies) {
                     const std::size_t n = plane.size() / m;
@@ -475,8 +458,64 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
                                          u.data(), outcomes.data());
                 }
             },
-            set.totalPixels);
+            set.totalPixels, reps);
     }
+    return st;
+}
+
+/** Where the sample time goes, one stage at a time: the hot kernels
+ *  of the literal and fast-path draws measured in isolation on the
+ *  same planes (exp-draw at the sampler's per-pixel burst width), the
+ *  temperature-dependent ones once per temperature. */
+struct KernelBreakdown
+{
+    double expDrawNsPerDraw = 0.0;      ///< -log(u)/lambda conversion
+    double energyPlaneNsPerLabel = 0.0; ///< conditionalEnergiesRow
+    std::vector<StageTiming> stages;    ///< one per temperature
+};
+
+KernelBreakdown
+timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
+              const std::vector<double> &temperatures, int reps,
+              std::uint64_t seed)
+{
+    KernelBreakdown bd;
+    const std::size_t m = static_cast<std::size_t>(set.m);
+    const simd::KernelTable &kern = simd::kernels();
+
+    // exp-draw, chunked at the per-pixel burst width m.
+    {
+        const std::size_t n = m * 4096;
+        std::vector<double> u(n), rates(n), out(n);
+        rng::Xoshiro256 gen(seed);
+        gen.fillUniformOpenLow(u);
+        for (double &r : rates)
+            r = 0.05 + gen.nextDouble() * 4.0;
+        bd.expDrawNsPerDraw = bestNsPerUnit(
+            [&] {
+                for (std::size_t off = 0; off < n; off += m)
+                    kern.expDraw(u.data() + off, rates.data() + off,
+                                 out.data() + off, m);
+            },
+            n, reps);
+    }
+
+    // energy-plane: the conditional-energy rows the planes came from.
+    {
+        std::vector<float> plane(
+            static_cast<std::size_t>((problem.width() + 1) / 2) * m);
+        bd.energyPlaneNsPerLabel = bestNsPerUnit(
+            [&] {
+                for (int color = 0; color < 2; ++color)
+                    for (int y = 0; y < problem.height(); ++y)
+                        problem.conditionalEnergiesRow(
+                            set.labels, y, (y + color) % 2, 2, plane);
+            },
+            set.totalPixels * m, reps);
+    }
+
+    for (double temperature : temperatures)
+        bd.stages.push_back(timeStages(set, temperature, reps, seed));
     return bd;
 }
 
@@ -636,28 +675,40 @@ main(int argc, char **argv)
         std::fprintf(f, "}");
         first = false;
     }
-    KernelBreakdown bd = timeBreakdown(problem, planes,
-                                       schedule.front(), reps, seed);
-    std::printf("\nper-kernel breakdown (rsu-new-design stages at "
-                "t0 = %g):\n"
+    // The literal draw's stages at both ends of the schedule: at t0
+    // cut-off keeps nearly every label, at t_end most pixels race one
+    // or two.
+    KernelBreakdown bd =
+        timeBreakdown(problem, planes, {t0, t_end}, reps, seed);
+    std::printf("\nper-kernel breakdown (rsu-new-design stages):\n"
                 "  exp-draw %6.2f ns/draw   energy-plane %6.2f "
-                "ns/label   race %6.2f ns/pixel   e->lambda %6.2f "
-                "ns/label\n"
-                "  fastpath row %6.2f ns/pixel\n",
-                schedule.front(), bd.expDrawNsPerDraw,
-                bd.energyPlaneNsPerLabel, bd.raceNsPerPixel,
-                bd.eToLambdaNsPerLabel, bd.fastRowNsPerPixel);
+                "ns/label\n",
+                bd.expDrawNsPerDraw, bd.energyPlaneNsPerLabel);
     std::fprintf(f,
                  "\n  ],\n  \"kernel_breakdown\": {\n"
                  "    \"exp_draw_ns_per_draw\": %.2f,\n"
                  "    \"energy_plane_ns_per_label\": %.2f,\n"
-                 "    \"race_ns_per_pixel\": %.2f,\n"
-                 "    \"e_to_lambda_ns_per_label\": %.2f,\n"
-                 "    \"fastpath_row_ns_per_pixel\": %.2f\n"
-                 "  }\n}\n",
-                 bd.expDrawNsPerDraw, bd.energyPlaneNsPerLabel,
-                 bd.raceNsPerPixel, bd.eToLambdaNsPerLabel,
-                 bd.fastRowNsPerPixel);
+                 "    \"temperatures\": [",
+                 bd.expDrawNsPerDraw, bd.energyPlaneNsPerLabel);
+    for (std::size_t i = 0; i < bd.stages.size(); ++i) {
+        const StageTiming &st = bd.stages[i];
+        std::printf("  T = %-5g firing %5.2f labels/pixel   e->lambda "
+                    "%6.2f ns/label   race %6.2f ns/pixel   fastpath "
+                    "row %6.2f ns/pixel\n",
+                    st.temperature, st.firingLabelsPerPixel,
+                    st.eToLambdaNsPerLabel, st.raceNsPerPixel,
+                    st.fastRowNsPerPixel);
+        std::fprintf(f,
+                     "%s\n      {\"temperature\": %g, "
+                     "\"firing_labels_per_pixel\": %.2f, "
+                     "\"e_to_lambda_ns_per_label\": %.2f, "
+                     "\"race_ns_per_pixel\": %.2f, "
+                     "\"fastpath_row_ns_per_pixel\": %.2f}",
+                     i == 0 ? "" : ",", st.temperature,
+                     st.firingLabelsPerPixel, st.eToLambdaNsPerLabel,
+                     st.raceNsPerPixel, st.fastRowNsPerPixel);
+    }
+    std::fprintf(f, "\n    ]\n  }\n}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());
     return all_match ? 0 : 1;

@@ -60,6 +60,7 @@
 #include "apps/denoising.hh"
 #include "apps/stereo.hh"
 #include "bench_common.hh"
+#include "core/race_cli.hh"
 #include "core/race_fastpath.hh"
 #include "core/sampler_cdf.hh"
 #include "core/sampler_rsu.hh"
@@ -252,7 +253,9 @@ main(int argc, char **argv)
     const std::string out =
         args.getString("out", "BENCH_solver_scaling.json");
     const std::string sampler_arg = args.getString("sampler", "");
-    const std::string race_arg = args.getString("race-mode", "auto");
+    const core::RaceMode race_mode =
+        core::raceModeFromCli(args, core::RaceMode::Auto);
+    const std::string race_name = core::toString(race_mode);
     const bool energy_cache = args.getBool("energy-cache", true);
     // --shards=N (with --shard-transport=loopback|socket) appends a
     // multi-shard run per workload so sharded throughput lands in the
@@ -262,15 +265,6 @@ main(int argc, char **argv)
     const int hw = bench::availableCpus();
     const char *backend =
         simd::backendName(simd::backendFromCli(args));
-
-    core::RaceMode race_mode = core::RaceMode::Auto;
-    if (race_arg == "race")
-        race_mode = core::RaceMode::Race;
-    else if (race_arg == "fastpath")
-        race_mode = core::RaceMode::FastPath;
-    else if (race_arg != "auto")
-        RETSIM_FATAL("unknown --race-mode=", race_arg,
-                     " (race|fastpath|auto)");
 
     auto named_factory =
         [&](const std::string &name) -> bench::SamplerFactory {
@@ -356,7 +350,7 @@ main(int argc, char **argv)
     if (!sampler_arg.empty()) {
         // Explicit sampler: run the two standard workloads with it.
         const char *rm =
-            sampler_arg == "rsu" ? race_arg.c_str() : "n/a";
+            sampler_arg == "rsu" ? race_name.c_str() : "n/a";
         workloads.push_back({"denoising", &denoise, dcfg,
                              named_factory(sampler_arg),
                              sampler_arg.c_str(), rm});

@@ -1,7 +1,5 @@
 #include "core/sampler_cdf.hh"
 
-#include <algorithm>
-
 #include "simd/kernels.hh"
 #include "util/logging.hh"
 
@@ -34,31 +32,17 @@ CdfLutSampler::sample(std::span<const float> energies,
                   " exceeds CDF LUT capacity ", maxLabels_);
     RETSIM_ASSERT(temperature > 0.0, "temperature must be positive");
 
-    float e_min = energies[0];
-    for (float e : energies)
-        e_min = std::min(e_min, e);
-
     // Build the cumulative table the hardware would store, then
-    // invert it with one uniform draw from the device under study.
-    // Weights come from the dispatched vecmath kernel (bit-identical
-    // to sampleRow()); the running sum keeps the scalar order.
-    cdf_.resize(energies.size());
-    simd::kernels().expWeights(energies.data(),
-                               static_cast<double>(e_min), temperature,
-                               cdf_.data(), energies.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < energies.size(); ++i) {
-        acc += cdf_[i];
-        cdf_[i] = acc;
-    }
-
+    // invert it with one uniform draw from the device under study —
+    // sampleRow()'s weight kernel, prefix sum and inversion on a
+    // one-pixel row, so scalar and batched draws are bit-identical.
+    const std::size_t m = energies.size();
+    cdf_.resize(m);
+    simd::kernels().gibbsWeightsRow(energies.data(), 1, m, temperature,
+                                    cdf_.data());
+    prefixSum(cdf_.data(), m);
     ++samples_;
-    double u = source_->nextDouble() * acc;
-    for (std::size_t i = 0; i < cdf_.size(); ++i) {
-        if (u < cdf_[i])
-            return static_cast<int>(i);
-    }
-    return static_cast<int>(cdf_.size()) - 1;
+    return invertPrefixed(cdf_.data(), m, source_->nextDouble());
 }
 
 void
@@ -86,9 +70,9 @@ CdfLutSampler::sampleRow(std::span<const float> energies,
     source_->fillUniform(uniforms_);
 
     samples_ += n;
-    // Whole-row weights in one fused kernel call (bit-identical to
-    // per-pixel expWeights — the exp core is lane/width invariant),
-    // then the scalar prefix-sum + inversion per pixel.
+    // Whole-row weights in one kernel call (bit-identical to n
+    // one-pixel calls — the exp core is lane/width invariant), then
+    // the scalar prefix-sum + inversion per pixel.
     cdf_.resize(n * m);
     simd::kernels().gibbsWeightsRow(energies.data(), n, m,
                                     temperature, cdf_.data());

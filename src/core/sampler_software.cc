@@ -1,7 +1,5 @@
 #include "core/sampler_software.hh"
 
-#include <algorithm>
-
 #include "rng/distributions.hh"
 #include "simd/kernels.hh"
 #include "util/logging.hh"
@@ -17,17 +15,11 @@ SoftwareSampler::sample(std::span<const float> energies,
     RETSIM_ASSERT(!energies.empty(), "no labels to sample");
     RETSIM_ASSERT(temperature > 0.0, "temperature must be positive");
 
-    float e_min = energies[0];
-    for (float e : energies)
-        e_min = std::min(e_min, e);
-
-    // exp((e_min - e_i)/T) through the dispatched vecmath kernel —
-    // the same kernel sampleRow() uses, so scalar and batched weights
-    // are bit-identical.
+    // exp((e_min - e_i)/T) through sampleRow()'s weight kernel as a
+    // one-pixel row, so scalar and batched weights are bit-identical.
     weights_.resize(energies.size());
-    simd::kernels().expWeights(energies.data(),
-                               static_cast<double>(e_min), temperature,
-                               weights_.data(), energies.size());
+    simd::kernels().gibbsWeightsRow(energies.data(), 1, energies.size(),
+                                    temperature, weights_.data());
     ++samples_;
     return static_cast<int>(rng::sampleCategorical(gen, weights_));
 }
@@ -56,10 +48,10 @@ SoftwareSampler::sampleRow(std::span<const float> energies,
     gen.fillUniform(uniforms_);
 
     samples_ += n;
-    // Whole-row Boltzmann weights in one fused kernel call: per-pixel
-    // min scan, staged (e_min - e)/T quotients, then one batched exp
-    // over all n*m entries — bit-identical to per-pixel expWeights
-    // (the exp core is lane/width invariant), ~4x fewer dispatches.
+    // Whole-row Boltzmann weights in one kernel call: per-pixel min
+    // scan, staged (e_min - e)/T quotients, then one batched exp over
+    // all n*m entries — bit-identical to n one-pixel calls (the exp
+    // core is lane/width invariant), ~4x fewer dispatches.
     weights_.resize(n * m);
     simd::kernels().gibbsWeightsRow(energies.data(), n, m,
                                     temperature, weights_.data());

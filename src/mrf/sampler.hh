@@ -80,10 +80,9 @@ class LabelSampler
      * any internal entropy source) in exactly the per-pixel, per-label
      * order of that scalar loop, and leave the generator in the same
      * state, so batched and scalar execution produce bit-identical
-     * label chains for a fixed seed.  The default implementation is
-     * that scalar loop; SoftwareSampler, CdfLutSampler and RsuSampler
-     * override it with fused kernels (bulk uniform draws, shared
-     * conversion tables, no per-pixel virtual dispatch).
+     * label chains for a fixed seed.  SoftwareSampler, CdfLutSampler
+     * and RsuSampler meet it with fused row kernels (bulk uniform
+     * draws, shared conversion tables, no per-pixel virtual dispatch).
      *
      * @param energies Pixel-major conditional energies: entry
      *        i * numLabels + j is label j of pixel i.  Size must be
@@ -97,7 +96,7 @@ class LabelSampler
     virtual void sampleRow(std::span<const float> energies,
                            int numLabels, double temperature,
                            std::span<const int> current,
-                           std::span<int> out, rng::Rng &gen);
+                           std::span<int> out, rng::Rng &gen) = 0;
 
     /** Unused by the library; kept only for perfbench's TracingSampler. */
     virtual std::size_t

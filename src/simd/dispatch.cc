@@ -4,12 +4,13 @@
  * Resolution order for the active backend:
  *   1. the last setBackend() call (CLI --simd= flags end up here),
  *   2. the RETSIM_SIMD environment variable,
- *   3. runtime CPU feature detection over the compiled-in backends,
+ *   3. runtime CPU feature detection: AVX2 when it is compiled in
+ *      (x86-64 with RETSIM_SIMD=ON) and the CPU has it,
  *   4. the scalar fallback.
- * A request that cannot be honored (backend not compiled in, or the
- * CPU lacks the ISA) logs a warning to stderr and falls back — it
- * never aborts, because every backend computes identical results and
- * degrading to scalar is always safe.
+ * Accepted specs: off|scalar|avx2|auto.  A request that cannot be
+ * honored (AVX2 not compiled in, or the CPU lacks it) logs a warning
+ * to stderr and falls back — it never aborts, because both backends
+ * compute identical results and degrading to scalar is always safe.
  */
 
 #include <atomic>
@@ -24,60 +25,20 @@ namespace simd {
 
 namespace {
 
-bool
-cpuSupports(Backend b)
-{
-    switch (b) {
-    case Backend::Scalar:
-        return true;
-    case Backend::Sse42:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("sse4.2") != 0;
-#else
-        return false;
-#endif
-    case Backend::Avx2:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-    case Backend::Neon:
-#if defined(__aarch64__)
-        return true; // AdvSIMD is AArch64 baseline.
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
+/** The table of @p b if it is compiled in and this CPU can run it,
+ *  else null. */
 const KernelTable *
 tableIfRunnable(Backend b)
 {
-    if (!cpuSupports(b))
-        return nullptr;
     switch (b) {
     case Backend::Scalar:
         return &detail::tableScalar();
-    case Backend::Sse42:
-#if defined(RETSIM_SIMD_HAVE_SSE42)
-        return &detail::tableSse42();
-#else
-        return nullptr;
-#endif
     case Backend::Avx2:
 #if defined(RETSIM_SIMD_HAVE_AVX2)
-        return &detail::tableAvx2();
-#else
-        return nullptr;
+        if (__builtin_cpu_supports("avx2") != 0)
+            return &detail::tableAvx2();
 #endif
-    case Backend::Neon:
-#if defined(RETSIM_SIMD_HAVE_NEON)
-        return &detail::tableNeon();
-#else
         return nullptr;
-#endif
     }
     return nullptr;
 }
@@ -85,12 +46,8 @@ tableIfRunnable(Backend b)
 const KernelTable &
 bestTable()
 {
-    // Widest first; tableIfRunnable() filters both compile-time
-    // availability and CPU support.
-    for (Backend b : {Backend::Avx2, Backend::Neon, Backend::Sse42}) {
-        if (const KernelTable *t = tableIfRunnable(b))
-            return *t;
-    }
+    if (const KernelTable *t = tableIfRunnable(Backend::Avx2))
+        return *t;
     return detail::tableScalar();
 }
 
@@ -105,12 +62,8 @@ resolveSpec(const char *spec)
     if (std::strcmp(spec, "off") == 0 ||
         std::strcmp(spec, "scalar") == 0)
         want = Backend::Scalar;
-    else if (std::strcmp(spec, "sse42") == 0)
-        want = Backend::Sse42;
     else if (std::strcmp(spec, "avx2") == 0)
         want = Backend::Avx2;
-    else if (std::strcmp(spec, "neon") == 0)
-        want = Backend::Neon;
     else
         return nullptr;
     if (const KernelTable *t = tableIfRunnable(want))
@@ -133,7 +86,7 @@ initialTable()
             return *t;
         std::fprintf(stderr,
                      "retsim: ignoring unrecognized RETSIM_SIMD='%s' "
-                     "(want off|scalar|sse42|avx2|neon|auto)\n",
+                     "(want off|scalar|avx2|auto)\n",
                      env);
     }
     return bestTable();
@@ -166,12 +119,8 @@ backendName(Backend b)
     switch (b) {
     case Backend::Scalar:
         return "scalar";
-    case Backend::Sse42:
-        return "sse42";
     case Backend::Avx2:
         return "avx2";
-    case Backend::Neon:
-        return "neon";
     }
     return "unknown";
 }
@@ -183,7 +132,7 @@ setBackend(const std::string &spec)
     if (t == nullptr) {
         std::fprintf(stderr,
                      "retsim: ignoring unrecognized SIMD backend "
-                     "'%s' (want off|scalar|sse42|avx2|neon|auto)\n",
+                     "'%s' (want off|scalar|avx2|auto)\n",
                      spec.c_str());
         t = &kernels();
     }
@@ -195,10 +144,8 @@ std::vector<Backend>
 runnableBackends()
 {
     std::vector<Backend> out{Backend::Scalar};
-    for (Backend b : {Backend::Sse42, Backend::Avx2, Backend::Neon}) {
-        if (tableIfRunnable(b) != nullptr)
-            out.push_back(b);
-    }
+    if (tableIfRunnable(Backend::Avx2) != nullptr)
+        out.push_back(Backend::Avx2);
     return out;
 }
 

@@ -5,19 +5,20 @@
  * The rest of the repo never touches vec.hh/vecmath.hh directly; it
  * calls the dispatched batch kernels through `kernels()` and the
  * scalar transcendentals `slog`/`sexp`.  Both route into the same
- * templated vecmath cores, so a scalar `slog(u)` and lane 3 of a
- * dispatched `logBatch` are bit-identical — that equivalence is what
+ * templated vecmath cores, so a scalar `sexp(x)` and lane 3 of a
+ * dispatched `expBatch` are bit-identical — that equivalence is what
  * lets the batched row samplers reproduce the per-pixel scalar
  * samplers byte for byte regardless of the active backend.
  *
- * Dispatch: `activeBackend()` is resolved once on first use from (in
- * priority order) a `setBackend()` override, the `RETSIM_SIMD`
- * environment variable (`off|scalar|sse42|avx2|neon|auto`), and
- * runtime CPU feature detection, falling back to the scalar backend.
- * Backends not compiled in (CMake `RETSIM_SIMD=OFF`, or a foreign
- * ISA) are never selected; requesting one explicitly falls back to
- * scalar with a warning, and an unrecognized spec is ignored with a
- * warning.  `kernelsFor()` exposes every compiled backend so the
+ * Two backends: the scalar reference, built everywhere, and AVX2,
+ * built on x86-64 unless CMake `RETSIM_SIMD=OFF`.  Dispatch:
+ * `activeBackend()` is resolved once on first use from (in priority
+ * order) a `setBackend()` override, the `RETSIM_SIMD` environment
+ * variable (`off|scalar|avx2|auto`), and runtime CPU feature
+ * detection, falling back to the scalar backend.  A backend not
+ * compiled in is never selected; requesting it explicitly falls back
+ * to scalar with a warning, and an unrecognized spec is ignored with
+ * a warning.  `kernelsFor()` exposes every compiled backend so the
  * equivalence tests can compare them without re-execing.
  */
 
@@ -34,9 +35,7 @@ namespace simd {
 
 enum class Backend {
     Scalar,
-    Sse42,
     Avx2,
-    Neon,
 };
 
 /** Result of the binned-race reduction over one pixel's TTFs.  All
@@ -57,8 +56,6 @@ struct KernelTable
     Backend backend;
     const char *name;
 
-    /** out[i] = log(x[i]) (retsim vecmath, not libm). */
-    void (*logBatch)(const double *x, double *out, std::size_t n);
     /** out[i] = exp(x[i]) (retsim vecmath, not libm). */
     void (*expBatch)(const double *x, double *out, std::size_t n);
     /** out[i] = -log(u[i]) / rates[i]: exponential TTF draws.
@@ -66,10 +63,6 @@ struct KernelTable
      *  loaded before its result is stored. */
     void (*expDraw)(const double *u, const double *rates, double *out,
                     std::size_t n);
-    /** out[i] = exp((e_min - e[i]) / temperature), float energies
-     *  widened to double: Gibbs weight rows. */
-    void (*expWeights)(const float *e, double e_min,
-                       double temperature, double *out, std::size_t n);
     /** out[i] = s[i]+a[i]+b[i]+c[i]+d[i], fixed association order:
      *  conditional-energy plane accumulation. */
     void (*addRows5)(const float *s, const float *a, const float *b,
@@ -137,11 +130,12 @@ struct KernelTable
                         const std::uint8_t *down,
                         std::size_t idx_step, std::size_t count,
                         float *out);
-    /** Fused Gibbs weight plane over a row of pixels: w[p*m+i] =
-     *  exp((min_j e[p*m+j] - e[p*m+i]) / T), the per-pixel float-min
-     *  scan + expWeights composition staged so one long vexp batch
-     *  covers the whole n*m plane.  Bit-identical to n expWeights
-     *  calls (vexp is lane/width invariant). */
+    /** Gibbs weight plane over a row of pixels: w[p*m+i] =
+     *  exp((min_j e[p*m+j] - e[p*m+i]) / T), float energies widened
+     *  to double.  Per pixel a float-min scan and the staged
+     *  (e_min - e) / T quotients, then one long vexp batch over the
+     *  whole n*m plane; vexp is lane/width invariant, so any n gives
+     *  every pixel the same weights (n = 1 is the per-pixel draw). */
     void (*gibbsWeightsRow)(const float *e, std::size_t n,
                             std::size_t m, double temperature,
                             double *w);
@@ -153,7 +147,7 @@ const KernelTable &kernels();
 /** Currently active backend. */
 Backend activeBackend();
 
-/** Human-readable name of a backend ("scalar", "sse42", ...). */
+/** Human-readable name of a backend ("scalar" or "avx2"). */
 const char *backendName(Backend b);
 
 /**
@@ -161,9 +155,8 @@ const char *backendName(Backend b);
  * backend that is not compiled in or cannot run falls back to scalar;
  * an unrecognized spec is ignored with a warning and the active
  * backend stays.  Returns the backend actually selected.  Accepts the
- * same spellings as the RETSIM_SIMD env var:
- * off|scalar|sse42|avx2|neon|auto.  Not thread-safe against
- * concurrent kernel use; call it at startup.
+ * same spellings as the RETSIM_SIMD env var: off|scalar|avx2|auto.
+ * Not thread-safe against concurrent kernel use; call it at startup.
  */
 Backend setBackend(const std::string &spec);
 

@@ -14,12 +14,6 @@ namespace simd {
 namespace {
 
 void
-logBatch(const double *x, double *out, std::size_t n)
-{
-    detail::logBatchT<VAvx2>(x, out, n);
-}
-
-void
 expBatch(const double *x, double *out, std::size_t n)
 {
     detail::expBatchT<VAvx2>(x, out, n);
@@ -30,13 +24,6 @@ expDraw(const double *u, const double *rates, double *out,
         std::size_t n)
 {
     detail::expDrawT<VAvx2>(u, rates, out, n);
-}
-
-void
-expWeights(const float *e, double e_min, double temperature,
-           double *out, std::size_t n)
-{
-    detail::expWeightsT<VAvx2>(e, e_min, temperature, out, n);
 }
 
 void
@@ -51,7 +38,6 @@ argmin(const double *t, std::size_t n)
 {
     return detail::argminT<VAvx2>(t, n);
 }
-
 
 double
 quantizeEnergies(const float *e, double top, double *q, std::size_t n)
@@ -91,7 +77,6 @@ firingRates(const float *e, double top, bool subtract_min,
     return detail::firingRatesT<VAvx2>(e, top, subtract_min, table,
                                        bound, n, rates, labels);
 }
-
 
 void
 quantizeClassifyRow(const float *e, double top, bool subtract_min,
@@ -139,12 +124,11 @@ namespace detail {
 const KernelTable &
 tableAvx2()
 {
-    static const KernelTable t{Backend::Avx2, "avx2",    logBatch,
-                               expBatch,      expDraw,   expWeights,
-                               addRows5,      argmin,      quantizeEnergies,      expDrawBin,
-                               firingRates,
-                               quantizeClassifyRow,
-                               energyRunU8,   gibbsWeightsRow};
+    static const KernelTable t{Backend::Avx2, "avx2",
+                               expBatch, expDraw, addRows5, argmin,
+                               quantizeEnergies, expDrawBin,
+                               firingRates, quantizeClassifyRow,
+                               energyRunU8, gibbsWeightsRow};
     return t;
 }
 

@@ -1,6 +1,6 @@
 /**
  * Scalar-backend kernel table and the scalar transcendental entry
- * points (slog/sexp).  This TU is the portable reference every vector
+ * points (slog/sexp).  This TU is the portable reference the AVX2
  * backend must match bit for bit; it is compiled with
  * -ffp-contract=off so the plain C++ expressions of VScalar cannot be
  * contracted into FMAs (see src/simd/CMakeLists.txt).
@@ -13,12 +13,6 @@ namespace retsim {
 namespace simd {
 
 namespace {
-
-void
-logBatch(const double *x, double *out, std::size_t n)
-{
-    detail::logBatchT<VScalar>(x, out, n);
-}
 
 void
 expBatch(const double *x, double *out, std::size_t n)
@@ -34,13 +28,6 @@ expDraw(const double *u, const double *rates, double *out,
 }
 
 void
-expWeights(const float *e, double e_min, double temperature,
-           double *out, std::size_t n)
-{
-    detail::expWeightsT<VScalar>(e, e_min, temperature, out, n);
-}
-
-void
 addRows5(const float *s, const float *a, const float *b,
          const float *c, const float *d, float *out, std::size_t n)
 {
@@ -52,7 +39,6 @@ argmin(const double *t, std::size_t n)
 {
     return detail::argminT<VScalar>(t, n);
 }
-
 
 double
 quantizeEnergies(const float *e, double top, double *q, std::size_t n)
@@ -76,7 +62,6 @@ firingRates(const float *e, double top, bool subtract_min,
     return detail::firingRatesT<VScalar>(e, top, subtract_min, table,
                                          bound, n, rates, labels);
 }
-
 
 void
 quantizeClassifyRow(const float *e, double top, bool subtract_min,
@@ -114,12 +99,11 @@ namespace detail {
 const KernelTable &
 tableScalar()
 {
-    static const KernelTable t{Backend::Scalar, "scalar",  logBatch,
-                               expBatch,        expDraw,   expWeights,
-                               addRows5,        argmin,        quantizeEnergies,        expDrawBin,
-                               firingRates,
-                               quantizeClassifyRow,
-                               energyRunU8,   gibbsWeightsRow};
+    static const KernelTable t{Backend::Scalar, "scalar",
+                               expBatch, expDraw, addRows5, argmin,
+                               quantizeEnergies, expDrawBin,
+                               firingRates, quantizeClassifyRow,
+                               energyRunU8, gibbsWeightsRow};
     return t;
 }
 

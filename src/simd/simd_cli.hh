@@ -1,8 +1,8 @@
 /**
  * @file
  * Glue between util::CliArgs and the SIMD dispatcher: the
- * `--simd=off|scalar|sse42|avx2|neon|auto` override flag for debugging
- * dispatch issues.  Header-only so simd does not link retsim_util —
+ * `--simd=off|scalar|avx2|auto` override flag for debugging dispatch
+ * issues.  Header-only so simd does not link retsim_util —
  * the caller already does.  Usage:
  *
  *     util::CliArgs args(argc, argv);

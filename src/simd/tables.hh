@@ -1,9 +1,9 @@
 /**
  * @file
  * Internal cross-TU table accessors for the SIMD layer.  Each backend
- * TU (kernels_<backend>.cc) defines its accessor; dispatch.cc picks
- * among the ones compiled in (RETSIM_SIMD_HAVE_* target macros, set
- * by src/simd/CMakeLists.txt alongside the per-file ISA flags).
+ * TU (kernels_<backend>.cc) defines its accessor; dispatch.cc sees
+ * tableAvx2() only when RETSIM_SIMD_HAVE_AVX2 is set (by
+ * src/simd/CMakeLists.txt alongside the file's ISA flag).
  * Not installed; include only from src/simd.
  */
 
@@ -17,14 +17,8 @@ namespace simd {
 namespace detail {
 
 const KernelTable &tableScalar();
-#if defined(RETSIM_SIMD_HAVE_SSE42)
-const KernelTable &tableSse42();
-#endif
 #if defined(RETSIM_SIMD_HAVE_AVX2)
 const KernelTable &tableAvx2();
-#endif
-#if defined(RETSIM_SIMD_HAVE_NEON)
-const KernelTable &tableNeon();
 #endif
 
 } // namespace detail

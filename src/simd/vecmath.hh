@@ -343,7 +343,9 @@ vlogNormalCore(typename V::vd x, typename V::vd k_bias)
  * log(x), table-driven, branch-free, division-free: the production
  * vlog.  All lanes run the full vlogNormalCore pipeline; denormal
  * lanes are rescaled in and out-of-domain lanes patched by selects
- * at the end, exactly like the fdlibm core.
+ * at the end, exactly like the fdlibm core.  Its one instantiation
+ * is the scalar slog(); the draw kernels, whose uniforms are normal
+ * and positive, go through vlogNormalCore directly.
  */
 template <typename V>
 inline typename V::vd
@@ -443,21 +445,9 @@ vexpCore(typename V::vd x)
 // ------------------------------------------------------------------
 // Templated batch-kernel bodies.  Main loop at the backend's width,
 // tail at one lane through the SAME backend-templated core (a 1-lane
-// call of vlogCore<VScalar> is the identical operation sequence, so
+// call of vexpCore<VScalar> is the identical operation sequence, so
 // tails are bit-identical to full vectors).
 // ------------------------------------------------------------------
-
-template <typename V>
-inline void
-logBatchT(const double *x, double *out, std::size_t n)
-{
-    constexpr std::size_t w = V::kWidth;
-    std::size_t i = 0;
-    for (; i + w <= n; i += w)
-        V::store(out + i, vlogCore<V>(V::load(x + i)));
-    for (; i < n; ++i)
-        out[i] = vlogCore<VScalar>(x[i]);
-}
 
 template <typename V>
 inline void
@@ -493,25 +483,6 @@ expDrawT(const double *u, const double *rates, double *out,
                         V::load(rates + i)));
     for (; i < n; ++i)
         out[i] = -vlogNormalCore<VScalar>(u[i], 0.0) / rates[i];
-}
-
-/** w[i] = exp((e_min - e[i]) / temperature), e widened to double. */
-template <typename V>
-inline void
-expWeightsT(const float *e, double e_min, double temperature,
-            double *out, std::size_t n)
-{
-    constexpr std::size_t w = V::kWidth;
-    typename V::vd vmin = V::set1(e_min);
-    typename V::vd vt = V::set1(temperature);
-    std::size_t i = 0;
-    for (; i + w <= n; i += w)
-        V::store(out + i,
-                 vexpCore<V>(V::div(
-                     V::sub(vmin, V::loadFtoD(e + i)), vt)));
-    for (; i < n; ++i)
-        out[i] = vexpCore<VScalar>(
-            (e_min - static_cast<double>(e[i])) / temperature);
 }
 
 /** out[i] = s[i] + a[i] + b[i] + c[i] + d[i], float lanes, fixed
@@ -800,10 +771,10 @@ expDrawBinT(const double *u, const double *rates, std::size_t n,
  * kept label gets rates[j] = table[k] and labels[j] = i; returns how
  * many were kept.  The left-pack is one branch-free lane-at-a-time
  * pass (each index is stored at the running count, which only a
- * firing label advances; on the two-lane backends it measured as fast
- * as a vector left-pack by the compare mask), and only the kept
- * labels' table entries are read.  Every stored value is selected,
- * never computed, so all backends agree bit for bit.
+ * firing label advances), and only the kept labels' table entries
+ * are read.  AVX2 serves up to 32 labels from firingRatesAvx2 below
+ * and falls back to this form past that.  Every stored value is
+ * selected, never computed, so both backends agree bit for bit.
  */
 template <typename V>
 inline std::size_t
@@ -898,16 +869,16 @@ energyRunU8T(const float *s, std::size_t s_step, const float *pair,
 }
 
 /**
- * Fused Gibbs weight plane over a row of pixels: for each pixel p,
- * w[p*m + i] = exp((min_j e[p*m + j] - e[p*m + i]) / temperature) —
- * exactly the per-pixel float-min scan + expWeights composition the
- * scalar SoftwareSampler runs, but with every pixel's exp arguments
- * staged first and one long vexp batch over the whole n*m plane, so
- * short per-pixel bursts (m = 16) become one dispatch that keeps the
- * vector pipeline busy.  Bit-identical to n expWeightsT calls: the
- * argument staging is the same (e_min - e[i]) / T operation sequence,
- * and vexpCore is lane/width invariant, so chunking the plane
- * differently cannot change any lane.
+ * Gibbs weight plane over a row of pixels: for each pixel p,
+ * w[p*m + i] = exp((min_j e[p*m + j] - e[p*m + i]) / temperature).
+ * Every pixel's float-min scan and (e_min - e[i]) / T quotients are
+ * staged first, then one long vexp batch covers the whole n*m plane,
+ * so short per-pixel bursts (m = 16) become one dispatch that keeps
+ * the vector pipeline busy.  vexpCore is lane/width invariant, so
+ * chunking the plane differently cannot change any lane: a pixel's
+ * weights are the same bits whatever n it is batched with, which is
+ * what lets the samplers' per-pixel draw (n = 1) and row draw share
+ * this one kernel.
  */
 template <typename V>
 inline void

@@ -7,8 +7,8 @@
  * the scalar fallback and every backend compiled into this binary
  * (and runnable on this CPU) must produce bit-identical kernel
  * outputs, sampler labels, and RNG consumption.  These tests are what
- * lets CI run one leg per dispatch level and treat any divergence as
- * a hard failure.
+ * lets CI run a scalar-only build leg beside the default AVX2 build
+ * and treat any divergence as a hard failure.
  */
 
 #include <gtest/gtest.h>
@@ -68,11 +68,8 @@ TEST(Vecmath, LogUlpBoundOnUniformDomain)
     u.push_back(0x1.0p-53);            // domain floor
     u.push_back(1.0 - 0x1.0p-53);      // domain ceiling
     u.push_back(0.5);
-    std::vector<double> out(u.size());
-    simd::kernels().logBatch(u.data(), out.data(), u.size());
-    for (std::size_t i = 0; i < u.size(); ++i)
-        EXPECT_LE(ulpDiff(out[i], std::log(u[i])), 8)
-            << "u = " << u[i];
+    for (double v : u)
+        EXPECT_LE(ulpDiff(simd::slog(v), std::log(v)), 8) << "u = " << v;
 }
 
 TEST(Vecmath, LogUlpBoundAcrossMagnitudes)
@@ -82,19 +79,17 @@ TEST(Vecmath, LogUlpBoundAcrossMagnitudes)
     std::vector<double> x;
     for (int e = -1074; e <= 1023; e += 3)
         x.push_back(std::ldexp(1.37, e));
-    std::vector<double> out(x.size());
-    simd::kernels().logBatch(x.data(), out.data(), x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        EXPECT_LE(ulpDiff(out[i], std::log(x[i])), 8)
-            << "x = " << x[i];
+    for (double v : x)
+        EXPECT_LE(ulpDiff(simd::slog(v), std::log(v)), 8) << "x = " << v;
 }
 
 TEST(Vecmath, ExpUlpBoundOnSamplerDomain)
 {
-    // The sampler exponent domain: expWeights and the lambda-table
-    // builds evaluate exp((e_min - e) / T) with 8-bit energies and
-    // anneal temperatures down to ~0.5, i.e. exponents in [-512, 0];
-    // sweep wider for margin, into the denormal-result range.
+    // The sampler exponent domain: gibbsWeightsRow and the
+    // lambda-table builds evaluate exp((e_min - e) / T) with 8-bit
+    // energies and anneal temperatures down to ~0.5, i.e. exponents
+    // in [-512, 0]; sweep wider for margin, into the denormal-result
+    // range.
     std::vector<double> x;
     for (double v = -745.0; v <= 32.0; v += 0.37)
         x.push_back(v);
@@ -113,15 +108,12 @@ TEST(Vecmath, ExpUlpBoundOnSamplerDomain)
 TEST(Vecmath, EdgeCasesMatchLibmSemantics)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    double in[6] = {0.0, -1.0, kInf, nan, 1.0, -0.0};
-    double out[6];
-    simd::kernels().logBatch(in, out, 6);
-    EXPECT_EQ(out[0], -kInf);
-    EXPECT_TRUE(std::isnan(out[1]));
-    EXPECT_EQ(out[2], kInf);
-    EXPECT_TRUE(std::isnan(out[3]));
-    EXPECT_EQ(out[4], 0.0);
-    EXPECT_EQ(out[5], -kInf);
+    EXPECT_EQ(simd::slog(0.0), -kInf);
+    EXPECT_TRUE(std::isnan(simd::slog(-1.0)));
+    EXPECT_EQ(simd::slog(kInf), kInf);
+    EXPECT_TRUE(std::isnan(simd::slog(nan)));
+    EXPECT_EQ(simd::slog(1.0), 0.0);
+    EXPECT_EQ(simd::slog(-0.0), -kInf);
 
     double ein[5] = {-kInf, kInf, nan, 0.0, -800.0};
     double eout[5];
@@ -137,14 +129,17 @@ TEST(Vecmath, ScalarHelpersMatchBatchLanes)
 {
     // slog/sexp are the same cores at width 1: every element of a
     // batch equals the scalar helper bit for bit, which is what lets
-    // scalar samplers and batched rows share one contract.
+    // scalar samplers and batched rows share one contract.  At rate 1
+    // an exponential draw lane is -slog(u), the equality
+    // rng::sampleExponential relies on.
     rng::Xoshiro256 gen(12);
     std::vector<double> u(257);
     gen.fillUniformOpenLow(u);
+    const std::vector<double> ones(u.size(), 1.0);
     std::vector<double> lg(u.size()), ex(u.size());
-    simd::kernels().logBatch(u.data(), lg.data(), u.size());
+    simd::kernels().expDraw(u.data(), ones.data(), lg.data(), u.size());
     for (std::size_t i = 0; i < u.size(); ++i)
-        EXPECT_EQ(lg[i], simd::slog(u[i]));
+        EXPECT_EQ(lg[i], -simd::slog(u[i]));
     simd::kernels().expBatch(lg.data(), ex.data(), lg.size());
     for (std::size_t i = 0; i < lg.size(); ++i)
         EXPECT_EQ(ex[i], simd::sexp(lg[i]));
@@ -261,21 +256,15 @@ TEST(BackendEquivalence, AllKernelsBitIdenticalToScalar)
                                           10.0);
             }
 
-            k.logBatch(u.data(), a1.data(), n);
-            ref.logBatch(u.data(), a2.data(), n);
-            EXPECT_EQ(a1, a2);
-
-            std::vector<double> xs(a1); // log outputs: negatives
+            std::vector<double> xs(n); // log outputs: negatives
+            for (std::size_t i = 0; i < n; ++i)
+                xs[i] = simd::slog(u[i]);
             k.expBatch(xs.data(), a1.data(), n);
             ref.expBatch(xs.data(), a2.data(), n);
             EXPECT_EQ(a1, a2);
 
             k.expDraw(u.data(), rates.data(), a1.data(), n);
             ref.expDraw(u.data(), rates.data(), a2.data(), n);
-            EXPECT_EQ(a1, a2);
-
-            k.expWeights(e.data(), -2.0, 3.7, a1.data(), n);
-            ref.expWeights(e.data(), -2.0, 3.7, a2.data(), n);
             EXPECT_EQ(a1, a2);
 
             EXPECT_EQ(k.quantizeEnergies(e.data(), 255.0, a1.data(),
@@ -487,8 +476,9 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
 TEST(BackendEquivalence, RowFusedKernelsMatchTheirComposition)
 {
     // The row-fused kernels must be bit-identical to the per-pixel
-    // compositions they replace — gibbsWeightsRow to a min scan +
-    // expWeights per pixel, energyRunU8 to addRows5 over the pairwise
+    // compositions they fuse — gibbsWeightsRow to a float-min scan,
+    // (double(e_min) - double(e)) / T quotients staged in double and
+    // expBatch per pixel, energyRunU8 to addRows5 over the pairwise
     // rows the neighbor bytes select.  Scalar is the reference table;
     // the backend sweep above carries the identity to every lane.
     const simd::KernelTable &k = simd::kernelsFor(simd::Backend::Scalar);
@@ -501,11 +491,16 @@ TEST(BackendEquivalence, RowFusedKernelsMatchTheirComposition)
     std::vector<double> fused(n * m), composed(n * m);
     k.gibbsWeightsRow(ep.data(), n, m, 1.7, fused.data());
     for (std::size_t p = 0; p < n; ++p) {
-        float e_min = ep[p * m];
+        const float *e = ep.data() + p * m;
+        double *w = composed.data() + p * m;
+        float e_min = e[0];
         for (std::size_t i = 1; i < m; ++i)
-            e_min = std::min(e_min, ep[p * m + i]);
-        k.expWeights(ep.data() + p * m, static_cast<double>(e_min),
-                     1.7, composed.data() + p * m, m);
+            e_min = std::min(e_min, e[i]);
+        for (std::size_t i = 0; i < m; ++i)
+            w[i] = (static_cast<double>(e_min) -
+                    static_cast<double>(e[i])) /
+                   1.7;
+        k.expBatch(w, w, m);
     }
     EXPECT_EQ(fused, composed);
 
@@ -718,9 +713,15 @@ TEST(BackendEquivalence, SolverOutputByteIdenticalAcrossBackends)
 TEST(BackendEquivalence, SetBackendFallsBackGracefully)
 {
     BackendGuard guard;
-    // Unknown spec: keeps the current backend.
-    const simd::Backend before = simd::activeBackend();
-    EXPECT_EQ(simd::setBackend("not-a-backend"), before);
+    // Unknown specs, the retired sse42, neon and avx512 among them:
+    // each keeps the current backend, whichever that is.
+    for (simd::Backend before : simd::runnableBackends()) {
+        SCOPED_TRACE(simd::backendName(before));
+        simd::setBackend(simd::backendName(before));
+        for (const char *spec :
+             {"not-a-backend", "sse42", "neon", "avx512"})
+            EXPECT_EQ(simd::setBackend(spec), before) << spec;
+    }
     // "off" always lands on scalar; "auto" always resolves.
     EXPECT_EQ(simd::setBackend("off"), simd::Backend::Scalar);
     const simd::Backend resolved = simd::setBackend("auto");

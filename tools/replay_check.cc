@@ -23,7 +23,7 @@
  * exercised with the stereo app across all modes.
  *
  *   ./replay_check [--sweeps=16] [--kill-at=7] [--tmpdir=.]
- *                  [--simd=auto|off|sse42|...]
+ *                  [--simd=auto|off|scalar|avx2]
  *
  * Exit 0: every case byte-identical.  Exit 1: divergence (the failing
  * cases are named).  Exit 2: setup failure.
