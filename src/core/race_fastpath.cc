@@ -87,7 +87,6 @@ buildClassTable(
     }
 
     RaceTable t;
-    t.slots = c_n;
     t.pmf.assign(2 * c_n, 0.0);
 
     std::vector<double> poly, next;

@@ -77,7 +77,7 @@ namespace core {
 /**
  * One compiled Random-tie race conditional: the exact (winner class,
  * tie) pmf given that at least one label fired in an interior bin,
- * and its Walker alias table.  Outcome encoding: k in [0, 2*slots)
+ * and its Walker alias table.  Outcome encoding: k in [0, outcomes())
  * selects winner class slot k>>1 (key order) with tie flag k&1.  The
  * winner is drawn uniformly among the class's members by the caller;
  * no-fire and the ClampToLastBin window-end case are resolved by the
@@ -85,24 +85,11 @@ namespace core {
  */
 struct RaceTable
 {
-    std::size_t slots = 0;
     std::vector<double> pmf;          ///< exact conditional pmf
     std::vector<double> aliasProb;    ///< Walker acceptance thresholds
     std::vector<std::uint32_t> alias; ///< Walker alias targets
 
     std::size_t outcomes() const { return pmf.size(); }
-
-    /** Alias draw from two uniforms in [0, 1). */
-    std::size_t
-    draw(double u1, double u2) const
-    {
-        const std::size_t k = outcomes();
-        std::size_t j = static_cast<std::size_t>(
-            u1 * static_cast<double>(k));
-        if (j >= k)
-            j = k - 1; // u1 < 1 makes this unreachable; belt+braces
-        return u2 < aliasProb[j] ? j : alias[j];
-    }
 };
 
 /**

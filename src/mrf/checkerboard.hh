@@ -20,7 +20,12 @@
  * LabelSampler::clone(), so the result is bit-deterministic for a
  * fixed seed and stripe count, independent of thread count and OS
  * scheduling.  threads == 1 && stripes == 0 runs the historical
- * single-stream serial path.
+ * single-stream serial path; shard::ShardedCheckerboardSolver never
+ * does, at any shard count (one shard runs this solver with the
+ * effective stripe count set).  Both paths share the run scaffold
+ * (mrf/solver_run.hh) and the stripe executor
+ * (mrf/checkerboard_detail.hh): the serial path is the executor's one
+ * slot over every row, fed the caller's sampler and the solver stream.
  *
  * Both paths sample through the batched row kernel: each color-phase
  * row's conditionals are produced into a per-executor arena

@@ -5,6 +5,7 @@
 
 #include "mrf/checkpoint.hh"
 #include "mrf/energy_cache.hh"
+#include "mrf/solver_run.hh"
 #include "mrf/solver_telemetry.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
@@ -29,72 +30,26 @@ img::LabelMap
 GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                  img::LabelMap &labels, SolverTrace *caller_trace) const
 {
-    RETSIM_ASSERT(labels.width() == problem.width() &&
-                      labels.height() == problem.height(),
-                  "label map size mismatch");
+    detail::SolverRun scaffold(config_, "gibbs", problem, sampler, labels,
+                               caller_trace, /*stripes=*/0);
+    rng::Xoshiro256 &gen = scaffold.gen;
+    SolverTrace *const trace = scaffold.trace;
     const int m = problem.numLabels();
-    rng::Xoshiro256 gen(config_.seed);
-    const bool checkpointing = config_.checkpointEvery > 0;
-    if (checkpointing && !config_.checkpointSink &&
-        config_.checkpointPath.empty())
-        RETSIM_FATAL("checkpointEvery is set but neither "
-                     "checkpointPath nor checkpointSink is configured");
-
-    // Telemetry wants the per-sweep counters even when the caller
-    // passed no trace; a run-local trace stands in.  Checkpoints carry
-    // the trace too, so checkpointing also forces one — that keeps the
-    // final snapshot byte-identical whether or not the caller asked
-    // for a trace.  With none of the three the counting stays compiled
-    // out of the pixel loop exactly as before.
-    detail::SweepTelemetry telemetry(problem, sampler, "gibbs");
-    SolverTrace local_trace;
-    SolverTrace *trace =
-        caller_trace ? caller_trace
-                     : ((telemetry.active() || checkpointing)
-                            ? &local_trace
-                            : nullptr);
 
     std::vector<float> energies(m);
     const std::size_t pixels =
         static_cast<std::size_t>(problem.width()) * problem.height();
-    // Filled lazily on the first random-scan sweep, then reshuffled in
-    // place; pixel ids must narrow to 32 bits without loss.
+    // Filled lazily on the first random-scan sweep (or restored from
+    // the snapshot), then reshuffled in place; pixel ids must narrow
+    // to 32 bits without loss.
     std::vector<std::uint32_t> order;
     if (config_.randomScan) {
         RETSIM_ASSERT(pixels <= UINT32_MAX,
                       "random-scan order buffer limited to 2^32 pixels");
     }
+    if (config_.resume)
+        order = config_.resume->scanOrder;
 
-    const SolverCheckpoint *resume = config_.resume.get();
-    int start_sweep = 0;
-    if (resume) {
-        detail::validateResume(*resume, "gibbs", config_,
-                               problem.width(), problem.height(), m,
-                               sampler.name(), /*stripes=*/0);
-        labels = resume->labels;
-        if (!gen.loadState(resume->solverGen))
-            RETSIM_FATAL("resume snapshot: solver generator state "
-                         "does not fit ", gen.name());
-        if (!sampler.loadState(resume->samplerState))
-            RETSIM_FATAL("resume snapshot: sampler state does not fit "
-                         "sampler '", sampler.name(), "'");
-        order = resume->scanOrder;
-        if (trace)
-            *trace = resume->trace;
-        start_sweep = resume->sweepsDone;
-    } else if (config_.randomInit) {
-        for (int &l : labels.data())
-            l = static_cast<int>(gen.nextBounded(m));
-    } else {
-        for (int l : labels.data()) {
-            RETSIM_ASSERT(l >= 0 && l < m,
-                          "initial label ", l, " out of range");
-        }
-    }
-
-    if (trace)
-        telemetry.setTraceBaseline(trace->pixelUpdates,
-                                   trace->labelChanges);
     const std::uint64_t start_updates = trace ? trace->pixelUpdates : 0;
     const std::uint64_t start_changes = trace ? trace->labelChanges : 0;
 
@@ -136,7 +91,7 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
         }
     };
 
-    for (int s = start_sweep; s < config_.annealing.sweeps; ++s) {
+    for (int s = scaffold.startSweep; s < config_.annealing.sweeps; ++s) {
         double temperature = config_.annealing.temperature(s);
         if (config_.randomScan) {
             if (order.empty()) {
@@ -164,61 +119,22 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
             cache->addInvalidations(marks);
             marks = 0;
         }
-        if (trace) {
-            trace->energyPerSweep.push_back(
-                problem.totalEnergy(labels));
-            trace->temperaturePerSweep.push_back(temperature);
-        }
-        if (telemetry.active()) {
-            telemetry.recordSweep(s, temperature,
-                                  trace->energyPerSweep.back(),
-                                  trace->pixelUpdates,
-                                  trace->labelChanges,
-                                  sampler.stats(),
-                                  cache ? &cache->stats() : nullptr);
-        }
-        if (config_.sweepObserver)
-            config_.sweepObserver(s, temperature, labels);
-        if (checkpointing && detail::shouldCheckpoint(config_, s + 1)) {
-            SolverCheckpoint cp;
-            cp.solverKind = "gibbs";
-            cp.samplerName = sampler.name();
-            cp.seed = config_.seed;
-            cp.t0 = config_.annealing.t0;
-            cp.tEnd = config_.annealing.tEnd;
-            cp.sweepsTotal = config_.annealing.sweeps;
-            cp.width = problem.width();
-            cp.height = problem.height();
-            cp.numLabels = m;
-            cp.stripes = 0;
-            cp.randomScan = config_.randomScan;
-            cp.sweepsDone = s + 1;
-            cp.labels = labels;
-            gen.saveState(cp.solverGen);
-            cp.scanOrder = order;
-            sampler.saveState(cp.samplerState);
-            if (trace)
-                cp.trace = *trace;
-            detail::emitCheckpoint(config_, cp);
-        }
+        scaffold.endSweep(
+            s, temperature, {},
+            [&] { return problem.totalEnergy(labels); }, {},
+            cache ? &cache->stats() : nullptr,
+            [&](SolverCheckpoint &cp) { cp.scanOrder = order; });
     }
 
-    {
+    scaffold.finish();
+    if (trace) {
         const auto &ids = detail::SolverMetricIds::get();
         obs::Registry &reg = obs::Registry::global();
-        reg.add(ids.runs, 1);
-        reg.add(ids.sweeps,
-                static_cast<std::uint64_t>(config_.annealing.sweeps -
-                                           start_sweep));
-        if (trace) {
-            reg.add(ids.pixelUpdates,
-                    trace->pixelUpdates - start_updates);
-            reg.add(ids.labelChanges,
-                    trace->labelChanges - start_changes);
-        }
-        if (cache)
-            detail::foldCacheStats(cache->stats());
+        reg.add(ids.pixelUpdates, trace->pixelUpdates - start_updates);
+        reg.add(ids.labelChanges, trace->labelChanges - start_changes);
     }
+    if (cache)
+        detail::foldCacheStats(cache->stats());
     return labels;
 }
 

@@ -1,6 +1,5 @@
 #include "shard/sharded_solver.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -15,15 +14,14 @@
 #include "mrf/checkerboard_detail.hh"
 #include "mrf/checkpoint.hh"
 #include "mrf/energy_cache.hh"
+#include "mrf/solver_run.hh"
 #include "mrf/solver_telemetry.hh"
 #include "obs/metrics.hh"
-#include "rng/rng.hh"
 #include "shard/payload_codec.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
 #include "util/checkpoint.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace retsim {
 namespace shard {
@@ -34,12 +32,7 @@ using detail::decodeGather;
 using detail::decodeGhostRow;
 using detail::deserializeRegistryDelta;
 using detail::serializeRegistryDelta;
-using mrf::detail::CacheSlot;
-using mrf::detail::RowArena;
 using mrf::detail::StripeCounters;
-using mrf::detail::stripeRowStart;
-using mrf::detail::stripeStreamSeed;
-using mrf::detail::updateRow;
 
 /** Transport-behavior counters, folded per rank at the sweep join
  *  (same static-registration pattern as SolverMetricIds). */
@@ -131,42 +124,32 @@ firstNonEmptyRank(const TilePartition &part)
 }
 
 /**
- * One rank's compute state and per-phase work: its contiguous run of
- * global stripes, a PRIVATE full-size label map (ghost rows refreshed
- * by message, so loopback threads and socket processes execute
- * identical code paths), and a private energy-plane cache covering
- * its rows.
+ * One rank's compute state and per-phase work: a StripeExecutor over
+ * its contiguous run of global stripes, a PRIVATE full-size label map
+ * (ghost rows refreshed by message, so loopback threads and socket
+ * processes execute identical code paths), and what sharding adds to
+ * the executor: ghost rows, the boundary-first order and the rank's
+ * cache folds.
  */
 struct TileWork
 {
-    const mrf::SolverConfig &config;
     const mrf::MrfProblem &problem;
-    const TilePartition &part;
     ShardTransport &tr;
     img::LabelMap &labels;
-    std::vector<std::unique_ptr<mrf::LabelSampler>> &clones;
 
-    int rank;
     int k0, k1;  ///< global stripe range [k0, k1)
     int lo, hi;  ///< owned row range [lo, hi)
     int up, down; ///< neighbor ranks (-1 = grid boundary)
 
-    std::unique_ptr<mrf::EnergyPlaneCache> cache;
-    std::vector<RowArena> scratch;
-    std::vector<StripeCounters> counters;
-    std::vector<std::vector<std::uint64_t>> deferred;
+    mrf::detail::StripeExecutor exec;
     /** One ghost row's inner-row marks, landed by applyDeferred. */
     std::vector<std::uint64_t> ghostMarks;
     /** One received ghost row's labels, validated before use. */
     std::vector<int> ghostRow;
-    std::vector<obs::MetricShard> shards;
 
     /** True while a posted halo has not been consumed yet (cleared on
      *  (re)start, so the first phase after resume never waits). */
     bool ghostsInFlight = false;
-    /** Intra-rank stripe dispatch (SolverConfig::threads, same rule
-     *  as the single-process checkerboard solver). */
-    std::unique_ptr<util::ThreadPool> pool;
 
     // Transport-behavior tallies, folded by foldShards() per sweep.
     std::uint64_t haloBytesSent = 0;
@@ -174,115 +157,21 @@ struct TileWork
     std::uint64_t haloWaitNs = 0;
     std::uint64_t interiorNs = 0;
 
-    TileWork(const mrf::SolverConfig &cfg,
+    TileWork(const mrf::SolverConfig &config,
              const mrf::MrfProblem &prob, const TilePartition &p,
              ShardTransport &transport, img::LabelMap &lab,
-             std::vector<std::unique_ptr<mrf::LabelSampler>> &cl,
+             const std::vector<std::unique_ptr<mrf::LabelSampler>> &clones,
              int r)
-        : config(cfg), problem(prob), part(p), tr(transport),
-          labels(lab), clones(cl), rank(r),
+        : problem(prob), tr(transport), labels(lab),
           k0(p.stripeBegin(r)), k1(p.stripeEnd(r)),
           lo(p.rowBegin(r)), hi(p.rowEnd(r)),
-          up(p.neighborAbove(r)), down(p.neighborBelow(r))
+          up(p.neighborAbove(r)), down(p.neighborBelow(r)),
+          exec(config, prob, lab, std::span(clones).subspan(k0, k1 - k0),
+               p.stripes(), k0, k1)
     {
-        if (empty())
-            return;
-        const int m = problem.numLabels();
-        const int width = problem.width();
-        obs::Registry &reg = obs::Registry::global();
-        // Same cache gate as the single-process solver; each rank's
-        // cache holds planes for its own rows [lo, hi) only, the only
-        // rows it refreshes, marks and serves (other ranks' marks are
-        // dropped, ghost-row marks land on the inner row), plus the
-        // full-grid shadow labels its edge rows read.
-        if (config.energyCache && m <= 256) {
-            cache = std::make_unique<mrf::EnergyPlaneCache>(
-                width, problem.height(), m, /*phases=*/2, lo, hi);
-            cache->syncShadow(labels);
-        }
-        const std::size_t n = static_cast<std::size_t>(k1 - k0);
-        scratch.assign(n, RowArena(width, m));
-        counters.assign(n, StripeCounters{});
-        deferred.assign(n, {});
-        shards.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            shards.push_back(reg.makeShard());
-        // parallelFor's caller participates, so a pool of threads-1
-        // workers yields exactly `threads` concurrent executors —
-        // the single-process solver's sizing rule, capped at this
-        // rank's stripe count.
-        int threads =
-            config.threads == 0
-                ? static_cast<int>(
-                      util::ThreadPool::global().numThreads())
-                : config.threads;
-        threads = std::min(threads, k1 - k0);
-        if (threads > 1)
-            pool = std::make_unique<util::ThreadPool>(
-                static_cast<std::size_t>(threads - 1));
     }
 
     bool empty() const { return k0 == k1; }
-
-    void
-    runStripe(int sweep, int color, int k, double temperature)
-    {
-        const int height = problem.height();
-        const int stripes = part.stripes();
-        const int y0 = stripeRowStart(k, height, stripes);
-        const int y1 = stripeRowStart(k + 1, height, stripes);
-        rng::Xoshiro256 stripe_gen(
-            stripeStreamSeed(config.seed, sweep, color, k));
-        mrf::LabelSampler &stripe_sampler =
-            *clones[static_cast<std::size_t>(k)];
-        const std::size_t i = static_cast<std::size_t>(k - k0);
-        RowArena &arena = scratch[i];
-        StripeCounters &c = counters[i];
-        obs::MetricShard &shard = shards[i];
-        const auto &ids = mrf::detail::SolverMetricIds::get();
-        CacheSlot slot;
-        CacheSlot *cs = nullptr;
-        if (cache) {
-            slot = CacheSlot{cache.get(), y0, y1, &deferred[i]};
-            cs = &slot;
-        }
-        for (int y = y0; y < y1; ++y) {
-            StripeCounters rc =
-                updateRow(problem, stripe_sampler, labels, y, color,
-                          temperature, arena, stripe_gen, cs);
-            c.pixelUpdates += rc.pixelUpdates;
-            c.labelChanges += rc.labelChanges;
-            shard.add(ids.pixelUpdates, rc.pixelUpdates);
-            shard.add(ids.labelChanges, rc.labelChanges);
-        }
-    }
-
-    /**
-     * Land the phase's stripe-boundary dirty marks.  Marks into rows
-     * this rank owns are applied (counted) exactly like the serial
-     * coordinator's applyDeferred; marks into another rank's rows are
-     * dropped UNcounted — the owning rank re-derives each of them
-     * from its ghost-row diff (one mark per changed ghost pixel, the
-     * same 1:1 flip correspondence the serial deferral has), so the
-     * process-wide invalidation total equals the serial run's.
-     */
-    void
-    applyOwnDeferred()
-    {
-        if (!cache)
-            return;
-        for (std::vector<std::uint64_t> &d : deferred) {
-            std::size_t keep = 0;
-            for (std::uint64_t p : d) {
-                const int y =
-                    static_cast<int>(p & 0xffffffffu);
-                if (y >= lo && y < hi)
-                    d[keep++] = p;
-            }
-            d.resize(keep);
-            cache->applyDeferred(d);
-        }
-    }
 
     void
     postBoundaryRow(int peer, int y)
@@ -315,6 +204,7 @@ struct TileWork
     {
         ghostRow.resize(static_cast<std::size_t>(problem.width()));
         decodeGhostRow(payload, peer, yg, problem.numLabels(), ghostRow);
+        mrf::EnergyPlaneCache *cache = exec.cache();
         const int inner = yg < lo ? lo : hi - 1;
         const std::uint8_t *shadow =
             cache ? cache->shadow() +
@@ -360,27 +250,6 @@ struct TileWork
         }
     }
 
-    /** Run stripes [ka, kb) of this phase, across the pool when one
-     *  exists.  Any stripe order (and any thread interleaving) yields
-     *  byte-identical results: each stripe draws from its own (seed,
-     *  sweep, color, stripe) RNG stream and sampler clone, and every
-     *  neighbor read within a phase is a frozen other-color pixel. */
-    void
-    runStripes(int sweep, int color, int ka, int kb,
-               double temperature)
-    {
-        if (pool && kb - ka > 1)
-            pool->parallelFor(
-                static_cast<std::size_t>(kb - ka),
-                [&](std::size_t i) {
-                    runStripe(sweep, color, ka + static_cast<int>(i),
-                              temperature);
-                });
-        else
-            for (int k = ka; k < kb; ++k)
-                runStripe(sweep, color, k, temperature);
-    }
-
     /**
      * One color phase, boundary-first: consume the ghosts posted by
      * the previous phase, run the stripes owning this rank's boundary
@@ -398,9 +267,9 @@ struct TileWork
         if (empty())
             return;
         waitGhosts();
-        runStripe(sweep, color, k0, temperature);
+        exec.runStripe(sweep, color, k0, temperature);
         if (k1 - k0 > 1)
-            runStripe(sweep, color, k1 - 1, temperature);
+            exec.runStripe(sweep, color, k1 - 1, temperature);
         if (up >= 0)
             postBoundaryRow(up, lo);
         if (down >= 0)
@@ -408,46 +277,23 @@ struct TileWork
         if (up >= 0 || down >= 0)
             ghostsInFlight = true;
         const auto t0 = std::chrono::steady_clock::now();
-        runStripes(sweep, color, k0 + 1, k1 - 1, temperature);
+        exec.runStripes(sweep, color, k0 + 1, k1 - 1, temperature);
         interiorNs += nsSince(t0);
         tr.progress();
-        applyOwnDeferred();
-    }
-
-    /** Sum and reset the per-stripe trace counters (sweep join). */
-    StripeCounters
-    takeSweepCounters()
-    {
-        StripeCounters tot;
-        for (StripeCounters &c : counters) {
-            tot.pixelUpdates += c.pixelUpdates;
-            tot.labelChanges += c.labelChanges;
-            c = StripeCounters{};
-        }
-        return tot;
+        exec.applyOwnDeferred();
     }
 
     void
     foldShards()
     {
+        exec.foldShards();
         obs::Registry &reg = obs::Registry::global();
-        for (obs::MetricShard &s : shards)
-            reg.fold(s);
         const ShardMetricIds &sids = ShardMetricIds::get();
         reg.add(sids.haloBytesSent, haloBytesSent);
         reg.add(sids.haloSendNs, haloSendNs);
         reg.add(sids.haloWaitNs, haloWaitNs);
         reg.add(sids.interiorNs, interiorNs);
         haloBytesSent = haloSendNs = haloWaitNs = interiorNs = 0;
-    }
-
-    mrf::SamplerStats
-    cloneStatsSum() const
-    {
-        mrf::SamplerStats s;
-        for (int k = k0; k < k1; ++k)
-            s += clones[static_cast<std::size_t>(k)]->stats();
-        return s;
     }
 
     /**
@@ -461,6 +307,7 @@ struct TileWork
     void
     foldCacheCounters(bool fullFold)
     {
+        const mrf::EnergyPlaneCache *cache = exec.cache();
         if (!cache)
             return;
         if (fullFold) {
@@ -487,12 +334,11 @@ buildJoin(TileWork &work, const ShardSpec &spec,
     w.u64(tot.pixelUpdates);
     w.u64(tot.labelChanges);
     if (spec.wantStats) {
-        mrf::SamplerStats s = work.cloneStatsSum();
+        mrf::SamplerStats s = work.exec.cloneStatsSum();
         w.u64(s.samples);
         w.u64(s.noSample);
         w.u64(s.ties);
-        const mrf::EnergyCacheStats *c =
-            work.cache ? &work.cache->stats() : nullptr;
+        const mrf::EnergyCacheStats *c = work.exec.cacheStats();
         w.u64(c ? c->cleanHits.load() : 0);
         w.u64(c ? c->recomputed.load() : 0);
         w.u64(c ? c->invalidations.load() : 0);
@@ -516,9 +362,9 @@ buildGather(TileWork &work)
             w.i32(work.labels(x, y));
     w.u32(static_cast<std::uint32_t>(work.k1 - work.k0));
     std::vector<std::uint64_t> state;
-    for (int k = work.k0; k < work.k1; ++k) {
+    for (const auto &clone : work.exec.clones()) {
         state.clear();
-        work.clones[static_cast<std::size_t>(k)]->saveState(state);
+        clone->saveState(state);
         w.words(state);
     }
     return w.take();
@@ -560,7 +406,7 @@ runWorkerRank(const mrf::SolverConfig &config,
             // posted halos must land before they are computed.
             work.waitGhosts();
             work.foldShards();
-            StripeCounters tot = work.takeSweepCounters();
+            StripeCounters tot = work.exec.takeCounters();
             std::vector<unsigned char> join =
                 buildJoin(work, spec, tot);
             tr.send(0, tag::kJoin, join.data(), join.size());
@@ -604,31 +450,26 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
 {
     RETSIM_ASSERT(config_.threads >= 0 && config_.stripes >= 0,
                   "threads/stripes cannot be negative");
-    if (options_.shards <= 1 && options_.dieRank < 0) {
+    RETSIM_ASSERT(options_.shards >= 1, "bad shard count");
+    // Sharded runs ALWAYS use the striped decomposition (the legacy
+    // single-stream serial path has no partition identity), with the
+    // same effective stripe count rule as the single-process solver —
+    // so snapshots and results interchange with serial striped runs.
+    const int stripes =
+        mrf::detail::effectiveStripes(config_, problem.height());
+    if (options_.shards == 1 && options_.dieRank < 0) {
         // Single shard: the striped single-process solver IS the
         // reference semantics; no transport needed.
-        return mrf::CheckerboardGibbsSolver(config_).run(
+        mrf::SolverConfig striped = config_;
+        striped.stripes = stripes;
+        return mrf::CheckerboardGibbsSolver(striped).run(
             problem, sampler, labels, caller_trace);
     }
 
-    RETSIM_ASSERT(labels.width() == problem.width() &&
-                      labels.height() == problem.height(),
-                  "label map size mismatch");
     RETSIM_ASSERT(problem.neighborhood() ==
                       mrf::Neighborhood::Four,
                   "sharding uses the two-color chromatic schedule, "
                   "which is only valid on the 4-neighborhood");
-    RETSIM_ASSERT(options_.shards >= 1, "bad shard count");
-    const int m = problem.numLabels();
-    const int height = problem.height();
-    const int width = problem.width();
-    rng::Xoshiro256 gen(config_.seed);
-    const bool checkpointing = config_.checkpointEvery > 0;
-    if (checkpointing && !config_.checkpointSink &&
-        config_.checkpointPath.empty())
-        RETSIM_FATAL("checkpointEvery is set but neither "
-                     "checkpointPath nor checkpointSink is "
-                     "configured");
     if (options_.dieRank >= 0) {
         RETSIM_ASSERT(options_.transport ==
                           ShardOptions::Transport::Socket,
@@ -637,90 +478,32 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         RETSIM_ASSERT(options_.dieRank >= 1 &&
                           options_.dieRank < options_.shards,
                       "dieRank must name a worker rank");
-        RETSIM_ASSERT(checkpointing && options_.dieAtSweep > 0,
+        RETSIM_ASSERT(config_.checkpointEvery > 0 &&
+                          options_.dieAtSweep > 0,
                       "the crash drill needs checkpointing and a "
                       "positive dieAtSweep");
     }
-
-    // Sharded runs ALWAYS use the striped decomposition (the legacy
-    // single-stream serial path has no partition identity), with the
-    // same effective stripe count rule as the single-process solver —
-    // so snapshots and results interchange with serial striped runs.
-    const int stripes = std::min(
-        config_.stripes > 0 ? config_.stripes : std::min(height, 16),
-        height);
+    const int m = problem.numLabels();
+    const int height = problem.height();
     const TilePartition part(height, stripes, options_.shards);
-
-    const mrf::detail::SolverMetricIds &ids =
-        mrf::detail::SolverMetricIds::get();
-    obs::Registry &reg = obs::Registry::global();
-    mrf::detail::SweepTelemetry telemetry(problem, sampler,
-                                          "checkerboard");
-    mrf::SolverTrace local_trace;
-    mrf::SolverTrace *trace =
-        caller_trace ? caller_trace
-                     : ((telemetry.active() || checkpointing)
-                            ? &local_trace
-                            : nullptr);
-
-    const mrf::SolverCheckpoint *resume = config_.resume.get();
-    int start_sweep = 0;
-    if (resume) {
-        mrf::detail::validateResume(*resume, "checkerboard", config_,
-                                    width, height, m, sampler.name(),
+    mrf::detail::SolverRun scaffold(config_, "checkerboard", problem,
+                                    sampler, labels, caller_trace,
                                     stripes);
-        labels = resume->labels;
-        if (!gen.loadState(resume->solverGen))
-            RETSIM_FATAL("resume snapshot: solver generator state "
-                         "does not fit ",
-                         gen.name());
-        if (!sampler.loadState(resume->samplerState))
-            RETSIM_FATAL("resume snapshot: sampler state does not "
-                         "fit sampler '",
-                         sampler.name(), "'");
-        if (trace)
-            *trace = resume->trace;
-        start_sweep = resume->sweepsDone;
-    } else if (config_.randomInit) {
-        for (int &l : labels.data())
-            l = static_cast<int>(gen.nextBounded(m));
-    }
-
-    if (trace)
-        telemetry.setTraceBaseline(trace->pixelUpdates,
-                                   trace->labelChanges);
 
     // All S sampler clones are created on rank 0 BEFORE spawn, in
     // ascending stripe order — the exact clone sequence of the serial
     // striped run — and every rank inherits them (fork / shared
     // address space), each using only its own stripes' clones.
-    std::vector<std::unique_ptr<mrf::LabelSampler>> clones(
-        static_cast<std::size_t>(stripes));
-    for (int k = 0; k < stripes; ++k)
-        clones[static_cast<std::size_t>(k)] =
-            sampler.clone(static_cast<std::uint64_t>(k));
-    if (resume) {
-        RETSIM_ASSERT(static_cast<int>(
-                          resume->stripeSamplerState.size()) ==
-                          stripes,
-                      "stripe-state table size mismatch");
-        for (int k = 0; k < stripes; ++k) {
-            if (!clones[static_cast<std::size_t>(k)]->loadState(
-                    resume->stripeSamplerState[k]))
-                RETSIM_FATAL("resume snapshot: stripe ", k,
-                             " sampler state does not fit sampler '",
-                             clones[static_cast<std::size_t>(k)]
-                                 ->name(),
-                             "'");
-        }
-    }
+    std::vector<std::unique_ptr<mrf::LabelSampler>> clones =
+        mrf::detail::cloneStripes(sampler, stripes,
+                                  config_.resume.get());
 
     ShardSpec spec;
-    spec.startSweep = start_sweep;
-    spec.wantEnergy = trace != nullptr;
-    spec.wantStats = telemetry.active();
+    spec.startSweep = scaffold.startSweep;
+    spec.wantEnergy = scaffold.trace != nullptr;
+    spec.wantStats = scaffold.telemetry.active();
     spec.gatherObserver = static_cast<bool>(config_.sweepObserver);
-    spec.checkpointing = checkpointing;
+    spec.checkpointing = scaffold.checkpointing;
 
     const int N = options_.shards;
 
@@ -755,28 +538,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
 
     // ---- rank 0 ---------------------------------------------------
     TileWork work(config_, problem, part, *tr, labels, clones, 0);
-
-    auto capture = [&](int done) {
-        mrf::SolverCheckpoint cp;
-        cp.solverKind = "checkerboard";
-        cp.samplerName = sampler.name();
-        cp.seed = config_.seed;
-        cp.t0 = config_.annealing.t0;
-        cp.tEnd = config_.annealing.tEnd;
-        cp.sweepsTotal = config_.annealing.sweeps;
-        cp.width = width;
-        cp.height = height;
-        cp.numLabels = m;
-        cp.stripes = stripes;
-        cp.randomScan = config_.randomScan;
-        cp.sweepsDone = done;
-        cp.labels = labels;
-        gen.saveState(cp.solverGen);
-        sampler.saveState(cp.samplerState);
-        if (trace)
-            cp.trace = *trace;
-        return cp;
-    };
 
     // Latest per-stripe sampler states gathered from workers,
     // refreshed on every GATHER sweep; local stripes read the live
@@ -813,7 +574,8 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         }
     };
 
-    for (int s = start_sweep; s < config_.annealing.sweeps; ++s) {
+    for (int s = scaffold.startSweep; s < config_.annealing.sweeps;
+         ++s) {
         const double temperature = config_.annealing.temperature(s);
         for (int color = 0; color < 2; ++color)
             work.runPhase(s, color, temperature);
@@ -822,12 +584,12 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         work.waitGhosts();
 
         // ---- sweep join ------------------------------------------
-        StripeCounters tot = work.takeSweepCounters();
+        StripeCounters tot = work.exec.takeCounters();
         if (spec.wantEnergy)
             for (int y = work.lo; y < work.hi; ++y)
                 rowEnergies[static_cast<std::size_t>(y)] =
                     problem.rowEnergy(labels, y);
-        mrf::SamplerStats remoteStats;
+        mrf::SamplerStats cloneStats = work.exec.cloneStatsSum();
         std::uint64_t remoteHits = 0, remoteRecomputed = 0,
                       remoteInvalidations = 0;
         for (int r = 1; r < N; ++r) {
@@ -839,7 +601,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             tot.pixelUpdates += rd.u64();
             tot.labelChanges += rd.u64();
             if (spec.wantStats) {
-                remoteStats +=
+                cloneStats +=
                     mrf::SamplerStats{rd.u64(), rd.u64(), rd.u64()};
                 remoteHits += rd.u64();
                 remoteRecomputed += rd.u64();
@@ -857,17 +619,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             RETSIM_ASSERT(rd.ok() && rd.atEnd(),
                           "shard: malformed JOIN from rank ", r);
         }
-        if (trace) {
-            trace->pixelUpdates += tot.pixelUpdates;
-            trace->labelChanges += tot.labelChanges;
-            // Reduced in row order, exactly like totalEnergy(): the
-            // folded sum is bit-identical to the serial value.
-            double e = 0.0;
-            for (double p : rowEnergies)
-                e += p;
-            trace->energyPerSweep.push_back(e);
-            trace->temperaturePerSweep.push_back(temperature);
-        }
         work.foldShards();
         if (gatherNeeded(spec, config_, s)) {
             for (int r = 1; r < N; ++r) {
@@ -884,51 +635,41 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                      part.stripeBegin(r))));
             }
         }
-        if (telemetry.active()) {
-            mrf::SamplerStats cum = sampler.stats();
-            cum += work.cloneStatsSum();
-            cum += remoteStats;
-            const mrf::EnergyCacheStats *cacheStats = nullptr;
-            if (config_.energyCache && m <= 256) {
-                const mrf::EnergyCacheStats &own =
-                    work.cache ? work.cache->stats() : aggCache;
-                aggCache.cleanHits.store(
-                    (work.cache ? own.cleanHits.load() : 0) +
-                    remoteHits);
-                aggCache.recomputed.store(
-                    (work.cache ? own.recomputed.load() : 0) +
-                    remoteRecomputed);
-                aggCache.invalidations.store(
-                    (work.cache ? own.invalidations.load() : 0) +
-                    remoteInvalidations);
-                cacheStats = &aggCache;
-            }
-            telemetry.recordSweep(s, temperature,
-                                  trace->energyPerSweep.back(),
-                                  trace->pixelUpdates,
-                                  trace->labelChanges, cum,
-                                  cacheStats);
+        const mrf::EnergyCacheStats *cacheStats = nullptr;
+        if (spec.wantStats && config_.energyCache && m <= 256) {
+            const mrf::EnergyPlaneCache *own = work.exec.cache();
+            aggCache.cleanHits.store(
+                (own ? own->stats().cleanHits.load() : 0) + remoteHits);
+            aggCache.recomputed.store(
+                (own ? own->stats().recomputed.load() : 0) +
+                remoteRecomputed);
+            aggCache.invalidations.store(
+                (own ? own->stats().invalidations.load() : 0) +
+                remoteInvalidations);
+            cacheStats = &aggCache;
         }
-        if (config_.sweepObserver)
-            config_.sweepObserver(s, temperature, labels);
-        if (checkpointing &&
-            mrf::detail::shouldCheckpoint(config_, s + 1)) {
-            mrf::SolverCheckpoint cp = capture(s + 1);
-            cp.stripeSamplerState.resize(
-                static_cast<std::size_t>(stripes));
-            for (int k = 0; k < stripes; ++k) {
-                if (k >= work.k0 && k < work.k1)
-                    clones[static_cast<std::size_t>(k)]->saveState(
-                        cp.stripeSamplerState[static_cast<
-                            std::size_t>(k)]);
-                else
-                    cp.stripeSamplerState[static_cast<std::size_t>(
-                        k)] =
-                        remoteStripeState[static_cast<std::size_t>(
+        auto energy = [&] {
+            // Reduced in row order, exactly like totalEnergy(): the
+            // folded sum is bit-identical to the serial value.
+            double e = 0.0;
+            for (double p : rowEnergies)
+                e += p;
+            return e;
+        };
+        scaffold.endSweep(
+            s, temperature, tot, energy, cloneStats, cacheStats,
+            [&](mrf::SolverCheckpoint &cp) {
+                // Rank 0's own stripes from the live clones, the
+                // others as last gathered.
+                cp.stripeSamplerState = remoteStripeState;
+                for (int k = work.k0; k < work.k1; ++k) {
+                    std::vector<std::uint64_t> &st =
+                        cp.stripeSamplerState[static_cast<std::size_t>(
                             k)];
-            }
-            mrf::detail::emitCheckpoint(config_, cp);
-        }
+                    st.clear();
+                    clones[static_cast<std::size_t>(k)]->saveState(st);
+                }
+            });
         if (dieSweep(options_, spec, config_, s)) {
             // The drill checkpoint is on disk; acknowledge the dying
             // worker, tear down the mesh (surviving workers exit on
@@ -941,10 +682,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         }
     }
 
-    reg.add(ids.runs, 1);
-    reg.add(ids.sweeps,
-            static_cast<std::uint64_t>(config_.annealing.sweeps -
-                                       start_sweep));
+    scaffold.finish();
     work.foldCacheCounters(firstNonEmptyRank(part) == 0);
 
     if (tr->sharedRegistry()) {
@@ -952,8 +690,8 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             t.join();
     } else {
         for (int r = 1; r < N; ++r)
-            reg.applyDelta(deserializeRegistryDelta(
-                tr->recv(r, tag::kRegistry)));
+            obs::Registry::global().applyDelta(
+                deserializeRegistryDelta(tr->recv(r, tag::kRegistry)));
     }
 
     // Restore every remote stripe clone to its final worker-side
@@ -963,7 +701,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
     // an already-complete snapshot runs zero sweeps, so no GATHER
     // fired; the clones keep the state restored from the snapshot,
     // exactly as the serial striped solver's do.
-    const bool gathered = start_sweep < config_.annealing.sweeps;
+    const bool gathered = scaffold.startSweep < config_.annealing.sweeps;
     for (int k = 0; k < stripes; ++k) {
         if (gathered && (k < work.k0 || k >= work.k1)) {
             if (!clones[static_cast<std::size_t>(k)]->loadState(

@@ -22,20 +22,22 @@
  * is reduced from per-row partials in row order exactly like
  * MrfProblem::totalEnergy), and the final SOLVERCP snapshot are
  * byte-identical to a serial striped run with the same (seed,
- * stripes).  PR 5 checkpointing composes: snapshots are written by
- * rank 0 with solverKind "checkerboard", so a sharded run can resume
- * a serial snapshot and vice versa, and killing one shard process
- * mid-anneal (the crash drill) then resuming yields a byte-identical
- * final snapshot.
+ * stripes); N = 1 runs that striped run itself.  Checkpointing
+ * composes: rank 0 writes snapshots through the run scaffold the
+ * single-process solver uses (mrf/solver_run.hh), so a sharded run
+ * can resume a striped snapshot and vice versa, and killing one
+ * shard process mid-anneal (the crash drill) then resuming yields a
+ * byte-identical final snapshot.
  *
  * Division of labor: rank 0 owns everything stateful a caller can
  * observe — init/resume, the caller's sampler and label map, trace,
  * telemetry, sweep observers, checkpoint emission, the obs registry
- * of record — while workers own only their tile's row range.  Within
- * a rank, stripes dispatch across SolverConfig::threads (the
- * single-process solver's sizing rule, capped at the rank's stripe
- * count); the thread count is schedule-only, so every setting
- * produces the byte-identical result.
+ * of record — while workers own only their tile's row range.  Each
+ * rank runs its stripes on the single-process solver's stripe
+ * executor (mrf/checkerboard_detail.hh), whose pool of
+ * SolverConfig::threads is capped at the rank's stripe count; the
+ * thread count is schedule-only, so every setting produces the
+ * byte-identical result.
  */
 
 #ifndef RETSIM_SHARD_SHARDED_SOLVER_HH
@@ -53,8 +55,8 @@ struct ShardOptions
 {
     enum class Transport { Loopback, Socket };
 
-    /** Shard (rank) count; <= 1 delegates to the striped
-     *  single-process CheckerboardGibbsSolver. */
+    /** Shard (rank) count, >= 1; 1 delegates to the single-process
+     *  CheckerboardGibbsSolver, striped like every other count. */
     int shards = 1;
     Transport transport = Transport::Loopback;
     /**

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/sampler_software.hh"
 #include "mrf/energy.hh"
@@ -476,6 +477,31 @@ TEST(GibbsSolver, RespectsProvidedInitialLabels)
     // labeling must stay constant.
     for (int l : out.data())
         EXPECT_EQ(l, 2);
+}
+
+TEST(SolverDeathTest, OutOfRangeInitialLabelIsFatal)
+{
+    // With randomInit off every solver range-checks the caller's
+    // labels before a sweep reads a pairwise row: the raster chain,
+    // the serial checkerboard chain and the striped one (the sharded
+    // solver's case is in shard_test.cc).
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MrfProblem p(14, 11, PairwiseTable(DistanceKind::Absolute, 5, 2.0),
+                 "range");
+    img::LabelMap init(14, 11, 0);
+    init(6, 5) = 1000000;
+    SolverConfig cfg;
+    cfg.annealing.sweeps = 1;
+    cfg.randomInit = false;
+    core::SoftwareSampler s;
+    EXPECT_DEATH(GibbsSolver(cfg).run(p, s, init),
+                 "initial label 1000000 out of range");
+    for (int stripes : {0, 4}) {
+        SCOPED_TRACE("stripes=" + std::to_string(stripes));
+        cfg.stripes = stripes;
+        EXPECT_DEATH(CheckerboardGibbsSolver(cfg).run(p, s, init),
+                     "initial label 1000000 out of range");
+    }
 }
 
 } // namespace

@@ -6,12 +6,14 @@
  * stream keys, frame round-trips over a socketpair, and the headline
  * equivalence contract on the loopback transport — a run sharded N
  * ways is byte-identical (labels, trace, final snapshot) to the
- * serial striped run at several intra-rank thread counts.
+ * serial striped run at several intra-rank thread counts, and a
+ * striped snapshot resumes across ranks and back.
  * Socket-transport equivalence and the crash drill live in
  * tools/shard_check (forking inside the gtest process is off the
  * table: the suite is multi-threaded).
  */
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -322,11 +324,15 @@ makeProblem(int width = 14, int height = 11, int num_labels = 5)
     return p;
 }
 
+using Snapshot = std::shared_ptr<const mrf::SolverCheckpoint>;
+
 struct RunResult
 {
     img::LabelMap labels;
     mrf::SolverTrace trace;
     std::vector<unsigned char> snapshot;
+    /** The mid-anneal snapshot (after sweep 3), for the resume tests. */
+    Snapshot mid;
 };
 
 mrf::SolverConfig
@@ -342,15 +348,27 @@ solverConfig(int stripes)
     return cfg;
 }
 
-RunResult
-runReference(const mrf::MrfProblem &problem, int stripes)
+/** Point @p cfg's snapshots at @p r: the mid-anneal one and the final
+ *  one's bytes. */
+void
+captureSnapshots(mrf::SolverConfig &cfg, RunResult &r)
 {
-    RunResult r;
-    mrf::SolverConfig cfg = solverConfig(stripes);
-    cfg.checkpointSink = [&](const mrf::SolverCheckpoint &cp) {
+    cfg.checkpointSink = [&r](const mrf::SolverCheckpoint &cp) {
+        if (cp.sweepsDone == 3)
+            r.mid = std::make_shared<mrf::SolverCheckpoint>(cp);
         if (cp.sweepsDone == cp.sweepsTotal)
             r.snapshot = cp.serialize();
     };
+}
+
+RunResult
+runReference(const mrf::MrfProblem &problem, int stripes,
+             Snapshot resume = nullptr)
+{
+    RunResult r;
+    mrf::SolverConfig cfg = solverConfig(stripes);
+    cfg.resume = std::move(resume);
+    captureSnapshots(cfg, r);
     core::SoftwareSampler sampler;
     r.labels = mrf::CheckerboardGibbsSolver(cfg).run(problem, sampler,
                                                      &r.trace);
@@ -359,15 +377,13 @@ runReference(const mrf::MrfProblem &problem, int stripes)
 
 RunResult
 runLoopback(const mrf::MrfProblem &problem, int stripes, int shards,
-            int threads = 1)
+            int threads = 1, Snapshot resume = nullptr)
 {
     RunResult r;
     mrf::SolverConfig cfg = solverConfig(stripes);
     cfg.threads = threads;
-    cfg.checkpointSink = [&](const mrf::SolverCheckpoint &cp) {
-        if (cp.sweepsDone == cp.sweepsTotal)
-            r.snapshot = cp.serialize();
-    };
+    cfg.resume = std::move(resume);
+    captureSnapshots(cfg, r);
     shard::ShardOptions options;
     options.shards = shards;
     options.transport = shard::ShardOptions::Transport::Loopback;
@@ -413,6 +429,41 @@ TEST(ShardedSolver, SingleShardDelegatesToSerialSolver)
     const mrf::MrfProblem problem = makeProblem();
     const RunResult ref = runReference(problem, 4);
     expectSameRun(ref, runLoopback(problem, 4, 1));
+    // With the stripe count unset, one shard runs the same
+    // min(height, 16)-stripe chain as two or three shards, not the
+    // single-stream serial chain.
+    const RunResult two = runLoopback(problem, 0, 2);
+    for (int shards : {1, 3}) {
+        SCOPED_TRACE("stripes=0 shards=" + std::to_string(shards));
+        expectSameRun(two, runLoopback(problem, 0, shards));
+    }
+}
+
+TEST(ShardedSolver, ResumesAStripedSnapshot)
+{
+    // The striped run's mid-anneal snapshot, resumed across ranks at
+    // any shard and thread count, finishes on the uninterrupted
+    // striped run's bytes.
+    const mrf::MrfProblem problem = makeProblem();
+    const RunResult ref = runReference(problem, 4);
+    ASSERT_TRUE(ref.mid);
+    for (int shards : {2, 3}) {
+        for (int threads : {1, 2}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards) +
+                         " threads=" + std::to_string(threads));
+            expectSameRun(ref, runLoopback(problem, 4, shards, threads,
+                                           ref.mid));
+        }
+    }
+}
+
+TEST(ShardedSolver, StripedSolverResumesAShardedSnapshot)
+{
+    const mrf::MrfProblem problem = makeProblem();
+    const RunResult ref = runReference(problem, 4);
+    const RunResult sharded = runLoopback(problem, 4, 2);
+    ASSERT_TRUE(sharded.mid);
+    expectSameRun(ref, runReference(problem, 4, sharded.mid));
 }
 
 // ------------------------------------------------------------------
@@ -479,6 +530,27 @@ TEST(ShardedSolverDeathTest, NegativeThreadsOrStripesAreFatal)
                          .run(problem, sampler),
                      "threads/stripes cannot be negative");
     }
+}
+
+TEST(ShardedSolverDeathTest, OutOfRangeInitialLabelIsFatal)
+{
+    // The caller's labels are range-checked before any rank starts.
+    // Row 8 lies inside rank 1's tile (rows 5..10 of 11 at 4 stripes
+    // and 2 shards) and is no ghost row, so no halo decode sees it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const mrf::MrfProblem problem = makeProblem();
+    shard::ShardOptions options;
+    options.shards = 2;
+    options.transport = shard::ShardOptions::Transport::Loopback;
+    mrf::SolverConfig cfg = solverConfig(4);
+    cfg.randomInit = false;
+    cfg.checkpointEvery = 0;
+    img::LabelMap init(problem.width(), problem.height(), 0);
+    init(6, 8) = 1000000;
+    core::SoftwareSampler sampler;
+    EXPECT_DEATH(shard::ShardedCheckerboardSolver(cfg, options)
+                     .run(problem, sampler, init),
+                 "initial label 1000000 out of range");
 }
 
 // ------------------------------------------------------------------

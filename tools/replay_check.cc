@@ -16,6 +16,8 @@
  * order, the sampler counters and entropy positions, every stripe
  * clone's state and the full trace, byte equality proves the replay
  * contract: killing and resuming loses nothing and diverges nowhere.
+ * Each case's `ok` line also prints the final snapshot's CRC-32, so
+ * diffing two builds' stdout compares their chains at full precision.
  *
  * Modes: gibbs (raster), gibbs-rand (random scan), cb (checkerboard
  * serial), cb-striped (4 stripes, 2 threads).  The full app matrix
@@ -52,6 +54,7 @@
 #include "rng/rng.hh"
 #include "simd/kernels.hh"
 #include "simd/simd_cli.hh"
+#include "util/checkpoint.hh"
 #include "util/cli.hh"
 
 namespace {
@@ -260,8 +263,9 @@ checkCase(const AppCase &app, const std::string &mode, int sweeps,
                      resumed.finalBytes.size());
         return false;
     }
-    std::printf("%-36s ok (%zu-byte final snapshot)\n", label.c_str(),
-                whole.finalBytes.size());
+    std::printf("%-36s ok (%zu-byte final snapshot, crc32 %08x)\n",
+                label.c_str(), whole.finalBytes.size(),
+                static_cast<unsigned>(util::crc32(whole.finalBytes)));
     return true;
 }
 
