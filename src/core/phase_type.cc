@@ -42,20 +42,6 @@ PhaseTypeSampler::sampleContinuous(rng::Rng &gen) const
     return t;
 }
 
-std::optional<unsigned>
-PhaseTypeSampler::sampleBinned(const RsuConfig &cfg,
-                               rng::Rng &gen) const
-{
-    double t = sampleContinuous(gen);
-    double t_max = static_cast<double>(cfg.tMaxBins());
-    if (t >= t_max) {
-        if (cfg.truncationPolicy == TruncationPolicy::InfiniteTtf)
-            return std::nullopt;
-        return cfg.tMaxBins();
-    }
-    return static_cast<unsigned>(t) + 1;
-}
-
 double
 PhaseTypeSampler::mean() const
 {

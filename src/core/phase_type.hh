@@ -13,17 +13,14 @@
  * This model supports the two families a concentration-programmed
  * chain can realize directly — distinct stage rates (hypoexponential)
  * and identical stage rates (Erlang) — with closed-form moments and
- * CDF for validation, continuous sampling, and the same binned /
- * truncated measurement model as the RSU-G sampling stage.
+ * CDF for validation, and continuous sampling.
  */
 
 #ifndef RETSIM_CORE_PHASE_TYPE_HH
 #define RETSIM_CORE_PHASE_TYPE_HH
 
-#include <optional>
 #include <vector>
 
-#include "core/rsu_config.hh"
 #include "rng/rng.hh"
 
 namespace retsim {
@@ -47,14 +44,6 @@ class PhaseTypeSampler
 
     /** Draw one continuous TTF (sum of the stage exponentials). */
     double sampleContinuous(rng::Rng &gen) const;
-
-    /**
-     * Draw one TTF through the RSU-G time-measurement model: binned
-     * to cfg.tMaxBins() bins, truncated per cfg.truncationPolicy
-     * (nullopt = no photon within the window).
-     */
-    std::optional<unsigned> sampleBinned(const RsuConfig &cfg,
-                                         rng::Rng &gen) const;
 
     /** E[T] = sum 1/rate_i. */
     double mean() const;

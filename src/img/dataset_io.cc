@@ -1,8 +1,5 @@
 #include "img/dataset_io.hh"
 
-#include <algorithm>
-#include <map>
-
 #include "img/pgm_io.hh"
 #include "util/logging.hh"
 
@@ -53,68 +50,6 @@ loadStereoScene(const std::string &name, const std::string &left_path,
                 scene.gtDisparity(x, y) = d;
             }
         }
-    }
-    return scene;
-}
-
-MotionScene
-loadMotionScene(const std::string &name,
-                const std::string &frame0_path,
-                const std::string &frame1_path, int window_radius)
-{
-    if (window_radius < 1)
-        RETSIM_FATAL("window radius must be >= 1, got ",
-                     window_radius);
-    MotionScene scene;
-    scene.name = name;
-    scene.windowRadius = window_radius;
-    scene.frame0 = readPgm(frame0_path);
-    scene.frame1 = readPgm(frame1_path);
-    if (scene.frame0.width() != scene.frame1.width() ||
-        scene.frame0.height() != scene.frame1.height()) {
-        RETSIM_FATAL("frame size mismatch: ", frame0_path, " vs ",
-                     frame1_path);
-    }
-    scene.gtMotion = Image<Vec2i>(scene.frame0.width(),
-                                  scene.frame0.height());
-    return scene;
-}
-
-SegmentationScene
-loadSegmentationScene(const std::string &name,
-                      const std::string &image_path,
-                      const std::string &gt_path, int num_segments)
-{
-    if (num_segments < 2 || num_segments > 64)
-        RETSIM_FATAL("segment count outside the RSU-G range [2, 64]: ",
-                     num_segments);
-    SegmentationScene scene;
-    scene.name = name;
-    scene.numSegments = num_segments;
-    scene.image = readPgm(image_path);
-    scene.gtSegments =
-        LabelMap(scene.image.width(), scene.image.height(), 0);
-
-    if (!gt_path.empty()) {
-        ImageU8 gt = readPgm(gt_path);
-        if (gt.width() != scene.image.width() ||
-            gt.height() != scene.image.height()) {
-            RETSIM_FATAL("ground truth size mismatch: ", gt_path);
-        }
-        // Dense-remap the gray levels to segment indices.
-        std::map<int, int> index;
-        for (int y = 0; y < gt.height(); ++y) {
-            for (int x = 0; x < gt.width(); ++x) {
-                int v = gt(x, y);
-                auto [it, inserted] =
-                    index.try_emplace(v, static_cast<int>(index.size()));
-                scene.gtSegments(x, y) = it->second;
-            }
-        }
-        if (static_cast<int>(index.size()) > num_segments)
-            RETSIM_FATAL("ground truth '", gt_path, "' has ",
-                         index.size(), " segments but only ",
-                         num_segments, " requested");
     }
     return scene;
 }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Loading real datasets from PGM files.
+ * Loading real stereo pairs from PGM files.
  *
  * The benchmark suite runs on synthetic analogs because the
- * Middlebury/BSD images are not redistributable — but a user who has
- * them (e.g., Middlebury stereo pairs converted to PGM) can load them
- * here and run every application and bench unchanged.  Ground-truth
+ * Middlebury images are not redistributable — but a user who has
+ * them (stereo pairs converted to PGM) can load them here and run the
+ * stereo application on them (examples/stereo_vision).  Ground-truth
  * disparity maps follow the Middlebury convention of a per-dataset
  * scale factor (gray value = disparity * scale).
  */
@@ -36,25 +36,6 @@ StereoScene loadStereoScene(const std::string &name,
                             const std::string &right_path,
                             const std::string &gt_path = "",
                             int gt_scale = 8, int num_labels = 64);
-
-/**
- * Assemble a MotionScene from two frame PGMs.  Ground truth is
- * optional; flow files are not standardized in PGM, so when absent
- * the gtMotion field is zeroed.
- */
-MotionScene loadMotionScene(const std::string &name,
-                            const std::string &frame0_path,
-                            const std::string &frame1_path,
-                            int window_radius = 3);
-
-/**
- * Assemble a SegmentationScene from an image PGM and an optional
- * label-map PGM whose gray levels enumerate the segments.
- */
-SegmentationScene loadSegmentationScene(const std::string &name,
-                                        const std::string &image_path,
-                                        const std::string &gt_path = "",
-                                        int num_segments = 4);
 
 } // namespace img
 } // namespace retsim

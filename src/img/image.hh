@@ -94,7 +94,6 @@ class Image
 };
 
 using ImageU8 = Image<std::uint8_t>;
-using ImageF = Image<float>;
 using LabelMap = Image<int>;
 
 /** Integer 2-D vector (motion labels, pixel offsets). */

@@ -36,25 +36,5 @@ endPointError(const img::Image<img::Vec2i> &flow,
     return acc / static_cast<double>(flow.size());
 }
 
-double
-angularErrorDeg(const img::Image<img::Vec2i> &flow,
-                const img::Image<img::Vec2i> &truth)
-{
-    checkSameSize(flow, truth);
-    double acc = 0.0;
-    for (int y = 0; y < flow.height(); ++y) {
-        for (int x = 0; x < flow.width(); ++x) {
-            double u0 = flow(x, y).x, v0 = flow(x, y).y;
-            double u1 = truth(x, y).x, v1 = truth(x, y).y;
-            double dot = u0 * u1 + v0 * v1 + 1.0;
-            double n0 = std::sqrt(u0 * u0 + v0 * v0 + 1.0);
-            double n1 = std::sqrt(u1 * u1 + v1 * v1 + 1.0);
-            double c = std::clamp(dot / (n0 * n1), -1.0, 1.0);
-            acc += std::acos(c) * 180.0 / M_PI;
-        }
-    }
-    return acc / static_cast<double>(flow.size());
-}
-
 } // namespace metrics
 } // namespace retsim

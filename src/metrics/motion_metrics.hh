@@ -2,9 +2,8 @@
  * @file
  * Optical-flow quality metrics (Baker et al. evaluation methodology).
  *
- * Average end-point error (EPE) — the metric the paper reports for
- * motion estimation (Fig. 9c) — plus average angular error for
- * completeness.
+ * Average end-point error (EPE), the metric the paper reports for
+ * motion estimation (Fig. 9c).
  */
 
 #ifndef RETSIM_METRICS_MOTION_METRICS_HH
@@ -18,13 +17,6 @@ namespace metrics {
 /** Mean Euclidean distance between estimated and true motion vectors. */
 double endPointError(const img::Image<img::Vec2i> &flow,
                      const img::Image<img::Vec2i> &truth);
-
-/**
- * Mean angular error (degrees) between space-time direction vectors
- * (u, v, 1), the Barron et al. convention.
- */
-double angularErrorDeg(const img::Image<img::Vec2i> &flow,
-                       const img::Image<img::Vec2i> &truth);
 
 } // namespace metrics
 } // namespace retsim

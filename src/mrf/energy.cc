@@ -8,20 +8,6 @@
 namespace retsim {
 namespace mrf {
 
-std::string
-toString(DistanceKind kind)
-{
-    switch (kind) {
-      case DistanceKind::Squared:
-        return "squared";
-      case DistanceKind::Absolute:
-        return "absolute";
-      case DistanceKind::Binary:
-        return "binary";
-    }
-    return "unknown";
-}
-
 double
 labelDistance(DistanceKind kind, double a, double b)
 {
@@ -71,9 +57,8 @@ PairwiseTable::build(const std::vector<std::vector<double>> &coords,
                 d += labelDistance(kind_, coords[i][c], coords[j][c]);
             if (tau > 0.0)
                 d = std::min(d, tau);
-            float e = static_cast<float>(weight * d);
-            table_[static_cast<std::size_t>(i) * numLabels_ + j] = e;
-            maxEntry_ = std::max(maxEntry_, e);
+            table_[static_cast<std::size_t>(i) * numLabels_ + j] =
+                static_cast<float>(weight * d);
         }
     }
 }

@@ -13,7 +13,6 @@
 #ifndef RETSIM_MRF_ENERGY_HH
 #define RETSIM_MRF_ENERGY_HH
 
-#include <string>
 #include <vector>
 
 namespace retsim {
@@ -26,8 +25,6 @@ enum class DistanceKind
     Absolute, ///< |a - b|         — stereo vision
     Binary,   ///< a == b ? 0 : 1  — image segmentation (Potts)
 };
-
-std::string toString(DistanceKind kind);
 
 /** Evaluate one distance between scalar label values. */
 double labelDistance(DistanceKind kind, double a, double b);
@@ -77,16 +74,12 @@ class PairwiseTable
         return table_.data() + static_cast<std::size_t>(i) * numLabels_;
     }
 
-    /** Largest entry (used to budget the 8-bit energy range). */
-    float maxEntry() const { return maxEntry_; }
-
   private:
     void build(const std::vector<std::vector<double>> &coords,
                double weight, double tau);
 
     DistanceKind kind_;
     int numLabels_;
-    float maxEntry_ = 0.0f;
     std::vector<float> table_;
 };
 

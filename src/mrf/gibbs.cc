@@ -33,7 +33,6 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
     detail::SolverRun scaffold(config_, "gibbs", problem, sampler, labels,
                                caller_trace, /*stripes=*/0);
     rng::Xoshiro256 &gen = scaffold.gen;
-    SolverTrace *const trace = scaffold.trace;
     const int m = problem.numLabels();
 
     std::vector<float> energies(m);
@@ -50,9 +49,6 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
     if (config_.resume)
         order = config_.resume->scanOrder;
 
-    const std::uint64_t start_updates = trace ? trace->pixelUpdates : 0;
-    const std::uint64_t start_changes = trace ? trace->labelChanges : 0;
-
     // Flip-aware energy-plane cache (see energy_cache.hh): serve each
     // pixel's conditional energies from the sweep-persistent plane
     // unless a neighborhood label write dirtied it.  Byte-identical
@@ -65,6 +61,10 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
     // Dirty marks written this sweep, counted with one add next to
     // flushPixelCounts().
     std::uint64_t marks = 0;
+    // This sweep's updates, handed to the trace by endSweep(), and the
+    // run's, added to the registry at the end, traced or not.
+    detail::StripeCounters sweep_counts;
+    detail::StripeCounters run_counts;
     auto update_pixel = [&](int x, int y, double temperature) {
         std::span<const float> e;
         if (cache) {
@@ -84,11 +84,9 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
         if (cache && chosen != current)
             marks += cache->markFlip(x, y, problem.neighborhood(), 0,
                                      problem.height(), nullptr);
-        if (trace) {
-            ++trace->pixelUpdates;
-            if (chosen != current)
-                ++trace->labelChanges;
-        }
+        ++sweep_counts.pixelUpdates;
+        if (chosen != current)
+            ++sweep_counts.labelChanges;
     };
 
     for (int s = scaffold.startSweep; s < config_.annealing.sweeps; ++s) {
@@ -119,20 +117,21 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
             cache->addInvalidations(marks);
             marks = 0;
         }
+        run_counts.pixelUpdates += sweep_counts.pixelUpdates;
+        run_counts.labelChanges += sweep_counts.labelChanges;
         scaffold.endSweep(
-            s, temperature, {},
+            s, temperature, sweep_counts,
             [&] { return problem.totalEnergy(labels); }, {},
             cache ? &cache->stats() : nullptr,
             [&](SolverCheckpoint &cp) { cp.scanOrder = order; });
+        sweep_counts = {};
     }
 
     scaffold.finish();
-    if (trace) {
-        const auto &ids = detail::SolverMetricIds::get();
-        obs::Registry &reg = obs::Registry::global();
-        reg.add(ids.pixelUpdates, trace->pixelUpdates - start_updates);
-        reg.add(ids.labelChanges, trace->labelChanges - start_changes);
-    }
+    const auto &ids = detail::SolverMetricIds::get();
+    obs::Registry &reg = obs::Registry::global();
+    reg.add(ids.pixelUpdates, run_counts.pixelUpdates);
+    reg.add(ids.labelChanges, run_counts.labelChanges);
     if (cache)
         detail::foldCacheStats(cache->stats());
     return labels;

@@ -1,6 +1,5 @@
 #include "mrf/problem.hh"
 
-#include <algorithm>
 #include <cstddef>
 
 #include "simd/kernels.hh"
@@ -240,19 +239,6 @@ MrfProblem::totalEnergy(const img::LabelMap &labels) const
     for (double p : partial)
         e += p;
     return e;
-}
-
-double
-MrfProblem::maxConditionalEnergy() const
-{
-    float max_singleton = 0.0f;
-    for (float v : singleton_)
-        max_singleton = std::max(max_singleton, v);
-    double degree = neighborhood_ == Neighborhood::Eight
-                        ? 4.0 + 4.0 * kDiagonalWeight
-                        : 4.0;
-    return static_cast<double>(max_singleton) +
-           degree * pairwise_.maxEntry();
 }
 
 } // namespace mrf

@@ -115,9 +115,6 @@ class MrfProblem
      */
     double totalEnergy(const img::LabelMap &labels) const;
 
-    /** Largest possible conditional energy (8-bit budget checks). */
-    double maxConditionalEnergy() const;
-
     /**
      * Energy owned by row @p y: its singletons + right/down edges
      * (each grid edge counted exactly once).  totalEnergy() is the

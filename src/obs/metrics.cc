@@ -43,14 +43,6 @@ HistogramData::merge(const HistogramData &other)
     count += other.count;
 }
 
-void
-HistogramData::clear()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    sum = 0.0;
-    count = 0;
-}
-
 // ------------------------------------------------------------------
 // MetricShard
 
@@ -60,43 +52,6 @@ MetricShard::add(MetricId id, std::uint64_t delta)
     RETSIM_ASSERT(id.index < counters_.size(),
                   "metric registered after the shard was created");
     counters_[id.index] += delta;
-}
-
-void
-MetricShard::observe(MetricId id, double value)
-{
-    RETSIM_ASSERT(id.index < histogramIndex_.size() &&
-                      histogramIndex_[id.index] !=
-                          std::numeric_limits<std::uint32_t>::max(),
-                  "observe() target is not a histogram in this shard");
-    histograms_[histogramIndex_[id.index]].observe(value);
-}
-
-std::uint64_t
-MetricShard::counterValue(MetricId id) const
-{
-    RETSIM_ASSERT(id.index < counters_.size(), "metric not in shard");
-    return counters_[id.index];
-}
-
-void
-MetricShard::merge(const MetricShard &other)
-{
-    RETSIM_ASSERT(counters_.size() == other.counters_.size() &&
-                      histograms_.size() == other.histograms_.size(),
-                  "merging shards from different registry generations");
-    for (std::size_t i = 0; i < counters_.size(); ++i)
-        counters_[i] += other.counters_[i];
-    for (std::size_t i = 0; i < histograms_.size(); ++i)
-        histograms_[i].merge(other.histograms_[i]);
-}
-
-void
-MetricShard::clear()
-{
-    std::fill(counters_.begin(), counters_.end(), 0);
-    for (HistogramData &h : histograms_)
-        h.clear();
 }
 
 // ------------------------------------------------------------------
@@ -200,32 +155,12 @@ Registry::gaugeValue(MetricId id) const
     return metrics_[id.index].gauge;
 }
 
-HistogramData
-Registry::histogramValue(MetricId id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    RETSIM_ASSERT(id.index < metrics_.size() &&
-                      metrics_[id.index].kind == MetricKind::Histogram,
-                  "histogramValue() needs a registered histogram");
-    return metrics_[id.index].histogram;
-}
-
 MetricShard
 Registry::makeShard() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     MetricShard shard;
     shard.counters_.assign(metrics_.size(), 0);
-    shard.histogramIndex_.assign(
-        metrics_.size(), std::numeric_limits<std::uint32_t>::max());
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-        if (metrics_[i].kind == MetricKind::Histogram) {
-            shard.histogramIndex_[i] =
-                static_cast<std::uint32_t>(shard.histograms_.size());
-            shard.histograms_.push_back(
-                HistogramData(metrics_[i].histogram.bounds));
-        }
-    }
     return shard;
 }
 
@@ -243,16 +178,8 @@ Registry::fold(MetricShard &shard)
                           "shard counter slot maps to a non-counter");
             metrics_[i].counter += shard.counters_[i];
         }
-        for (std::size_t i = 0; i < shard.histogramIndex_.size(); ++i) {
-            std::uint32_t slot = shard.histogramIndex_[i];
-            if (slot == std::numeric_limits<std::uint32_t>::max())
-                continue;
-            if (shard.histograms_[slot].count == 0)
-                continue;
-            metrics_[i].histogram.merge(shard.histograms_[slot]);
-        }
     }
-    shard.clear();
+    std::fill(shard.counters_.begin(), shard.counters_.end(), 0);
 }
 
 std::vector<MetricSnapshot>
@@ -415,7 +342,7 @@ Registry::reset()
     for (Metric &m : metrics_) {
         m.counter = 0;
         m.gauge = 0.0;
-        m.histogram.clear();
+        m.histogram = HistogramData(m.histogram.bounds);
     }
 }
 

@@ -13,13 +13,13 @@
  *
  * Concurrency contract: direct add()/set()/observe() calls lock the
  * registry mutex and are meant for cold paths (a temperature change, a
- * pipeline run boundary).  Hot loops record into a MetricShard — a
- * private, lock-free accumulator a worker owns for the duration of a
- * stripe — and fold() it back at the join barrier.  Counter and
- * histogram merges are plain sums, so folding is associative and
- * commutative: any shard/fold decomposition yields exactly the totals
- * of a serial run (asserted by obs_test.cc).  Gauges are last-write
- * values with no meaningful merge, so shards do not carry them.
+ * pipeline run boundary).  Hot loops count into a MetricShard — a
+ * private, lock-free counter array a worker owns for the duration of
+ * a stripe — and fold() it back at the join barrier.  Folds are plain
+ * sums, so any shard/fold decomposition yields exactly the counter
+ * totals of a serial run (asserted by obs_test.cc).  Shards carry
+ * counters only: histograms and gauges are recorded on the registry
+ * directly.
  */
 
 #ifndef RETSIM_OBS_METRICS_HH
@@ -63,7 +63,6 @@ struct HistogramData
     void observe(double value);
     /** Sum another histogram with identical bounds into this one. */
     void merge(const HistogramData &other);
-    void clear();
 };
 
 /** Point-in-time copy of one metric, for reporting sinks. */
@@ -79,11 +78,10 @@ struct MetricSnapshot
 class Registry;
 
 /**
- * Lock-free accumulator for one worker (stripe) thread.  Created from
- * a Registry, sized to the metrics registered at creation time;
+ * Lock-free counter array for one worker (stripe) thread.  Created
+ * from a Registry, sized to the metrics registered at creation time;
  * recording is a plain array add with no synchronization.  Fold the
- * shard back into the registry at a join barrier, or merge shards
- * pairwise first — both orders produce identical totals.
+ * shard back into the registry at a join barrier.
  */
 class MetricShard
 {
@@ -91,25 +89,11 @@ class MetricShard
     MetricShard() = default;
 
     void add(MetricId id, std::uint64_t delta = 1);
-    void observe(MetricId id, double value);
-
-    /** Current local counter value (reporting before a fold). */
-    std::uint64_t counterValue(MetricId id) const;
-
-    /** Sum @p other into this shard (same registry generation). */
-    void merge(const MetricShard &other);
-
-    /** Zero every local value, keeping the metric layout. */
-    void clear();
-
-    bool empty() const { return counters_.empty(); }
 
   private:
     friend class Registry;
 
     std::vector<std::uint64_t> counters_; ///< by metric index
-    std::vector<HistogramData> histograms_;
-    std::vector<std::uint32_t> histogramIndex_; ///< metric -> slot
 };
 
 class Registry
@@ -139,7 +123,6 @@ class Registry
 
     std::uint64_t counterValue(MetricId id) const;
     double gaugeValue(MetricId id) const;
-    HistogramData histogramValue(MetricId id) const;
 
     /** Shard covering every metric registered so far. */
     MetricShard makeShard() const;

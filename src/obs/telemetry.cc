@@ -214,25 +214,6 @@ TelemetryScope::TelemetryScope(std::string path, std::string run_label)
     setActiveRecorder(recorder_.get());
 }
 
-TelemetryScope::TelemetryScope(TelemetryScope &&other) noexcept
-    : path_(std::move(other.path_)),
-      recorder_(std::move(other.recorder_))
-{
-    other.path_.clear();
-}
-
-TelemetryScope &
-TelemetryScope::operator=(TelemetryScope &&other) noexcept
-{
-    if (this != &other) {
-        finish();
-        path_ = std::move(other.path_);
-        recorder_ = std::move(other.recorder_);
-        other.path_.clear();
-    }
-    return *this;
-}
-
 TelemetryScope::~TelemetryScope()
 {
     finish();

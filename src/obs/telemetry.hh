@@ -148,10 +148,8 @@ class TelemetryScope
     TelemetryScope(std::string path, std::string run_label);
     ~TelemetryScope();
 
-    TelemetryScope(TelemetryScope &&other) noexcept;
-    TelemetryScope &operator=(TelemetryScope &&other) noexcept;
-    TelemetryScope(const TelemetryScope &) = delete;
-    TelemetryScope &operator=(const TelemetryScope &) = delete;
+    TelemetryScope(TelemetryScope &&) = delete;
+    TelemetryScope &operator=(TelemetryScope &&) = delete;
 
     bool active() const { return recorder_ != nullptr; }
     TelemetryRecorder *recorder() { return recorder_.get(); }

@@ -65,48 +65,6 @@ sampleCategorical(Rng &gen, const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-CdfTable::CdfTable(const std::vector<double> &weights)
-{
-    RETSIM_ASSERT(!weights.empty(), "empty weight vector");
-    cdf_.resize(weights.size());
-    double total = 0.0;
-    for (double w : weights) {
-        RETSIM_ASSERT(w >= 0.0, "negative categorical weight");
-        total += w;
-    }
-    RETSIM_ASSERT(total > 0.0, "categorical weights sum to zero");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        cdf_[i] = acc / total;
-    }
-    cdf_.back() = 1.0;
-}
-
-std::size_t
-CdfTable::sample(Rng &gen) const
-{
-    double u = gen.nextDouble();
-    // Binary search for the first entry > u.
-    std::size_t lo = 0;
-    std::size_t hi = cdf_.size() - 1;
-    while (lo < hi) {
-        std::size_t mid = (lo + hi) / 2;
-        if (cdf_[mid] > u)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo;
-}
-
-double
-CdfTable::probability(std::size_t i) const
-{
-    double prev = i == 0 ? 0.0 : cdf_.at(i - 1);
-    return cdf_.at(i) - prev;
-}
-
 double
 shannonEntropyBits(const std::vector<double> &weights)
 {

@@ -4,9 +4,8 @@
  *
  * The software-only MCMC baseline samples categorical label
  * distributions directly; the RET device model draws exponential
- * time-to-fluorescence values; the CDF-LUT pseudo-RNG baseline of
- * Table IV inverts a stored discrete CDF.  Entropy helpers back the
- * paper's entropy-rate figure (Sec. II-C).
+ * time-to-fluorescence values.  Entropy helpers back the paper's
+ * entropy-rate figure (Sec. II-C).
  */
 
 #ifndef RETSIM_RNG_DISTRIBUTIONS_HH
@@ -48,29 +47,6 @@ void fillExponentials(Rng &gen, std::span<const double> rates,
  * a single uniform.  Weights must be non-negative with positive sum.
  */
 std::size_t sampleCategorical(Rng &gen, const std::vector<double> &weights);
-
-/**
- * Discrete inverse-CDF sampler with a precomputed cumulative table —
- * the structure a pure-CMOS sampling unit would keep in its LUT
- * (Sec. IV-C: "store {1,3,6,7} for the distribution {1,2,3,1}").
- * Weights are quantized to integers when built from quantized energy.
- */
-class CdfTable
-{
-  public:
-    explicit CdfTable(const std::vector<double> &weights);
-
-    /** Sample a label using one uniform draw from @p gen. */
-    std::size_t sample(Rng &gen) const;
-
-    /** Probability of label i implied by the table. */
-    double probability(std::size_t i) const;
-
-    std::size_t size() const { return cdf_.size(); }
-
-  private:
-    std::vector<double> cdf_; // normalized, cdf_.back() == 1.0
-};
 
 /** Shannon entropy (bits) of an unnormalized weight vector. */
 double shannonEntropyBits(const std::vector<double> &weights);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.hh"
-
 namespace retsim {
 namespace util {
 
@@ -22,32 +20,6 @@ RunningStats::add(double x)
     double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (x - mean_);
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    double delta = other.mean_ - mean_;
-    std::uint64_t n = count_ + other.count_;
-    double na = static_cast<double>(count_);
-    double nb = static_cast<double>(other.count_);
-    mean_ += delta * nb / static_cast<double>(n);
-    m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(n);
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ = n;
-}
-
-void
-RunningStats::reset()
-{
-    *this = RunningStats();
 }
 
 double
@@ -70,45 +42,6 @@ double
 RunningStats::stddev() const
 {
     return std::sqrt(sampleVariance());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    RETSIM_ASSERT(bins >= 1, "histogram needs at least one bin");
-    RETSIM_ASSERT(hi > lo, "histogram range is empty");
-}
-
-void
-Histogram::add(double x)
-{
-    std::size_t idx;
-    if (x < lo_) {
-        idx = 0;
-    } else if (x >= hi_) {
-        idx = counts_.size() - 1;
-    } else {
-        idx = static_cast<std::size_t>((x - lo_) / width_);
-        idx = std::min(idx, counts_.size() - 1);
-    }
-    ++counts_[idx];
-    ++total_;
-}
-
-double
-Histogram::binCenter(std::size_t i) const
-{
-    return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
-double
-Histogram::binFraction(std::size_t i) const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(counts_.at(i)) /
-           static_cast<double>(total_);
 }
 
 } // namespace util

@@ -1,18 +1,16 @@
 /**
  * @file
- * Streaming statistics accumulators and histograms.
+ * Streaming statistics accumulator.
  *
  * RunningStats implements Welford's online algorithm so means and
  * variances of long MCMC traces can be accumulated without storing the
- * samples.  Histogram provides fixed-width binning used by the RET
- * circuit model to validate time-to-fluorescence distributions.
+ * samples.
  */
 
 #ifndef RETSIM_UTIL_STATS_HH
 #define RETSIM_UTIL_STATS_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace retsim {
 namespace util {
@@ -27,12 +25,6 @@ class RunningStats
 
     /** Fold one observation into the accumulator. */
     void add(double x);
-
-    /** Merge another accumulator (parallel reduction). */
-    void merge(const RunningStats &other);
-
-    /** Remove all observations. */
-    void reset();
 
     std::uint64_t count() const { return count_; }
     double mean() const { return count_ ? mean_ : 0.0; }
@@ -56,40 +48,6 @@ class RunningStats
     double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-width histogram over [lo, hi); out-of-range samples are counted
- * in saturating edge bins so totals are conserved.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Inclusive lower edge of the first bin.
-     * @param hi Exclusive upper edge of the last bin.
-     * @param bins Number of bins (must be >= 1).
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    std::size_t numBins() const { return counts_.size(); }
-    std::uint64_t total() const { return total_; }
-
-    /** Center of bin i. */
-    double binCenter(std::size_t i) const;
-
-    /** Fraction of all samples landing in bin i. */
-    double binFraction(std::size_t i) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::uint64_t total_ = 0;
-    std::vector<std::uint64_t> counts_;
 };
 
 } // namespace util

@@ -95,21 +95,5 @@ TextTable::print(std::ostream &os, const std::string &title) const
         print_row(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto print_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            os << row[c];
-        }
-        os << '\n';
-    };
-    print_row(header_);
-    for (const auto &row : rows_)
-        print_row(row);
-}
-
 } // namespace util
 } // namespace retsim

@@ -1,7 +1,7 @@
 /**
  * @file
- * Plain-text table and CSV writers used by the benchmark harness to
- * print the paper's tables and figure series in a uniform format.
+ * Plain-text table writer used by the benchmark harness to print the
+ * paper's tables and figure series in a uniform format.
  */
 
 #ifndef RETSIM_UTIL_TABLE_HH
@@ -40,9 +40,6 @@ class TextTable
 
     /** Render with aligned columns. */
     void print(std::ostream &os, const std::string &title = "") const;
-
-    /** Render as CSV (header + rows). */
-    void printCsv(std::ostream &os) const;
 
     std::size_t numRows() const { return rows_.size(); }
     std::size_t numCols() const { return header_.size(); }

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/accelerator.hh"
-#include "util/chi_square.hh"
+#include "support/chi_square.hh"
 
 namespace {
 

@@ -14,6 +14,7 @@
 #include "apps/stereo.hh"
 #include "core/sampler_software.hh"
 #include "img/synthetic.hh"
+#include "support/energy_bound.hh"
 
 namespace {
 
@@ -50,7 +51,7 @@ TEST(StereoApp, EnergyFitsEightBitBudget)
     // (Sec. III-C.1 fixes Energy_bits = 8).
     auto scene = smallStereo();
     auto problem = buildStereoProblem(scene);
-    EXPECT_LE(problem.maxConditionalEnergy(), 255.0);
+    EXPECT_LE(mrf::maxConditionalEnergy(problem), 255.0);
 }
 
 TEST(StereoApp, OccludedColumnsPayDataPenalty)
@@ -127,7 +128,7 @@ TEST(MotionApp, ProblemUsesSquaredDistanceOn49Labels)
     auto problem = buildMotionProblem(scene);
     EXPECT_EQ(problem.numLabels(), 49);
     EXPECT_EQ(problem.pairwise().kind(), mrf::DistanceKind::Squared);
-    EXPECT_LE(problem.maxConditionalEnergy(), 255.0);
+    EXPECT_LE(mrf::maxConditionalEnergy(problem), 255.0);
 }
 
 TEST(MotionApp, SoftwareSolverRecoversMostMotion)
@@ -166,7 +167,7 @@ TEST(SegmentationApp, ProblemIsPottsModel)
     auto problem = buildSegmentationProblem(scene);
     EXPECT_EQ(problem.numLabels(), 4);
     EXPECT_EQ(problem.pairwise().kind(), mrf::DistanceKind::Binary);
-    EXPECT_LE(problem.maxConditionalEnergy(), 255.0);
+    EXPECT_LE(mrf::maxConditionalEnergy(problem), 255.0);
 }
 
 TEST(SegmentationApp, SoftwareSolverProducesLowVoi)

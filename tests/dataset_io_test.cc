@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for real-dataset loading: PGM-backed stereo/motion/
- * segmentation scenes round-trip through files written by our own
- * writer (the loaders must also reject inconsistent inputs loudly).
+ * Tests for real-dataset loading: PGM-backed stereo scenes
+ * round-trip through files written by our own writer (the loader
+ * must also reject inconsistent inputs loudly).
  */
 
 #include <gtest/gtest.h>
@@ -125,33 +125,6 @@ TEST_F(DatasetIoTest, StereoGtBeyondRangeIsFatal)
     EXPECT_EXIT(loadStereoScene("bad", path("a.pgm"), path("b.pgm"),
                                 path("g.pgm"), 8, 16),
                 ::testing::ExitedWithCode(1), "exceeds");
-}
-
-TEST_F(DatasetIoTest, MotionPairLoads)
-{
-    writePgm(ImageU8(24, 20, 10), path("f0.pgm"));
-    writePgm(ImageU8(24, 20, 12), path("f1.pgm"));
-    MotionScene scene =
-        loadMotionScene("pair", path("f0.pgm"), path("f1.pgm"), 2);
-    EXPECT_EQ(scene.frame0.width(), 24);
-    EXPECT_EQ(scene.windowRadius, 2);
-    EXPECT_EQ(scene.gtMotion(5, 5), (Vec2i{0, 0}));
-}
-
-TEST_F(DatasetIoTest, SegmentationGtRemapsGrayLevels)
-{
-    ImageU8 image(8, 8, 100);
-    writePgm(image, path("img.pgm"));
-    ImageU8 gt(8, 8);
-    for (int y = 0; y < 8; ++y)
-        for (int x = 0; x < 8; ++x)
-            gt(x, y) = x < 4 ? 17 : 203; // arbitrary gray levels
-    writePgm(gt, path("seg.pgm"));
-
-    SegmentationScene scene = loadSegmentationScene(
-        "seg", path("img.pgm"), path("seg.pgm"), 2);
-    EXPECT_EQ(scene.gtSegments(0, 0), 0);
-    EXPECT_EQ(scene.gtSegments(7, 0), 1);
 }
 
 TEST_F(DatasetIoTest, MissingFileIsFatal)

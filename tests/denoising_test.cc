@@ -13,6 +13,7 @@
 #include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
 #include "img/synthetic.hh"
+#include "support/energy_bound.hh"
 
 namespace {
 
@@ -89,7 +90,7 @@ TEST(Denoising, ProblemShapeAndBudget)
     EXPECT_EQ(problem.numLabels(), params.levels);
     EXPECT_EQ(problem.pairwise().kind(),
               mrf::DistanceKind::Absolute);
-    EXPECT_LE(problem.maxConditionalEnergy(), 255.0);
+    EXPECT_LE(mrf::maxConditionalEnergy(problem), 255.0);
 }
 
 TEST(Denoising, RestorationImprovesPsnrSoftware)

@@ -18,7 +18,7 @@
 #include "core/energy_to_lambda.hh"
 #include "core/sampler_rsu.hh"
 #include "rng/rng.hh"
-#include "util/chi_square.hh"
+#include "support/chi_square.hh"
 
 namespace {
 

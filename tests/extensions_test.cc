@@ -233,24 +233,6 @@ TEST(PhaseType, ErlangIsLessDispersedThanExponential)
     EXPECT_LT(erlang.variance(), expo.variance() / 4.0);
 }
 
-TEST(PhaseType, BinnedSamplingRespectsWindow)
-{
-    auto erlang = PhaseTypeSampler::erlang(3, 0.4);
-    RsuConfig cfg = RsuConfig::newDesign(); // 32-bin window
-    rng::Xoshiro256 gen(17);
-    int fired = 0;
-    for (int i = 0; i < 5000; ++i) {
-        auto bin = erlang.sampleBinned(cfg, gen);
-        if (bin) {
-            ++fired;
-            EXPECT_GE(*bin, 1u);
-            EXPECT_LE(*bin, 32u);
-        }
-    }
-    // Mean = 7.5 bins, well within the window: most samples fire.
-    EXPECT_GT(fired, 4500);
-}
-
 TEST(PhaseType, MixedRepeatedRatesSampleButHaveNoClosedCdf)
 {
     // Sampling and moments work for any rate vector; only the

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the image substrate: containers, PGM round trips,
- * filters, and — most importantly — the consistency invariants of the
+ * and — most importantly — the consistency invariants of the
  * synthetic dataset generators (the stereo pair really is linked by
  * the ground-truth disparity, motion frames by the true flow, etc.).
  */
@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "img/filters.hh"
 #include "img/image.hh"
 #include "img/pgm_io.hh"
 #include "img/synthetic.hh"
@@ -95,49 +94,6 @@ TEST(PgmIo, LabelMapToGrayStretchesRange)
     EXPECT_EQ(gray(0, 0), 0);
     EXPECT_EQ(gray(1, 0), 127);
     EXPECT_EQ(gray(2, 0), 255);
-}
-
-// --------------------------------------------------------------- filters
-
-TEST(Filters, BoxBlurPreservesConstantImage)
-{
-    ImageF im(10, 8, 42.0f);
-    ImageF out = boxBlur(im, 2);
-    for (int y = 0; y < 8; ++y)
-        for (int x = 0; x < 10; ++x)
-            EXPECT_NEAR(out(x, y), 42.0f, 1e-4f);
-}
-
-TEST(Filters, BoxBlurSmoothsImpulse)
-{
-    ImageF im(9, 9, 0.0f);
-    im(4, 4) = 81.0f;
-    ImageF out = boxBlur(im, 1);
-    EXPECT_NEAR(out(4, 4), 81.0f / 9.0f, 1e-4f);
-    EXPECT_NEAR(out(3, 3), 81.0f / 9.0f, 1e-4f);
-    EXPECT_NEAR(out(0, 0), 0.0f, 1e-4f);
-}
-
-TEST(Filters, ConversionClampsToU8)
-{
-    ImageF f(2, 1);
-    f(0, 0) = -10.0f;
-    f(1, 0) = 300.0f;
-    ImageU8 u = toU8(f);
-    EXPECT_EQ(u(0, 0), 0);
-    EXPECT_EQ(u(1, 0), 255);
-}
-
-TEST(Filters, AbsDiff)
-{
-    ImageU8 a(2, 1), b(2, 1);
-    a(0, 0) = 10;
-    b(0, 0) = 14;
-    a(1, 0) = 200;
-    b(1, 0) = 100;
-    ImageF d = absDiff(a, b);
-    EXPECT_FLOAT_EQ(d(0, 0), 4.0f);
-    EXPECT_FLOAT_EQ(d(1, 0), 100.0f);
 }
 
 // ----------------------------------------------------------- value noise

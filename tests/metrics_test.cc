@@ -72,7 +72,6 @@ TEST(MotionMetrics, ZeroErrorOnIdenticalFlow)
     img::Image<Vec2i> flow(3, 2);
     flow(1, 1) = {2, -1};
     EXPECT_DOUBLE_EQ(endPointError(flow, flow), 0.0);
-    EXPECT_NEAR(angularErrorDeg(flow, flow), 0.0, 1e-9);
 }
 
 TEST(MotionMetrics, EndPointErrorKnownValue)
@@ -89,15 +88,6 @@ TEST(MotionMetrics, EpeAveragesOverPixels)
     est(0, 0) = {1, 0}; // error 1
     est(1, 0) = {0, 3}; // error 3
     EXPECT_DOUBLE_EQ(endPointError(est, truth), 2.0);
-}
-
-TEST(MotionMetrics, AngularErrorKnownValue)
-{
-    img::Image<Vec2i> truth(1, 1), est(1, 1);
-    truth(0, 0) = {0, 0};
-    est(0, 0) = {1, 0};
-    // Angle between (0,0,1) and (1,0,1): acos(1/sqrt(2)) = 45 deg.
-    EXPECT_NEAR(angularErrorDeg(est, truth), 45.0, 1e-9);
 }
 
 // ----------------------------------------------------- contingency table

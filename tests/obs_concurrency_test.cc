@@ -26,7 +26,6 @@ TEST(ObsConcurrency, ParallelShardRecordingFoldsToSerialTotals)
 
     obs::Registry reg;
     obs::MetricId c = reg.counter("work");
-    obs::MetricId h = reg.histogram("depth", {4.0, 16.0});
 
     std::vector<obs::MetricShard> shards;
     for (int t = 0; t < kThreads; ++t)
@@ -37,10 +36,8 @@ TEST(ObsConcurrency, ParallelShardRecordingFoldsToSerialTotals)
         threads.emplace_back([&, t] {
             obs::MetricShard &shard =
                 shards[static_cast<std::size_t>(t)];
-            for (int i = 0; i < kIters; ++i) {
+            for (int i = 0; i < kIters; ++i)
                 shard.add(c, static_cast<std::uint64_t>(i % 5));
-                shard.observe(h, static_cast<double>(i % 23));
-            }
         });
     }
     for (auto &th : threads)
@@ -54,9 +51,6 @@ TEST(ObsConcurrency, ParallelShardRecordingFoldsToSerialTotals)
         per_thread += static_cast<std::uint64_t>(i % 5);
     EXPECT_EQ(reg.counterValue(c),
               per_thread * static_cast<std::uint64_t>(kThreads));
-    obs::HistogramData hist = reg.histogramValue(h);
-    EXPECT_EQ(hist.count,
-              static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
 TEST(ObsConcurrency, DirectRegistryUpdatesAreThreadSafe)

@@ -38,7 +38,7 @@
 #include "mrf/checkerboard.hh"
 #include "obs/metrics.hh"
 #include "rng/rng.hh"
-#include "util/chi_square.hh"
+#include "support/chi_square.hh"
 
 namespace {
 

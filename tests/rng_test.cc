@@ -13,7 +13,7 @@
 #include "rng/distributions.hh"
 #include "rng/lfsr.hh"
 #include "rng/rng.hh"
-#include "util/chi_square.hh"
+#include "support/chi_square.hh"
 #include "util/stats.hh"
 
 namespace {
@@ -231,34 +231,6 @@ TEST(Categorical, SingleLabel)
 {
     Xoshiro256 gen(31);
     EXPECT_EQ(sampleCategorical(gen, {5.0}), 0u);
-}
-
-TEST(CdfTable, ProbabilitiesAndSampling)
-{
-    CdfTable t({1.0, 2.0, 1.0});
-    EXPECT_DOUBLE_EQ(t.probability(0), 0.25);
-    EXPECT_DOUBLE_EQ(t.probability(1), 0.50);
-    EXPECT_DOUBLE_EQ(t.probability(2), 0.25);
-
-    Xoshiro256 gen(37);
-    std::vector<int> counts(3, 0);
-    const int kDraws = 60000;
-    for (int i = 0; i < kDraws; ++i)
-        counts[t.sample(gen)]++;
-    EXPECT_NEAR(counts[1] / double(kDraws), 0.5, 0.01);
-}
-
-TEST(CdfTable, MatchesLinearScanSampler)
-{
-    // Binary search and linear scan must agree given the same uniform.
-    std::vector<double> w = {0.5, 0.25, 3.0, 0.75};
-    CdfTable t(w);
-    for (std::uint64_t raw :
-         {std::uint64_t{0}, ~std::uint64_t{0} / 3, ~std::uint64_t{0} / 2,
-          ~std::uint64_t{0} - (std::uint64_t{1} << 12)}) {
-        CountingRng a({raw}), b({raw});
-        EXPECT_EQ(t.sample(a), sampleCategorical(b, w));
-    }
 }
 
 TEST(Rng, XoshiroByteUniformityChiSquare)

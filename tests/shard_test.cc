@@ -13,6 +13,7 @@
  * table: the suite is multi-threaded).
  */
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -507,6 +508,80 @@ TEST(ShardedSolver, OverlapWithMoreShardsThanStripes)
     const mrf::MrfProblem problem = makeProblem(10, 9);
     const RunResult ref = runReference(problem, 3);
     expectSameRun(ref, runLoopback(problem, 3, 5, 2));
+}
+
+// ------------------------------------------------------------------
+// One counter contract across the schedules
+
+TEST(SolverCounters, UntracedRunsCountEveryUpdate)
+{
+    // Every schedule adds its pixel updates and label changes to the
+    // registry, traced or not: 4 sweeps of 14x11 pixels is 616
+    // updates, and the untraced run's label changes are the traced
+    // run's.
+    const mrf::MrfProblem problem = makeProblem();
+    obs::Registry &reg = obs::Registry::global();
+    const obs::MetricId updates = reg.counter("mrf.solver.pixel_updates");
+    const obs::MetricId changes = reg.counter("mrf.solver.label_changes");
+
+    auto config = [](bool random_scan, int stripes) {
+        mrf::SolverConfig cfg;
+        cfg.annealing.t0 = 12.0;
+        cfg.annealing.tEnd = 0.8;
+        cfg.annealing.sweeps = 4;
+        cfg.seed = 99;
+        cfg.randomScan = random_scan;
+        cfg.stripes = stripes;
+        return cfg;
+    };
+    shard::ShardOptions loopback;
+    loopback.shards = 2;
+    loopback.transport = shard::ShardOptions::Transport::Loopback;
+
+    using Run = std::function<void(mrf::SolverTrace *)>;
+    const std::vector<std::pair<const char *, Run>> schedules = {
+        {"raster",
+         [&](mrf::SolverTrace *trace) {
+             core::SoftwareSampler sampler;
+             mrf::GibbsSolver(config(false, 0))
+                 .run(problem, sampler, trace);
+         }},
+        {"random-scan",
+         [&](mrf::SolverTrace *trace) {
+             core::SoftwareSampler sampler;
+             mrf::GibbsSolver(config(true, 0)).run(problem, sampler, trace);
+         }},
+        {"serial checkerboard",
+         [&](mrf::SolverTrace *trace) {
+             core::SoftwareSampler sampler;
+             mrf::CheckerboardGibbsSolver(config(false, 0))
+                 .run(problem, sampler, trace);
+         }},
+        {"striped checkerboard",
+         [&](mrf::SolverTrace *trace) {
+             core::SoftwareSampler sampler;
+             mrf::CheckerboardGibbsSolver(config(false, 4))
+                 .run(problem, sampler, trace);
+         }},
+        {"2-shard loopback",
+         [&](mrf::SolverTrace *trace) {
+             core::SoftwareSampler sampler;
+             shard::ShardedCheckerboardSolver(config(false, 4), loopback)
+                 .run(problem, sampler, trace);
+         }},
+    };
+    for (const auto &[name, run] : schedules) {
+        SCOPED_TRACE(name);
+        mrf::SolverTrace trace;
+        run(&trace);
+        ASSERT_EQ(trace.pixelUpdates, 616u);
+        const std::uint64_t updates0 = reg.counterValue(updates);
+        const std::uint64_t changes0 = reg.counterValue(changes);
+        run(nullptr);
+        EXPECT_EQ(reg.counterValue(updates) - updates0, 616u);
+        EXPECT_EQ(reg.counterValue(changes) - changes0,
+                  trace.labelChanges);
+    }
 }
 
 TEST(ShardedSolverDeathTest, NegativeThreadsOrStripesAreFatal)

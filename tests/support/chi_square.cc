@@ -1,4 +1,4 @@
-#include "util/chi_square.hh"
+#include "support/chi_square.hh"
 
 #include <cmath>
 

@@ -8,8 +8,8 @@
  * assertions (fixed tolerances either mask bias or flake).
  */
 
-#ifndef RETSIM_UTIL_CHI_SQUARE_HH
-#define RETSIM_UTIL_CHI_SQUARE_HH
+#ifndef RETSIM_TESTS_SUPPORT_CHI_SQUARE_HH
+#define RETSIM_TESTS_SUPPORT_CHI_SQUARE_HH
 
 #include <cstdint>
 #include <vector>
@@ -43,4 +43,4 @@ bool chiSquareConsistent(const std::vector<std::uint64_t> &observed,
 } // namespace util
 } // namespace retsim
 
-#endif // RETSIM_UTIL_CHI_SQUARE_HH
+#endif // RETSIM_TESTS_SUPPORT_CHI_SQUARE_HH

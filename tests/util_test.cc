@@ -16,6 +16,7 @@
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
+#include "support/histogram.hh"
 
 namespace {
 
@@ -52,34 +53,6 @@ TEST(RunningStats, KnownMoments)
     EXPECT_DOUBLE_EQ(s.variance(), 4.0); // population
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential)
-{
-    RunningStats a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        double v = std::sin(i * 0.7) * 10.0;
-        (i % 2 ? a : b).add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty)
-{
-    RunningStats a, empty;
-    a.add(1.0);
-    a.add(2.0);
-    double mean = a.mean();
-    a.merge(empty);
-    EXPECT_DOUBLE_EQ(a.mean(), mean);
-    empty.merge(a);
-    EXPECT_DOUBLE_EQ(empty.mean(), mean);
 }
 
 TEST(Histogram, BinningAndEdges)
@@ -169,15 +142,6 @@ TEST(TextTable, AlignmentAndAccess)
     std::string out = oss.str();
     EXPECT_NE(out.find("demo"), std::string::npos);
     EXPECT_NE(out.find("alpha"), std::string::npos);
-}
-
-TEST(TextTable, CsvOutput)
-{
-    TextTable t({"a", "b"});
-    t.newRow().cell("x").cell("y");
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\nx,y\n");
 }
 
 TEST(FormatFixed, Precision)
