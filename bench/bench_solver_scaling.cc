@@ -12,7 +12,7 @@
  * a perf trajectory to regress against.
  *
  * The sampler under test is selectable (--sampler=software|cdf-lut|
- * rsu, --race-mode=race|fastpath|auto), and the default workload list
+ * rsu, --race-mode=race|fastpath), and the default workload list
  * includes an rsu-new-design fast-path stereo run at the packed-lane
  * label count so the device pipeline's scaling is tracked alongside
  * the software baseline.  Each run reports the incremental
@@ -254,7 +254,7 @@ main(int argc, char **argv)
         args.getString("out", "BENCH_solver_scaling.json");
     const std::string sampler_arg = args.getString("sampler", "");
     const core::RaceMode race_mode =
-        core::raceModeFromCli(args, core::RaceMode::Auto);
+        core::raceModeFromCli(args, core::RaceMode::Race);
     const std::string race_name = core::toString(race_mode);
     const bool energy_cache = args.getBool("energy-cache", true);
     // --shards=N (with --shard-transport=loopback|socket) appends a

@@ -1,7 +1,7 @@
 /**
  * @file
  * Glue between util::CliArgs and RaceMode: the
- * `--race-mode=race|fastpath|auto` override flag shared by the apps,
+ * `--race-mode=race|fastpath` override flag shared by the apps,
  * benches and verification tools.  Header-only like simd_cli.hh so
  * core's CLI surface does not grow a util link dependency of its own
  * — the caller already links util.  Usage:
@@ -12,9 +12,7 @@
  *
  * `race` (the default) keeps the literal cycle-accurate race and its
  * byte-exact replay contracts; `fastpath` forces the alias-table
- * categorical draw (fatal if the config can't be tabulated); `auto`
- * uses the fast path wherever the race mode draws nothing but the
- * per-label exponentials (see RaceFastPath::autoEligible).
+ * categorical draw (fatal if the config can't be tabulated).
  */
 
 #ifndef RETSIM_CORE_RACE_CLI_HH
@@ -41,10 +39,8 @@ raceModeFromCli(const util::CliArgs &args,
         return RaceMode::Race;
     if (spec == "fastpath")
         return RaceMode::FastPath;
-    if (spec == "auto")
-        return RaceMode::Auto;
     RETSIM_FATAL("unknown --race-mode '", spec,
-                 "' (expected race|fastpath|auto)");
+                 "' (expected race|fastpath)");
 }
 
 } // namespace core

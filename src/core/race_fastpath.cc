@@ -303,13 +303,6 @@ RaceFastPath::supported(const RsuConfig &cfg)
 }
 
 bool
-RaceFastPath::autoEligible(const RsuConfig &cfg)
-{
-    return cfg.timeQuant == TimeQuant::Float ||
-           cfg.tieBreak != TieBreak::Random;
-}
-
-bool
 RaceFastPath::resolve(const RsuConfig &cfg)
 {
     switch (cfg.raceMode) {
@@ -321,10 +314,9 @@ RaceFastPath::resolve(const RsuConfig &cfg)
                 "race_mode=fastpath is unsupported for ",
                 cfg.describe(),
                 " (binned fastpath needs quantized energies and a "
-                "non-float lambda; use race_mode=auto to fall back)");
+                "non-float lambda; use race_mode=race for this "
+                "config)");
         return true;
-      case RaceMode::Auto:
-        return supported(cfg) && autoEligible(cfg);
     }
     return false;
 }

@@ -279,11 +279,6 @@ class RaceFastPath
      *  continuous rates would defeat the class decomposition. */
     static bool supported(const RsuConfig &cfg);
 
-    /** Race modes that draw nothing but the per-label exponentials
-     *  (float time, or binned time with a deterministic tie-break) —
-     *  what RaceMode::Auto additionally requires. */
-    static bool autoEligible(const RsuConfig &cfg);
-
     /** Resolve cfg.raceMode to a concrete use-fastpath decision.
      *  Fatal when FastPath is requested explicitly for an unsupported
      *  config. */

@@ -57,8 +57,6 @@ toString(RaceMode v)
         return "race";
       case RaceMode::FastPath:
         return "fastpath";
-      case RaceMode::Auto:
-        return "auto";
     }
     return "unknown";
 }
@@ -243,8 +241,6 @@ RsuConfig::fromString(const std::string &text)
                 cfg.raceMode = RaceMode::Race;
             else if (value == "fastpath")
                 cfg.raceMode = RaceMode::FastPath;
-            else if (value == "auto")
-                cfg.raceMode = RaceMode::Auto;
             else
                 RETSIM_FATAL("unknown race_mode '", value, "'");
         } else {

@@ -84,9 +84,6 @@ enum class RaceMode
     Race,     ///< literal cycle-accurate race (the reference)
     FastPath, ///< alias-table/CDF categorical draw (fatal if the
               ///< config is unsupported — see RaceFastPath::supported)
-    Auto,     ///< fastpath when the race mode draws nothing but the
-              ///< per-label exponentials and the rates are tabulable;
-              ///< otherwise the literal race
 };
 
 std::string toString(LambdaQuant v);
@@ -125,7 +122,7 @@ struct RsuConfig
 
     /** First-to-fire selection implementation.  Race (the default)
      *  preserves the literal per-label exponential draws and their
-     *  byte-exact reproducibility contracts; FastPath/Auto substitute
+     *  byte-exact reproducibility contracts; FastPath substitutes
      *  the distribution-equivalent categorical draw (a different but
      *  identically distributed random stream). */
     RaceMode raceMode = RaceMode::Race;

@@ -7,7 +7,6 @@
 #include "mrf/checkerboard_detail.hh"
 #include "mrf/checkpoint.hh"
 #include "mrf/solver_run.hh"
-#include "mrf/solver_telemetry.hh"
 #include "util/logging.hh"
 
 namespace retsim {
@@ -47,8 +46,8 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
     // color, stripe), making the output bit-deterministic for a fixed
     // (seed, stripe count) regardless of thread count or scheduling.
     // The serial path runs the executor's one slot over every row.
-    const std::vector<std::unique_ptr<LabelSampler>> clones =
-        detail::cloneStripes(sampler, stripes, config_.resume.get());
+    const std::vector<std::unique_ptr<LabelSampler>> &clones =
+        scaffold.clones;
     const int slots = std::max(stripes, 1);
     detail::StripeExecutor exec(config_, problem, labels, clones, slots,
                                 0, slots);
@@ -63,11 +62,10 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
                 exec.runStripes(s, color, 0, stripes, temperature);
             exec.applyOwnDeferred();
         }
-        exec.foldShards();
         scaffold.endSweep(
             s, temperature, exec.takeCounters(),
             [&] { return problem.totalEnergy(labels); },
-            exec.cloneStatsSum(), exec.cacheStats(),
+            exec.cloneStatsSum(),
             [&](SolverCheckpoint &cp) {
                 cp.stripeSamplerState.resize(clones.size());
                 for (std::size_t k = 0; k < clones.size(); ++k)
@@ -75,14 +73,6 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
             });
     }
     scaffold.finish();
-    if (exec.cache())
-        detail::foldCacheStats(exec.cache()->stats());
-
-    // Fold every stripe clone's instrumentation counters back into
-    // the caller's sampler so striped runs report the same totals
-    // (samples, no-sample events, ties, rebuilds) as serial ones.
-    for (const std::unique_ptr<LabelSampler> &clone : clones)
-        sampler.mergeStats(*clone);
     return labels;
 }
 

@@ -11,11 +11,12 @@
  * probabilistic step, so everything that touches the RNG streams or
  * the energy planes lives here: the per-(seed, sweep, color, stripe)
  * stream derivation, the stripe-to-row mapping and stripe-count rule,
- * the stripe clones, the per-executor row arena, the batched
- * color-phase row update, and the StripeExecutor that runs a range
- * of stripes — all of them in the single-process solver, one rank's
- * in the sharded one.  A one-shard sharded run is the single-process
- * striped run over the same effectiveStripes() stripes.
+ * the per-executor row arena, the batched color-phase row update, and
+ * the StripeExecutor that runs a range of stripes — all of them in
+ * the single-process solver, one rank's in the sharded one.  The
+ * stripe clones come from the run scaffold (solver_run.hh).  A
+ * one-shard sharded run is the single-process striped run over the
+ * same effectiveStripes() stripes.
  *
  * Nothing in this header is public API; it is included by the two
  * solver translation units (and their tests) only.
@@ -38,7 +39,6 @@
 #include "mrf/sampler.hh"
 #include "mrf/solver_run.hh"
 #include "mrf/solver_telemetry.hh"
-#include "obs/metrics.hh"
 #include "rng/rng.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -86,35 +86,6 @@ effectiveStripes(const SolverConfig &config, int height)
 }
 
 /**
- * One clone of @p sampler per stripe, made in ascending stripe order
- * (every schedule's clone sequence), each restored from @p resume's
- * stripe table when resuming.
- */
-inline std::vector<std::unique_ptr<LabelSampler>>
-cloneStripes(const LabelSampler &sampler, int stripes,
-             const SolverCheckpoint *resume)
-{
-    std::vector<std::unique_ptr<LabelSampler>> clones;
-    for (int k = 0; k < stripes; ++k)
-        clones.push_back(sampler.clone(static_cast<std::uint64_t>(k)));
-    if (!resume)
-        return clones;
-    // validateResume already matched the stripe count.
-    RETSIM_ASSERT(static_cast<int>(resume->stripeSamplerState.size()) ==
-                      stripes,
-                  "stripe-state table size mismatch");
-    for (int k = 0; k < stripes; ++k) {
-        if (!clones[static_cast<std::size_t>(k)]->loadState(
-                resume->stripeSamplerState[static_cast<std::size_t>(k)]))
-            RETSIM_FATAL("resume snapshot: stripe ", k,
-                         " sampler state does not fit sampler '",
-                         clones[static_cast<std::size_t>(k)]->name(),
-                         "'");
-    }
-    return clones;
-}
-
-/**
  * Caller-owned buffers for one executor's row batches: the energy
  * plane the problem writes, the label vectors the sampler reads and
  * fills, and the row's flip bitset.  Sized once for the widest
@@ -152,9 +123,9 @@ struct CacheSlot
 
 /**
  * Update one color-phase row through the batched sampler path and
- * return the per-row counter deltas.  Same-color pixels share no
- * edges, so gathering the whole row's conditionals before any write
- * is exactly what the scalar pixel loop computed.
+ * return what it counted.  Same-color pixels share no edges, so
+ * gathering the whole row's conditionals before any write is exactly
+ * what the scalar pixel loop computed.
  *
  * With a CacheSlot the row's conditionals come from the incremental
  * plane (only dirty pixels recomputed, via the shadow-label fused
@@ -172,7 +143,11 @@ updateRow(const MrfProblem &problem, LabelSampler &sampler,
     int n;
     const float *eplane;
     if (cs) {
-        n = cs->cache->refreshRow(problem, labels, y, color);
+        n = cs->cache->phasePixels(y, color);
+        const int recomputed =
+            cs->cache->refreshRow(problem, labels, y, color);
+        c.cacheRecomputed = static_cast<std::uint64_t>(recomputed);
+        c.cacheHits = static_cast<std::uint64_t>(n - recomputed);
         eplane = cs->cache->plane(y, color);
     } else {
         n = problem.conditionalEnergiesRow(labels, y, x0, 2,
@@ -213,20 +188,22 @@ updateRow(const MrfProblem &problem, LabelSampler &sampler,
         }
     }
     if (cs && c.labelChanges)
-        cs->cache->markRowFlips(y, color, flips, cs->rowLo, cs->rowHi,
-                                cs->deferred);
+        c.cacheInvalidations = cs->cache->markRowFlips(
+            y, color, flips, cs->rowLo, cs->rowHi, cs->deferred);
     c.pixelUpdates = static_cast<std::uint64_t>(n);
     return c;
 }
 
 /**
  * Runs stripes [k0, k1) of an S-stripe color phase.  Each stripe has
- * its own row arena, trace counters, deferred dirty marks and metric
- * shard; the executor also owns the energy-plane cache over the
- * stripes' rows [lo, hi) and a pool of SolverConfig::threads
- * executors, capped at its stripe count.  CheckerboardGibbsSolver runs
- * one over [0, S) (its serial chain, one slot over every row: see
- * runRows); each shard rank runs one over its own stripes.
+ * its own row arena, tally (StripeCounters) and deferred dirty marks;
+ * the executor also owns the energy-plane cache over the stripes'
+ * rows [lo, hi) and a pool of SolverConfig::threads executors, capped
+ * at its stripe count.  A stripe writes only its own tally, and
+ * takeCounters() sums them at the sweep join.
+ * CheckerboardGibbsSolver runs one over [0, S) (its serial chain, one
+ * slot over every row: see runRows); each shard rank runs one over
+ * its own stripes.
  */
 class StripeExecutor
 {
@@ -238,8 +215,7 @@ class StripeExecutor
                    std::span<const std::unique_ptr<LabelSampler>> clones,
                    int stripes, int k0, int k1)
         : config_(config), problem_(problem), labels_(labels),
-          ids_(SolverMetricIds::get()), clones_(clones),
-          stripes_(stripes), k0_(k0),
+          clones_(clones), stripes_(stripes), k0_(k0),
           lo_(stripeRowStart(k0, problem.height(), stripes)),
           hi_(stripeRowStart(k1, problem.height(), stripes))
     {
@@ -250,7 +226,7 @@ class StripeExecutor
         // uninterrupted run.  Planes cover rows [lo, hi) only (a
         // rank's own); the shadow labels stay full-grid for the edge
         // rows' reads.
-        if (config.energyCache && m <= 256 && n > 0) {
+        if (n > 0 && keepsEnergyCache(config, problem)) {
             cache_ = std::make_unique<EnergyPlaneCache>(
                 problem.width(), problem.height(), m, /*phases=*/2, lo_,
                 hi_);
@@ -259,8 +235,6 @@ class StripeExecutor
         arenas_.assign(n, RowArena(problem.width(), m));
         counters_.assign(n, StripeCounters{});
         deferred_.assign(n, {});
-        for (std::size_t i = 0; i < n; ++i)
-            shards_.push_back(obs::Registry::global().makeShard());
         // parallelFor's caller participates, so a pool of threads-1
         // workers yields exactly `threads` concurrent executors.
         int threads = config.threads == 0
@@ -281,18 +255,11 @@ class StripeExecutor
             int y1, int color, double temperature)
     {
         StripeCounters &c = counters_[i];
-        obs::MetricShard &shard = shards_[i];
         CacheSlot slot{cache_.get(), y0, y1, &deferred_[i]};
         CacheSlot *cs = cache_ ? &slot : nullptr;
-        for (int y = y0; y < y1; ++y) {
-            StripeCounters rc =
-                updateRow(problem_, sampler, labels_, y, color,
-                          temperature, arenas_[i], gen, cs);
-            c.pixelUpdates += rc.pixelUpdates;
-            c.labelChanges += rc.labelChanges;
-            shard.add(ids_.pixelUpdates, rc.pixelUpdates);
-            shard.add(ids_.labelChanges, rc.labelChanges);
-        }
+        for (int y = y0; y < y1; ++y)
+            c += updateRow(problem_, sampler, labels_, y, color,
+                           temperature, arenas_[i], gen, cs);
     }
 
     /** Stripe @p k of the phase, on its own (seed, sweep, color,
@@ -330,7 +297,8 @@ class StripeExecutor
 
     /**
      * Color-phase join: land the stripes' deferred dirty marks into
-     * rows [lo, hi), before the next phase reads them.  Marks into
+     * rows [lo, hi), before the next phase reads them, each counted
+     * in the tally of the stripe that deferred it.  Marks into
      * another rank's rows are dropped uncounted; the owning rank
      * re-derives each from its ghost-row diff (one mark per changed
      * ghost pixel), so the invalidation total equals a single
@@ -341,35 +309,26 @@ class StripeExecutor
     {
         if (!cache_)
             return;
-        for (std::vector<std::uint64_t> &d : deferred_) {
-            std::erase_if(d, [&](std::uint64_t p) {
+        for (std::size_t i = 0; i < deferred_.size(); ++i) {
+            std::erase_if(deferred_[i], [&](std::uint64_t p) {
                 const int y = static_cast<int>(p & 0xffffffffu);
                 return y < lo_ || y >= hi_;
             });
-            cache_->applyDeferred(d);
+            counters_[i].cacheInvalidations +=
+                cache_->applyDeferred(deferred_[i]);
         }
     }
 
-    /** Sum and reset the stripes' trace counters (sweep join). */
+    /** Sum and reset the stripes' tallies (sweep join). */
     StripeCounters
     takeCounters()
     {
         StripeCounters tot;
         for (StripeCounters &c : counters_) {
-            tot.pixelUpdates += c.pixelUpdates;
-            tot.labelChanges += c.labelChanges;
+            tot += c;
             c = StripeCounters{};
         }
         return tot;
-    }
-
-    /** Fold the stripes' metric shards into the registry (sweep
-     *  join); folds are plain sums, so totals match any schedule. */
-    void
-    foldShards()
-    {
-        for (obs::MetricShard &shard : shards_)
-            obs::Registry::global().fold(shard);
     }
 
     SamplerStats
@@ -389,18 +348,10 @@ class StripeExecutor
 
     EnergyPlaneCache *cache() const { return cache_.get(); }
 
-    const EnergyCacheStats *
-    cacheStats() const
-    {
-        return cache_ ? &cache_->stats() : nullptr;
-    }
-
   private:
     const SolverConfig &config_;
     const MrfProblem &problem_;
     img::LabelMap &labels_;
-    /** Registered before the shards are made, which fixes their size. */
-    const SolverMetricIds &ids_;
     std::span<const std::unique_ptr<LabelSampler>> clones_;
     int stripes_;
     int k0_;
@@ -411,7 +362,6 @@ class StripeExecutor
     /** Per stripe: dirty marks for rows outside the stripe, which
      *  belong to another executor during the phase. */
     std::vector<std::vector<std::uint64_t>> deferred_;
-    std::vector<obs::MetricShard> shards_;
     std::unique_ptr<util::ThreadPool> pool_;
 };
 

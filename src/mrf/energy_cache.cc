@@ -48,7 +48,6 @@ void
 EnergyPlaneCache::reset()
 {
     std::fill(dirty_.begin(), dirty_.end(), ~std::uint64_t{0});
-    ++stats_.rebuilds;
 }
 
 void
@@ -57,7 +56,6 @@ EnergyPlaneCache::syncShadow(const img::LabelMap &labels)
     const std::vector<int> &src = labels.data();
     for (std::size_t i = 0; i < src.size(); ++i)
         shadow_[i] = static_cast<std::uint8_t>(src[i]);
-    ++stats_.shadowSyncs;
 }
 
 std::uint64_t
@@ -95,7 +93,7 @@ EnergyPlaneCache::markFlip(int x, int y, Neighborhood neighborhood,
     return marks;
 }
 
-void
+std::uint64_t
 EnergyPlaneCache::markRowFlips(int y, int color,
                                const std::uint64_t *flips, int rowLo,
                                int rowHi,
@@ -181,10 +179,10 @@ EnergyPlaneCache::markRowFlips(int y, int color,
         marks += static_cast<std::uint64_t>(std::popcount(left) +
                                             std::popcount(right));
     }
-    stats_.invalidations.fetch_add(marks, std::memory_order_relaxed);
+    return marks;
 }
 
-void
+std::uint64_t
 EnergyPlaneCache::applyDeferred(std::vector<std::uint64_t> &deferred)
 {
     for (std::uint64_t p : deferred) {
@@ -192,9 +190,9 @@ EnergyPlaneCache::applyDeferred(std::vector<std::uint64_t> &deferred)
         checkRow(y);
         mark(static_cast<int>(p >> 32), y);
     }
-    stats_.invalidations.fetch_add(deferred.size(),
-                                   std::memory_order_relaxed);
+    const std::uint64_t marks = deferred.size();
     deferred.clear();
+    return marks;
 }
 
 int
@@ -247,17 +245,13 @@ EnergyPlaneCache::refreshRow(const MrfProblem &problem,
         i = j < n ? next_set(j) : n;
     }
     std::fill(dw, dw + wordsPerSlab_, 0);
-    stats_.recomputed.fetch_add(static_cast<std::uint64_t>(recomputed),
-                                std::memory_order_relaxed);
-    stats_.cleanHits.fetch_add(static_cast<std::uint64_t>(n - recomputed),
-                               std::memory_order_relaxed);
-    return n;
+    return recomputed;
 }
 
 const float *
 EnergyPlaneCache::pixelEnergies(const MrfProblem &problem,
                                 const img::LabelMap &labels, int x,
-                                int y)
+                                int y, std::uint64_t &recomputed)
 {
     const std::size_t base = slab(y, 0) * wordsPerSlab_;
     std::uint64_t &word =
@@ -270,22 +264,9 @@ EnergyPlaneCache::pixelEnergies(const MrfProblem &problem,
             labels, x, y,
             std::span<float>(pl, static_cast<std::size_t>(m_)));
         word &= ~bit;
-        ++pendingRecomputed_;
-    } else {
-        ++pendingCleanHits_;
+        ++recomputed;
     }
     return pl;
-}
-
-void
-EnergyPlaneCache::flushPixelCounts()
-{
-    stats_.recomputed.fetch_add(pendingRecomputed_,
-                                std::memory_order_relaxed);
-    stats_.cleanHits.fetch_add(pendingCleanHits_,
-                               std::memory_order_relaxed);
-    pendingRecomputed_ = 0;
-    pendingCleanHits_ = 0;
 }
 
 } // namespace mrf

@@ -52,7 +52,6 @@
 #ifndef RETSIM_MRF_ENERGY_CACHE_HH
 #define RETSIM_MRF_ENERGY_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -63,25 +62,12 @@
 namespace retsim {
 namespace mrf {
 
-/** Cumulative cache traffic, surfaced through obs/telemetry.  The
- *  counters are relaxed atomics: striped checkerboard workers bump
- *  them concurrently (the dirty words themselves are stripe-disjoint,
- *  these totals are the only shared writes), and relaxed increments
- *  keep them exact under threading.  Marks are counted per call, not
- *  per mark: markRowFlips and applyDeferred tally their marks locally
- *  and add the tally once, so a color-phase row costs one atomic add,
- *  not one per flip; markFlip returns its tally for the caller to add
- *  (addInvalidations) once per sweep.  Readers (telemetry folds at the
- *  sweep join) see totals only from outside the parallel region. */
-struct EnergyCacheStats
-{
-    std::atomic<std::uint64_t> cleanHits{0}; ///< pixels served cached
-    std::atomic<std::uint64_t> recomputed{0}; ///< pixels recomputed
-    std::atomic<std::uint64_t> invalidations{0}; ///< dirty marks
-    std::atomic<std::uint64_t> rebuilds{0}; ///< all-dirty resets
-    std::atomic<std::uint64_t> shadowSyncs{0}; ///< full shadow syncs
-};
-
+/**
+ * The cache keeps no counters.  Every call that serves or marks
+ * planes returns what it did (planes recomputed, dirty marks written),
+ * and the caller adds that to its own stripe's or sweep's tally, so
+ * stripes that share the cache share no counter either.
+ */
 class EnergyPlaneCache
 {
   public:
@@ -111,8 +97,6 @@ class EnergyPlaneCache
     {
         return plane_.size() * sizeof(float);
     }
-
-    const EnergyCacheStats &stats() const { return stats_; }
 
     /** Mark every pixel dirty (run start / resume). */
     void reset();
@@ -163,8 +147,7 @@ class EnergyPlaneCache
      * to @p deferred (packed (x << 32) | y) instead of written —
      * that's the stripe-boundary exchange; pass the full row range
      * and nullptr on serial paths.  [rowLo, rowHi) must lie in the
-     * cache's row window.  Returns the written marks, which
-     * the caller adds to stats() (addInvalidations); deferred ones
+     * cache's row window.  Returns the marks written; deferred ones
      * count when they are applied.
      */
     std::uint64_t markFlip(int x, int y, Neighborhood neighborhood,
@@ -183,49 +166,37 @@ class EnergyPlaneCache
      * its up/down neighbors are pixel i of the other color's slabs of
      * rows y -/+ 1.  A row outside [rowLo, rowHi) gets one (x << 32) |
      * row entry in @p deferred per flip.  Row @p y and [rowLo, rowHi)
-     * must lie in the cache's row window.  The written marks are
-     * counted with one add.
+     * must lie in the cache's row window.  Returns the marks written.
      */
-    void markRowFlips(int y, int color, const std::uint64_t *flips,
-                      int rowLo, int rowHi,
-                      std::vector<std::uint64_t> *deferred);
-
-    /** Count @p marks written by markFlip calls. */
-    void
-    addInvalidations(std::uint64_t marks)
-    {
-        stats_.invalidations.fetch_add(marks, std::memory_order_relaxed);
-    }
+    std::uint64_t markRowFlips(int y, int color,
+                               const std::uint64_t *flips, int rowLo,
+                               int rowHi,
+                               std::vector<std::uint64_t> *deferred);
 
     /** Apply (and drain) marks packed like markFlip's deferred ones
      *  — stripe-boundary marks, or a shard's ghost-row marks, all in
-     *  the row window — counting them with one add. */
-    void applyDeferred(std::vector<std::uint64_t> &deferred);
+     *  the row window.  Returns the marks written. */
+    std::uint64_t applyDeferred(std::vector<std::uint64_t> &deferred);
 
     /**
      * Bring slab (y, color) fully up to date: recompute every dirty
      * pixel's plane from the shadow labels (fused u8 runs on interior
      * rows, conditionalEnergies at row ends / other neighborhoods),
      * then clear the slab's dirty bits.
-     * @return the slab's pixel count.
+     * @return the pixels recomputed; the slab's other phasePixels()
+     *         were served clean.
      */
     int refreshRow(const MrfProblem &problem,
                    const img::LabelMap &labels, int y, int color);
 
     /**
      * Phases == 1 per-pixel path: plane of (x, y), recomputed first
-     * if dirty (bit cleared).  Returns the numLabels-float row.  The
-     * hit/recompute counts accrue in plain members (the raster and
-     * random-scan solver is single-threaded) until
-     * flushPixelCounts() adds them to stats().
+     * if dirty (bit cleared), which adds one to @p recomputed.
+     * Returns the numLabels-float row.
      */
     const float *pixelEnergies(const MrfProblem &problem,
                                const img::LabelMap &labels, int x,
-                               int y);
-
-    /** Add pixelEnergies()'s pending counts to stats(): once per
-     *  sweep, before anything reads them. */
-    void flushPixelCounts();
+                               int y, std::uint64_t &recomputed);
 
     /** The 8-bit shadow label plane (width * height, row-major). */
     const std::uint8_t *shadow() const { return shadow_.data(); }
@@ -291,9 +262,6 @@ class EnergyPlaneCache
     std::vector<float> plane_;
     std::vector<std::uint64_t> dirty_;
     std::vector<std::uint8_t> shadow_;
-    EnergyCacheStats stats_;
-    std::uint64_t pendingRecomputed_ = 0; ///< pixelEnergies, unflushed
-    std::uint64_t pendingCleanHits_ = 0;
 };
 
 } // namespace mrf

@@ -6,8 +6,6 @@
 #include "mrf/checkpoint.hh"
 #include "mrf/energy_cache.hh"
 #include "mrf/solver_run.hh"
-#include "mrf/solver_telemetry.hh"
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace retsim {
@@ -54,22 +52,18 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
     // unless a neighborhood label write dirtied it.  Byte-identical
     // to the uncached path; m > 256 falls back (no shadow labels).
     std::unique_ptr<EnergyPlaneCache> cache;
-    if (config_.energyCache && m <= 256)
+    if (detail::keepsEnergyCache(config_, problem))
         cache = std::make_unique<EnergyPlaneCache>(
             problem.width(), problem.height(), m, /*phases=*/1);
 
-    // Dirty marks written this sweep, counted with one add next to
-    // flushPixelCounts().
-    std::uint64_t marks = 0;
-    // This sweep's updates, handed to the trace by endSweep(), and the
-    // run's, added to the registry at the end, traced or not.
+    // This sweep's tally, handed to endSweep().
     detail::StripeCounters sweep_counts;
-    detail::StripeCounters run_counts;
     auto update_pixel = [&](int x, int y, double temperature) {
         std::span<const float> e;
         if (cache) {
             e = std::span<const float>(
-                cache->pixelEnergies(problem, labels, x, y),
+                cache->pixelEnergies(problem, labels, x, y,
+                                     sweep_counts.cacheRecomputed),
                 static_cast<std::size_t>(m));
         } else {
             problem.conditionalEnergies(labels, x, y, energies);
@@ -82,8 +76,9 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                       "sampler returned invalid label ", chosen);
         labels(x, y) = chosen;
         if (cache && chosen != current)
-            marks += cache->markFlip(x, y, problem.neighborhood(), 0,
-                                     problem.height(), nullptr);
+            sweep_counts.cacheInvalidations +=
+                cache->markFlip(x, y, problem.neighborhood(), 0,
+                                problem.height(), nullptr);
         ++sweep_counts.pixelUpdates;
         if (chosen != current)
             ++sweep_counts.labelChanges;
@@ -112,28 +107,19 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                 for (int x = 0; x < problem.width(); ++x)
                     update_pixel(x, y, temperature);
         }
-        if (cache) {
-            cache->flushPixelCounts();
-            cache->addInvalidations(marks);
-            marks = 0;
-        }
-        run_counts.pixelUpdates += sweep_counts.pixelUpdates;
-        run_counts.labelChanges += sweep_counts.labelChanges;
+        // Every update read one plane: the ones not recomputed were
+        // served clean.
+        if (cache)
+            sweep_counts.cacheHits =
+                sweep_counts.pixelUpdates - sweep_counts.cacheRecomputed;
         scaffold.endSweep(
             s, temperature, sweep_counts,
             [&] { return problem.totalEnergy(labels); }, {},
-            cache ? &cache->stats() : nullptr,
             [&](SolverCheckpoint &cp) { cp.scanOrder = order; });
         sweep_counts = {};
     }
 
     scaffold.finish();
-    const auto &ids = detail::SolverMetricIds::get();
-    obs::Registry &reg = obs::Registry::global();
-    reg.add(ids.pixelUpdates, run_counts.pixelUpdates);
-    reg.add(ids.labelChanges, run_counts.labelChanges);
-    if (cache)
-        detail::foldCacheStats(cache->stats());
     return labels;
 }
 

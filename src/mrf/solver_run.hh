@@ -5,11 +5,12 @@
  * GibbsSolver, CheckerboardGibbsSolver and
  * shard::ShardedCheckerboardSolver differ in how they sweep, not in
  * what surrounds the sweep loop: the argument checks, the trace and
- * telemetry choice, resume or label initialization, the per-sweep
- * tail (trace, telemetry, observer, checkpoint) and the run-end
- * counters.  SolverRun holds that once, so every solver checks the
- * same things and a snapshot one chromatic solver writes is the one
- * the other resumes, field for field.
+ * telemetry choice, resume or label initialization, the stripe
+ * clones, the per-sweep tail (trace, registry, telemetry, observer,
+ * checkpoint) and the run end.  SolverRun holds that once, so every
+ * solver checks the same things, counts through the same sweep tail
+ * (see solver_telemetry.hh), and a snapshot one chromatic solver
+ * writes is the one the other resumes, field for field.
  *
  * Nothing in this header is public API.
  */
@@ -18,6 +19,8 @@
 #define RETSIM_MRF_SOLVER_RUN_HH
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "img/image.hh"
 #include "mrf/checkpoint.hh"
@@ -33,12 +36,42 @@ namespace retsim {
 namespace mrf {
 namespace detail {
 
-/** Trace counters of one stripe or one sweep. */
-struct StripeCounters
+/** A run keeps an energy-plane cache when configured to and when
+ *  its labels fit the cache's 8-bit shadow label plane. */
+inline bool
+keepsEnergyCache(const SolverConfig &config, const MrfProblem &problem)
 {
-    std::uint64_t pixelUpdates = 0;
-    std::uint64_t labelChanges = 0;
-};
+    return config.energyCache && problem.numLabels() <= 256;
+}
+
+/**
+ * One clone of @p sampler per stripe, made in ascending stripe order
+ * (every schedule's clone sequence), each restored from @p resume's
+ * stripe table when resuming.
+ */
+inline std::vector<std::unique_ptr<LabelSampler>>
+cloneStripes(const LabelSampler &sampler, int stripes,
+             const SolverCheckpoint *resume)
+{
+    std::vector<std::unique_ptr<LabelSampler>> clones;
+    for (int k = 0; k < stripes; ++k)
+        clones.push_back(sampler.clone(static_cast<std::uint64_t>(k)));
+    if (!resume)
+        return clones;
+    // validateResume already matched the stripe count.
+    RETSIM_ASSERT(static_cast<int>(resume->stripeSamplerState.size()) ==
+                      stripes,
+                  "stripe-state table size mismatch");
+    for (int k = 0; k < stripes; ++k) {
+        if (!clones[static_cast<std::size_t>(k)]->loadState(
+                resume->stripeSamplerState[static_cast<std::size_t>(k)]))
+            RETSIM_FATAL("resume snapshot: stripe ", k,
+                         " sampler state does not fit sampler '",
+                         clones[static_cast<std::size_t>(k)]->name(),
+                         "'");
+    }
+    return clones;
+}
 
 class SolverRun
 {
@@ -47,20 +80,22 @@ class SolverRun
      * The prologue.  Checks the label map and the checkpoint
      * destination; picks the trace (the caller's, else a run-local
      * one when telemetry or checkpointing needs it, else none, which
-     * keeps the counting out of the pixel loops); then resumes from
+     * keeps the per-sweep energy out of the run); then resumes from
      * config.resume or initializes @p labels (random draws, or a range
-     * check of the caller's).  @p kind names the solver in snapshots
-     * and telemetry; @p stripes is the snapshot's stripe count, 0 for
-     * the single-stream chains.
+     * check of the caller's); then makes the @p stripes sampler
+     * clones, restored too when resuming.  Telemetry takes its
+     * baselines last, once every restored counter is in place.
+     * @p kind names the solver in snapshots and telemetry; @p stripes
+     * is the snapshot's stripe count, 0 for the single-stream chains.
      */
     SolverRun(const SolverConfig &config, const char *kind,
               const MrfProblem &problem, LabelSampler &sampler,
               img::LabelMap &labels, SolverTrace *callerTrace,
               int stripes)
         : checkpointing(config.checkpointEvery > 0), gen(config.seed),
-          telemetry(problem, sampler, kind), config_(config),
-          kind_(kind), problem_(problem), sampler_(sampler),
-          labels_(labels), stripes_(stripes)
+          telemetry(problem, kind, keepsEnergyCache(config, problem)),
+          config_(config), kind_(kind), problem_(problem),
+          sampler_(sampler), labels_(labels), stripes_(stripes)
     {
         RETSIM_ASSERT(labels.width() == problem.width() &&
                           labels.height() == problem.height(),
@@ -97,27 +132,37 @@ class SolverRun
                               "initial label ", l, " out of range");
             }
         }
-        if (trace)
-            telemetry.setTraceBaseline(trace->pixelUpdates,
-                                       trace->labelChanges);
+        clones = cloneStripes(sampler, stripes, config.resume.get());
+        SamplerStats cum = sampler.stats();
+        for (const std::unique_ptr<LabelSampler> &clone : clones)
+            cum += clone->stats();
+        telemetry.start(cum);
     }
 
     SolverRun(const SolverRun &) = delete;
     SolverRun &operator=(const SolverRun &) = delete;
 
     /**
-     * The tail of sweep @p sweep: add @p counts to the trace and push
-     * energy() and the temperature, record telemetry (the caller
+     * The tail of sweep @p sweep, the one place a sweep's counts
+     * leave the solver: add @p counts (the sweep's summed tally) to
+     * the registry, traced or not, and to the trace, push energy()
+     * and the temperature, record telemetry (@p counts, and the caller
      * sampler's stats plus @p cloneStats), call the sweep observer,
      * and emit a checkpoint when one is due, after fill(cp) adds what
      * only the schedule holds (scan order, stripe clone states).
      */
     template <class Energy, class Fill>
     void
-    endSweep(int sweep, double temperature, StripeCounters counts,
-             Energy &&energy, const SamplerStats &cloneStats,
-             const EnergyCacheStats *cacheStats, Fill &&fill)
+    endSweep(int sweep, double temperature, const StripeCounters &counts,
+             Energy &&energy, const SamplerStats &cloneStats, Fill &&fill)
     {
+        const SolverMetricIds &ids = SolverMetricIds::get();
+        obs::Registry &reg = obs::Registry::global();
+        reg.add(ids.pixelUpdates, counts.pixelUpdates);
+        reg.add(ids.labelChanges, counts.labelChanges);
+        reg.add(ids.cacheHits, counts.cacheHits);
+        reg.add(ids.cacheRecomputed, counts.cacheRecomputed);
+        reg.add(ids.cacheInvalidations, counts.cacheInvalidations);
         if (trace) {
             trace->pixelUpdates += counts.pixelUpdates;
             trace->labelChanges += counts.labelChanges;
@@ -128,9 +173,8 @@ class SolverRun
             SamplerStats cum = sampler_.stats();
             cum += cloneStats;
             telemetry.recordSweep(sweep, temperature,
-                                  trace->energyPerSweep.back(),
-                                  trace->pixelUpdates,
-                                  trace->labelChanges, cum, cacheStats);
+                                  trace->energyPerSweep.back(), counts,
+                                  cum);
         }
         if (config_.sweepObserver)
             config_.sweepObserver(sweep, temperature, labels_);
@@ -141,15 +185,20 @@ class SolverRun
         }
     }
 
-    /** Count the run and the sweeps it ran. */
+    /** Count the run and the sweeps it ran, and fold every stripe
+     *  clone's sampler counters into the caller's sampler, in stripe
+     *  order, so striped runs report the same totals (samples,
+     *  no-sample events, ties, rebuilds) as serial ones. */
     void
-    finish() const
+    finish()
     {
         const SolverMetricIds &ids = SolverMetricIds::get();
         obs::Registry &reg = obs::Registry::global();
         reg.add(ids.runs, 1);
         reg.add(ids.sweeps, static_cast<std::uint64_t>(
                                 config_.annealing.sweeps - startSweep));
+        for (const std::unique_ptr<LabelSampler> &clone : clones)
+            sampler_.mergeStats(*clone);
     }
 
     const bool checkpointing;
@@ -157,6 +206,9 @@ class SolverRun
     SweepTelemetry telemetry;
     SolverTrace *trace = nullptr;
     int startSweep = 0;
+    /** One sampler clone per stripe; none for the single-stream
+     *  chains. */
+    std::vector<std::unique_ptr<LabelSampler>> clones;
 
   private:
     SolverCheckpoint

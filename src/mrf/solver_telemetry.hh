@@ -1,14 +1,20 @@
 /**
  * @file
- * Internal per-sweep telemetry glue shared by the Gibbs solvers.
+ * Internal per-sweep counting glue shared by the Gibbs solvers.
  *
- * Both GibbsSolver and CheckerboardGibbsSolver emit one telemetry
- * record per sweep: energy, temperature, acceptance / tie / no-sample
- * rates (differenced from the sampler's cumulative SamplerStats) and
- * the LambdaLut cache traffic observed during the sweep (differenced
+ * Every solver counts into one plain tally, StripeCounters: each
+ * stripe (or the raster loop) adds its pixel updates, label changes
+ * and energy-cache traffic to its own, the sweep join sums them (in
+ * process for the striped solver, from the JOIN frames for the
+ * sharded one), and SolverRun::endSweep hands the sum to the trace,
+ * the registry (SolverMetricIds) and SweepTelemetry, which emits one
+ * record per sweep: energy, temperature, those counts, the
+ * acceptance / tie / no-sample rates (the tie and no-sample counts
+ * differenced from the samplers' cumulative SamplerStats) and the
+ * LambdaLut cache traffic observed during the sweep (differenced
  * from the process-wide registry counters the cache maintains — the
  * mrf layer never includes core headers, the coupling is by metric
- * name only).  All of it is gated on obs::activeRecorder(): with no
+ * name only).  Records are gated on obs::activeRecorder(): with no
  * recorder installed the helper is a null pointer check per sweep.
  */
 
@@ -18,7 +24,6 @@
 #include <cstdint>
 #include <string>
 
-#include "mrf/energy_cache.hh"
 #include "mrf/problem.hh"
 #include "mrf/sampler.hh"
 #include "obs/metrics.hh"
@@ -40,8 +45,6 @@ struct SolverMetricIds
     obs::MetricId cacheHits;          ///< energy planes served clean
     obs::MetricId cacheRecomputed;    ///< energy planes recomputed
     obs::MetricId cacheInvalidations; ///< dirty marks written
-    obs::MetricId cacheRebuilds;      ///< all-dirty plane resets
-    obs::MetricId cacheShadowSyncs;   ///< full shadow-plane syncs
 
     static const SolverMetricIds &get()
     {
@@ -57,73 +60,84 @@ struct SolverMetricIds
                 r.counter("mrf.energy_cache.clean_hits"),
                 r.counter("mrf.energy_cache.recomputed"),
                 r.counter("mrf.energy_cache.invalidations"),
-                r.counter("mrf.energy_cache.rebuilds"),
-                r.counter("mrf.energy_cache.shadow_syncs"),
             };
         }();
         return ids;
     }
 };
 
-/** Fold a finished run's energy-cache traffic into the registry. */
-inline void
-foldCacheStats(const EnergyCacheStats &s)
+/**
+ * What a stripe, a rank or a sweep counted: the one tally every solver
+ * counts into.  Each stripe owns one, so no two threads write the same
+ * tally; the sweep join sums them.
+ */
+struct StripeCounters
 {
-    const SolverMetricIds &ids = SolverMetricIds::get();
-    obs::Registry &reg = obs::Registry::global();
-    reg.add(ids.cacheHits, s.cleanHits);
-    reg.add(ids.cacheRecomputed, s.recomputed);
-    reg.add(ids.cacheInvalidations, s.invalidations);
-    reg.add(ids.cacheRebuilds, s.rebuilds);
-    reg.add(ids.cacheShadowSyncs, s.shadowSyncs);
-}
+    std::uint64_t pixelUpdates = 0;
+    std::uint64_t labelChanges = 0;
+    std::uint64_t cacheHits = 0;          ///< energy planes served clean
+    std::uint64_t cacheRecomputed = 0;    ///< energy planes recomputed
+    std::uint64_t cacheInvalidations = 0; ///< dirty marks written
+
+    StripeCounters &
+    operator+=(const StripeCounters &o)
+    {
+        pixelUpdates += o.pixelUpdates;
+        labelChanges += o.labelChanges;
+        cacheHits += o.cacheHits;
+        cacheRecomputed += o.cacheRecomputed;
+        cacheInvalidations += o.cacheInvalidations;
+        return *this;
+    }
+};
 
 /**
- * One instance per solver run; snapshots the cumulative counters at
- * construction and differences them at every recordSweep() call.
+ * One instance per solver run: emits one record per sweep, differencing
+ * the cumulative sampler stats and LambdaLut counters from the
+ * baselines start() takes.
  */
 class SweepTelemetry
 {
   public:
-    SweepTelemetry(const MrfProblem &problem,
-                   const LabelSampler &sampler, const char *solver_kind)
-        : rec_(obs::activeRecorder())
+    /** @p energyCache: the run keeps an energy-plane cache, so its
+     *  records carry the energy_cache_* fields. */
+    SweepTelemetry(const MrfProblem &problem, const char *solver_kind,
+                   bool energyCache)
+        : rec_(obs::activeRecorder()), energyCache_(energyCache)
     {
-        if (!rec_)
-            return;
-        const SolverMetricIds &ids = SolverMetricIds::get();
-        obs::Registry &reg = obs::Registry::global();
-        lastStats_ = sampler.stats();
-        lastLutHits_ = reg.counterValue(ids.lutHits);
-        lastLutMisses_ = reg.counterValue(ids.lutMisses);
-        stream_ = std::string("sweep.") + problem.name() + '.' +
-                  solver_kind;
-    }
-
-    /**
-     * Baseline for the trace counters when the caller hands in a
-     * trace that already holds totals from earlier runs.
-     */
-    void setTraceBaseline(std::uint64_t updates, std::uint64_t changes)
-    {
-        lastUpdates_ = updates;
-        lastChanges_ = changes;
+        if (rec_)
+            stream_ = std::string("sweep.") + problem.name() + '.' +
+                      solver_kind;
     }
 
     /** A recorder is installed; per-sweep bookkeeping is worth it. */
     bool active() const { return rec_ != nullptr; }
 
     /**
-     * Emit the record for one completed sweep.  @p cum_updates /
-     * @p cum_changes are the run-cumulative trace counters; @p cum is
-     * the sampler's cumulative stats snapshot (already folded across
-     * stripe clones by the caller where applicable).
+     * Take the baselines: @p cum, the samplers' cumulative stats once
+     * a resume has restored every one of them, and the LambdaLut
+     * counters.
      */
-    void recordSweep(int sweep, double temperature, double energy,
-                     std::uint64_t cum_updates,
-                     std::uint64_t cum_changes,
-                     const SamplerStats &cum,
-                     const EnergyCacheStats *cache = nullptr)
+    void
+    start(const SamplerStats &cum)
+    {
+        if (!rec_)
+            return;
+        const SolverMetricIds &ids = SolverMetricIds::get();
+        obs::Registry &reg = obs::Registry::global();
+        lastStats_ = cum;
+        lastLutHits_ = reg.counterValue(ids.lutHits);
+        lastLutMisses_ = reg.counterValue(ids.lutMisses);
+    }
+
+    /**
+     * Emit the record for one completed sweep: @p counts is the
+     * sweep's tally; @p cum the samplers' cumulative stats (the
+     * caller's sampler and every stripe clone).
+     */
+    void
+    recordSweep(int sweep, double temperature, double energy,
+                const StripeCounters &counts, const SamplerStats &cum)
     {
         if (!rec_)
             return;
@@ -131,10 +145,6 @@ class SweepTelemetry
         obs::Registry &reg = obs::Registry::global();
         SamplerStats d = cum - lastStats_;
         lastStats_ = cum;
-        std::uint64_t updates = cum_updates - lastUpdates_;
-        std::uint64_t changes = cum_changes - lastChanges_;
-        lastUpdates_ = cum_updates;
-        lastChanges_ = cum_changes;
         std::uint64_t lut_hits = reg.counterValue(ids.lutHits);
         std::uint64_t lut_misses = reg.counterValue(ids.lutMisses);
         std::uint64_t d_hits = lut_hits - lastLutHits_;
@@ -142,56 +152,51 @@ class SweepTelemetry
         lastLutHits_ = lut_hits;
         lastLutMisses_ = lut_misses;
 
-        double den = updates > 0 ? static_cast<double>(updates) : 1.0;
+        double den = counts.pixelUpdates > 0
+                         ? static_cast<double>(counts.pixelUpdates)
+                         : 1.0;
         double sden =
             d.samples > 0 ? static_cast<double>(d.samples) : 1.0;
         std::vector<obs::Field> fields{
             {"sweep", static_cast<double>(sweep)},
             {"temperature", temperature},
             {"energy", energy},
-            {"pixel_updates", static_cast<double>(updates)},
-            {"label_changes", static_cast<double>(changes)},
-            {"accept_rate", static_cast<double>(changes) / den},
+            {"pixel_updates", static_cast<double>(counts.pixelUpdates)},
+            {"label_changes", static_cast<double>(counts.labelChanges)},
+            {"accept_rate",
+             static_cast<double>(counts.labelChanges) / den},
             {"no_sample_rate", static_cast<double>(d.noSample) / sden},
             {"tie_rate", static_cast<double>(d.ties) / sden},
             {"lut_hits", static_cast<double>(d_hits)},
             {"lut_misses", static_cast<double>(d_misses)}};
-        if (cache) {
-            // Per-sweep cache traffic, differenced like the sampler
-            // counters; hit rate over the planes served this sweep.
-            std::uint64_t ch = cache->cleanHits - lastCacheHits_;
-            std::uint64_t cr = cache->recomputed - lastCacheRecomputed_;
-            std::uint64_t ci =
-                cache->invalidations - lastCacheInvalidations_;
-            lastCacheHits_ = cache->cleanHits;
-            lastCacheRecomputed_ = cache->recomputed;
-            lastCacheInvalidations_ = cache->invalidations;
-            double served = static_cast<double>(ch + cr);
+        if (energyCache_) {
+            // Hit rate over the planes served this sweep.
+            const std::uint64_t served =
+                counts.cacheHits + counts.cacheRecomputed;
+            fields.push_back({"energy_cache_hits",
+                              static_cast<double>(counts.cacheHits)});
             fields.push_back(
-                {"energy_cache_hits", static_cast<double>(ch)});
+                {"energy_cache_recomputed",
+                 static_cast<double>(counts.cacheRecomputed)});
             fields.push_back(
-                {"energy_cache_recomputed", static_cast<double>(cr)});
-            fields.push_back({"energy_cache_invalidations",
-                              static_cast<double>(ci)});
+                {"energy_cache_invalidations",
+                 static_cast<double>(counts.cacheInvalidations)});
             fields.push_back(
                 {"energy_cache_hit_rate",
-                 served > 0.0 ? static_cast<double>(ch) / served
-                              : 0.0});
+                 served > 0 ? static_cast<double>(counts.cacheHits) /
+                                  static_cast<double>(served)
+                            : 0.0});
         }
         rec_->record(stream_, fields);
     }
 
   private:
     obs::TelemetryRecorder *rec_ = nullptr;
+    bool energyCache_;
     std::string stream_;
     SamplerStats lastStats_;
-    std::uint64_t lastUpdates_ = 0;
-    std::uint64_t lastChanges_ = 0;
     std::uint64_t lastLutHits_ = 0;
     std::uint64_t lastLutMisses_ = 0;
-    std::uint64_t lastCacheHits_ = 0;
-    std::uint64_t lastCacheRecomputed_ = 0;
-    std::uint64_t lastCacheInvalidations_ = 0;
 };
 
 } // namespace detail

@@ -44,17 +44,6 @@ HistogramData::merge(const HistogramData &other)
 }
 
 // ------------------------------------------------------------------
-// MetricShard
-
-void
-MetricShard::add(MetricId id, std::uint64_t delta)
-{
-    RETSIM_ASSERT(id.index < counters_.size(),
-                  "metric registered after the shard was created");
-    counters_[id.index] += delta;
-}
-
-// ------------------------------------------------------------------
 // Registry
 
 Registry &
@@ -153,33 +142,6 @@ Registry::gaugeValue(MetricId id) const
                       metrics_[id.index].kind == MetricKind::Gauge,
                   "gaugeValue() needs a registered gauge");
     return metrics_[id.index].gauge;
-}
-
-MetricShard
-Registry::makeShard() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    MetricShard shard;
-    shard.counters_.assign(metrics_.size(), 0);
-    return shard;
-}
-
-void
-Registry::fold(MetricShard &shard)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        RETSIM_ASSERT(shard.counters_.size() <= metrics_.size(),
-                      "shard from a different registry");
-        for (std::size_t i = 0; i < shard.counters_.size(); ++i) {
-            if (shard.counters_[i] == 0)
-                continue;
-            RETSIM_ASSERT(metrics_[i].kind == MetricKind::Counter,
-                          "shard counter slot maps to a non-counter");
-            metrics_[i].counter += shard.counters_[i];
-        }
-    }
-    std::fill(shard.counters_.begin(), shard.counters_.end(), 0);
 }
 
 std::vector<MetricSnapshot>

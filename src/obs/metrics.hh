@@ -11,15 +11,12 @@
  * quality gate) can dump a consistent snapshot without wiring every
  * component to every sink.
  *
- * Concurrency contract: direct add()/set()/observe() calls lock the
- * registry mutex and are meant for cold paths (a temperature change, a
- * pipeline run boundary).  Hot loops count into a MetricShard — a
- * private, lock-free counter array a worker owns for the duration of
- * a stripe — and fold() it back at the join barrier.  Folds are plain
- * sums, so any shard/fold decomposition yields exactly the counter
- * totals of a serial run (asserted by obs_test.cc).  Shards carry
- * counters only: histograms and gauges are recorded on the registry
- * directly.
+ * Concurrency contract: add()/set()/observe() lock the registry
+ * mutex and are meant for cold paths (a temperature change, a
+ * pipeline run boundary, a sweep join).  Hot loops count into plain
+ * tallies of their own and add the sums once: the Gibbs solvers'
+ * stripes count into per-stripe tallies that the sweep join sums
+ * (mrf/solver_telemetry.hh).
  */
 
 #ifndef RETSIM_OBS_METRICS_HH
@@ -75,27 +72,6 @@ struct MetricSnapshot
     HistogramData histogram;   ///< Histogram kinds
 };
 
-class Registry;
-
-/**
- * Lock-free counter array for one worker (stripe) thread.  Created
- * from a Registry, sized to the metrics registered at creation time;
- * recording is a plain array add with no synchronization.  Fold the
- * shard back into the registry at a join barrier.
- */
-class MetricShard
-{
-  public:
-    MetricShard() = default;
-
-    void add(MetricId id, std::uint64_t delta = 1);
-
-  private:
-    friend class Registry;
-
-    std::vector<std::uint64_t> counters_; ///< by metric index
-};
-
 class Registry
 {
   public:
@@ -124,12 +100,6 @@ class Registry
     std::uint64_t counterValue(MetricId id) const;
     double gaugeValue(MetricId id) const;
 
-    /** Shard covering every metric registered so far. */
-    MetricShard makeShard() const;
-
-    /** Add a shard's contents to the registry and clear the shard. */
-    void fold(MetricShard &shard);
-
     std::vector<MetricSnapshot> snapshot() const;
 
     /** Registry snapshot as a JSON object string. */
@@ -142,10 +112,10 @@ class Registry
      * values have no meaningful cross-process merge).  Metrics the
      * delta names but this registry has not seen yet are registered
      * on the fly, so a worker process can fold back metrics the
-     * parent never touched.  Together with diffSnapshots this is the
-     * cross-process counterpart of MetricShard::fold(): plain sums,
-     * so any process/shard decomposition yields exactly the totals of
-     * a serial run.
+     * parent never touched.  Together with diffSnapshots this is how
+     * a worker process's metrics reach its coordinator: plain sums,
+     * so any process decomposition yields exactly the totals of a
+     * serial run.
      */
     void applyDelta(const std::vector<MetricSnapshot> &delta);
 

@@ -15,7 +15,6 @@
 #include "mrf/checkpoint.hh"
 #include "mrf/energy_cache.hh"
 #include "mrf/solver_run.hh"
-#include "mrf/solver_telemetry.hh"
 #include "obs/metrics.hh"
 #include "shard/payload_codec.hh"
 #include "shard/tile_partition.hh"
@@ -77,7 +76,6 @@ struct ShardSpec
 {
     int startSweep = 0;
     bool wantEnergy = false; ///< rank 0 keeps a SolverTrace
-    bool wantStats = false;  ///< telemetry recorder active on rank 0
     bool gatherObserver = false; ///< sweepObserver needs labels/sweep
     bool checkpointing = false;
 };
@@ -111,25 +109,13 @@ dieSweep(const ShardOptions &options, const ShardSpec &spec,
            mrf::detail::shouldCheckpoint(config, sweep + 1);
 }
 
-/** The rank that folds the full cache stats (including the one
- *  rebuild + one shadow sync a serial run records).  Usually rank 0;
- *  rank 0 can be empty (and cache-less) when shards > stripes. */
-int
-firstNonEmptyRank(const TilePartition &part)
-{
-    for (int j = 0; j < part.shards(); ++j)
-        if (!part.empty(j))
-            return j;
-    return 0;
-}
-
 /**
  * One rank's compute state and per-phase work: a StripeExecutor over
  * its contiguous run of global stripes, a PRIVATE full-size label map
  * (ghost rows refreshed by message, so loopback threads and socket
  * processes execute identical code paths), and what sharding adds to
  * the executor: ghost rows, the boundary-first order and the rank's
- * cache folds.
+ * transport counters.
  */
 struct TileWork
 {
@@ -151,7 +137,11 @@ struct TileWork
      *  (re)start, so the first phase after resume never waits). */
     bool ghostsInFlight = false;
 
-    // Transport-behavior tallies, folded by foldShards() per sweep.
+    /** Dirty marks the ghost rows wrote this sweep: the rank's part
+     *  of its tally that no stripe owns (see takeCounters()). */
+    std::uint64_t ghostInvalidations = 0;
+
+    // Transport-behavior tallies, folded by foldTransport() per sweep.
     std::uint64_t haloBytesSent = 0;
     std::uint64_t haloSendNs = 0;
     std::uint64_t haloWaitNs = 0;
@@ -223,7 +213,7 @@ struct TileWork
             }
         }
         if (cache)
-            cache->applyDeferred(ghostMarks);
+            ghostInvalidations += cache->applyDeferred(ghostMarks);
     }
 
     /** Consume the ghost rows posted by the neighbors' previous
@@ -283,10 +273,21 @@ struct TileWork
         exec.applyOwnDeferred();
     }
 
-    void
-    foldShards()
+    /** This rank's sweep tally: its stripes' and its ghost rows'
+     *  marks (sweep join). */
+    StripeCounters
+    takeCounters()
     {
-        exec.foldShards();
+        StripeCounters tot = exec.takeCounters();
+        tot.cacheInvalidations += ghostInvalidations;
+        ghostInvalidations = 0;
+        return tot;
+    }
+
+    /** Fold the transport tallies into this rank's registry. */
+    void
+    foldTransport()
+    {
         obs::Registry &reg = obs::Registry::global();
         const ShardMetricIds &sids = ShardMetricIds::get();
         reg.add(sids.haloBytesSent, haloBytesSent);
@@ -295,54 +296,27 @@ struct TileWork
         reg.add(sids.interiorNs, interiorNs);
         haloBytesSent = haloSendNs = haloWaitNs = interiorNs = 0;
     }
-
-    /**
-     * Fold this rank's cache traffic into its registry.  Exactly one
-     * rank (the first non-empty one) folds everything; the others
-     * skip rebuilds/shadowSyncs — the per-rank caches are an
-     * implementation artifact of sharding (serial has ONE cache, one
-     * rebuild, one shadow sync), while the traffic counters
-     * hits/recomputed/invalidations partition exactly across ranks.
-     */
-    void
-    foldCacheCounters(bool fullFold)
-    {
-        const mrf::EnergyPlaneCache *cache = exec.cache();
-        if (!cache)
-            return;
-        if (fullFold) {
-            mrf::detail::foldCacheStats(cache->stats());
-            return;
-        }
-        const auto &ids = mrf::detail::SolverMetricIds::get();
-        obs::Registry &reg = obs::Registry::global();
-        const mrf::EnergyCacheStats &s = cache->stats();
-        reg.add(ids.cacheHits, s.cleanHits);
-        reg.add(ids.cacheRecomputed, s.recomputed);
-        reg.add(ids.cacheInvalidations, s.invalidations);
-    }
 };
 
 // ------------------------------------------------------------------
 // Message payloads
 
+/** A worker's JOIN: its sweep tally, its clones' cumulative sampler
+ *  stats and, when rank 0 keeps a trace, its rows' energies. */
 std::vector<unsigned char>
-buildJoin(TileWork &work, const ShardSpec &spec,
-          const StripeCounters &tot)
+buildJoin(TileWork &work, const ShardSpec &spec)
 {
     util::ByteWriter w;
+    const StripeCounters tot = work.takeCounters();
     w.u64(tot.pixelUpdates);
     w.u64(tot.labelChanges);
-    if (spec.wantStats) {
-        mrf::SamplerStats s = work.exec.cloneStatsSum();
-        w.u64(s.samples);
-        w.u64(s.noSample);
-        w.u64(s.ties);
-        const mrf::EnergyCacheStats *c = work.exec.cacheStats();
-        w.u64(c ? c->cleanHits.load() : 0);
-        w.u64(c ? c->recomputed.load() : 0);
-        w.u64(c ? c->invalidations.load() : 0);
-    }
+    w.u64(tot.cacheHits);
+    w.u64(tot.cacheRecomputed);
+    w.u64(tot.cacheInvalidations);
+    const mrf::SamplerStats s = work.exec.cloneStatsSum();
+    w.u64(s.samples);
+    w.u64(s.noSample);
+    w.u64(s.ties);
     if (spec.wantEnergy) {
         w.u32(static_cast<std::uint32_t>(work.hi - work.lo));
         for (int y = work.lo; y < work.hi; ++y)
@@ -376,9 +350,11 @@ buildGather(TileWork &work)
 /**
  * The full life of a worker rank (loopback thread or forked socket
  * process): run the sweep loop over its tile, JOIN every sweep,
- * GATHER when rank 0 needs the labels, fold metrics, and — on the
- * crash drill — _Exit(17) right after the die-sweep state reached
- * rank 0.  Returns normally otherwise (the socket caller _Exit(0)s).
+ * GATHER when rank 0 needs the labels, fold its transport counters,
+ * and — on the crash drill — _Exit(17) right after the die-sweep
+ * state reached rank 0.  Returns normally otherwise (the socket
+ * caller _Exit(0)s).  Its solver counts reach the registry only
+ * through its JOINs and rank 0's sweep tail.
  */
 void
 runWorkerRank(const mrf::SolverConfig &config,
@@ -405,10 +381,8 @@ runWorkerRank(const mrf::SolverConfig &config,
             // The JOIN's per-row energies read the ghost rows, so the
             // posted halos must land before they are computed.
             work.waitGhosts();
-            work.foldShards();
-            StripeCounters tot = work.exec.takeCounters();
-            std::vector<unsigned char> join =
-                buildJoin(work, spec, tot);
+            work.foldTransport();
+            std::vector<unsigned char> join = buildJoin(work, spec);
             tr.send(0, tag::kJoin, join.data(), join.size());
             if (gatherNeeded(spec, config, s)) {
                 std::vector<unsigned char> gather =
@@ -429,7 +403,6 @@ runWorkerRank(const mrf::SolverConfig &config,
             }
         }
     }
-    work.foldCacheCounters(tr.rank() == firstNonEmptyRank(part));
     if (!tr.sharedRegistry()) {
         std::vector<unsigned char> delta = serializeRegistryDelta(
             obs::diffSnapshots(baseline, reg.snapshot()));
@@ -490,18 +463,16 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                     sampler, labels, caller_trace,
                                     stripes);
 
-    // All S sampler clones are created on rank 0 BEFORE spawn, in
-    // ascending stripe order — the exact clone sequence of the serial
-    // striped run — and every rank inherits them (fork / shared
-    // address space), each using only its own stripes' clones.
-    std::vector<std::unique_ptr<mrf::LabelSampler>> clones =
-        mrf::detail::cloneStripes(sampler, stripes,
-                                  config_.resume.get());
+    // The scaffold made all S sampler clones on rank 0 BEFORE spawn,
+    // in ascending stripe order — the exact clone sequence of the
+    // serial striped run — and every rank inherits them (fork /
+    // shared address space), each using only its own stripes' clones.
+    std::vector<std::unique_ptr<mrf::LabelSampler>> &clones =
+        scaffold.clones;
 
     ShardSpec spec;
     spec.startSweep = scaffold.startSweep;
     spec.wantEnergy = scaffold.trace != nullptr;
-    spec.wantStats = scaffold.telemetry.active();
     spec.gatherObserver = static_cast<bool>(config_.sweepObserver);
     spec.checkpointing = scaffold.checkpointing;
 
@@ -546,10 +517,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         static_cast<std::size_t>(stripes));
     std::vector<double> rowEnergies(
         static_cast<std::size_t>(height), 0.0);
-    // Cumulative remote-side stats, rebuilt each sweep from the JOIN
-    // frames; the telemetry aggregate below mirrors serial's single
-    // cache/sampler totals.
-    mrf::EnergyCacheStats aggCache;
 
     // expectRank >= 0: only that rank's status is asserted (the
     // others were torn down by fd closure and exit nonzero).
@@ -584,29 +551,23 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         work.waitGhosts();
 
         // ---- sweep join ------------------------------------------
-        StripeCounters tot = work.exec.takeCounters();
+        // Every rank's tally and clone stats, summed: what one
+        // process's stripes would have counted.
+        StripeCounters tot = work.takeCounters();
         if (spec.wantEnergy)
             for (int y = work.lo; y < work.hi; ++y)
                 rowEnergies[static_cast<std::size_t>(y)] =
                     problem.rowEnergy(labels, y);
         mrf::SamplerStats cloneStats = work.exec.cloneStatsSum();
-        std::uint64_t remoteHits = 0, remoteRecomputed = 0,
-                      remoteInvalidations = 0;
         for (int r = 1; r < N; ++r) {
             if (part.empty(r))
                 continue;
             std::vector<unsigned char> payload =
                 tr->recv(r, tag::kJoin);
             util::ByteReader rd(payload);
-            tot.pixelUpdates += rd.u64();
-            tot.labelChanges += rd.u64();
-            if (spec.wantStats) {
-                cloneStats +=
-                    mrf::SamplerStats{rd.u64(), rd.u64(), rd.u64()};
-                remoteHits += rd.u64();
-                remoteRecomputed += rd.u64();
-                remoteInvalidations += rd.u64();
-            }
+            tot += StripeCounters{rd.u64(), rd.u64(), rd.u64(), rd.u64(),
+                                  rd.u64()};
+            cloneStats += mrf::SamplerStats{rd.u64(), rd.u64(), rd.u64()};
             if (spec.wantEnergy) {
                 const int rows = static_cast<int>(rd.u32());
                 RETSIM_ASSERT(rows == part.rowEnd(r) -
@@ -619,7 +580,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             RETSIM_ASSERT(rd.ok() && rd.atEnd(),
                           "shard: malformed JOIN from rank ", r);
         }
-        work.foldShards();
+        work.foldTransport();
         if (gatherNeeded(spec, config_, s)) {
             for (int r = 1; r < N; ++r) {
                 if (part.empty(r))
@@ -635,19 +596,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                      part.stripeBegin(r))));
             }
         }
-        const mrf::EnergyCacheStats *cacheStats = nullptr;
-        if (spec.wantStats && config_.energyCache && m <= 256) {
-            const mrf::EnergyPlaneCache *own = work.exec.cache();
-            aggCache.cleanHits.store(
-                (own ? own->stats().cleanHits.load() : 0) + remoteHits);
-            aggCache.recomputed.store(
-                (own ? own->stats().recomputed.load() : 0) +
-                remoteRecomputed);
-            aggCache.invalidations.store(
-                (own ? own->stats().invalidations.load() : 0) +
-                remoteInvalidations);
-            cacheStats = &aggCache;
-        }
         auto energy = [&] {
             // Reduced in row order, exactly like totalEnergy(): the
             // folded sum is bit-identical to the serial value.
@@ -657,7 +605,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             return e;
         };
         scaffold.endSweep(
-            s, temperature, tot, energy, cloneStats, cacheStats,
+            s, temperature, tot, energy, cloneStats,
             [&](mrf::SolverCheckpoint &cp) {
                 // Rank 0's own stripes from the live clones, the
                 // others as last gathered.
@@ -682,9 +630,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         }
     }
 
-    scaffold.finish();
-    work.foldCacheCounters(firstNonEmptyRank(part) == 0);
-
     if (tr->sharedRegistry()) {
         for (std::thread &t : workerThreads)
             t.join();
@@ -695,22 +640,23 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
     }
 
     // Restore every remote stripe clone to its final worker-side
-    // state (the final sweep always GATHERs), then fold all S clones
-    // into the caller's sampler in ascending stripe order — the
-    // serial striped run's exact mergeStats sequence.  A resume from
-    // an already-complete snapshot runs zero sweeps, so no GATHER
-    // fired; the clones keep the state restored from the snapshot,
-    // exactly as the serial striped solver's do.
-    const bool gathered = scaffold.startSweep < config_.annealing.sweeps;
-    for (int k = 0; k < stripes; ++k) {
-        if (gathered && (k < work.k0 || k >= work.k1)) {
+    // state (the final sweep always GATHERs) before finish() folds
+    // all S clones into the caller's sampler — the serial striped
+    // run's exact mergeStats sequence.  A resume from an
+    // already-complete snapshot runs zero sweeps, so no GATHER fired;
+    // the clones keep the state restored from the snapshot, exactly
+    // as the serial striped solver's do.
+    if (scaffold.startSweep < config_.annealing.sweeps) {
+        for (int k = 0; k < stripes; ++k) {
+            if (k >= work.k0 && k < work.k1)
+                continue;
             if (!clones[static_cast<std::size_t>(k)]->loadState(
                     remoteStripeState[static_cast<std::size_t>(k)]))
                 RETSIM_FATAL("shard: stripe ", k,
                              " final sampler state does not fit");
         }
-        sampler.mergeStats(*clones[static_cast<std::size_t>(k)]);
     }
+    scaffold.finish();
 
     if (options_.transport == ShardOptions::Transport::Socket) {
         boot.transport.reset();

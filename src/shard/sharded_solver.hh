@@ -8,8 +8,9 @@
  * stripe id, same batched row kernel (mrf/checkerboard_detail.hh) —
  * but splits the stripes across N shard ranks by a TilePartition and
  * replaces shared memory with explicit messages: one-row ghost zones
- * refreshed at every color-phase boundary, and per-shard counter /
- * SamplerStats / obs-metric folds at the sweep join (plain sums, so
+ * refreshed at every color-phase boundary, and one JOIN per worker at
+ * the sweep join carrying its sweep tally and SamplerStats, which
+ * rank 0 sums into the tally its run scaffold counts (plain sums, so
  * every total equals the serial run's).  Each color phase runs
  * boundary-first: a rank computes the stripes owning its boundary
  * rows, posts their ghost rows without blocking, and hides the
@@ -31,8 +32,9 @@
  *
  * Division of labor: rank 0 owns everything stateful a caller can
  * observe — init/resume, the caller's sampler and label map, trace,
- * telemetry, sweep observers, checkpoint emission, the obs registry
- * of record — while workers own only their tile's row range.  Each
+ * telemetry, sweep observers, checkpoint emission, the solver
+ * counters in the obs registry — while workers own only their tile's
+ * row range and their transport counters.  Each
  * rank runs its stripes on the single-process solver's stripe
  * executor (mrf/checkerboard_detail.hh), whose pool of
  * SolverConfig::threads is capped at the rank's stripe count; the

@@ -63,7 +63,7 @@ namespace tag {
 constexpr std::uint32_t kHello = 1;    ///< worker -> 0 bootstrap
 constexpr std::uint32_t kPort = 2;     ///< ephemeral-port relay
 constexpr std::uint32_t kHalo = 3;     ///< ghost-row refresh
-constexpr std::uint32_t kJoin = 4;     ///< per-sweep counter fold
+constexpr std::uint32_t kJoin = 4;     ///< per-sweep tally and stats
 constexpr std::uint32_t kGather = 5;   ///< label rows + sampler state
 constexpr std::uint32_t kRegistry = 6; ///< obs metric delta at exit
 constexpr std::uint32_t kDie = 7;      ///< crash-drill handshake

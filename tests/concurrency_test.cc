@@ -27,7 +27,9 @@
 #include "img/synthetic.hh"
 #include "mrf/checkerboard.hh"
 #include "mrf/problem.hh"
+#include "obs/telemetry.hh"
 #include "rng/lfsr.hh"
+#include "support/sweep_records.hh"
 #include "util/shared_table.hh"
 #include "util/thread_pool.hh"
 
@@ -99,16 +101,28 @@ TEST(ThreadedCheckerboard, StripeCountChangesTheChain)
 
 TEST(ThreadedCheckerboard, TraceCountersExactUnderThreading)
 {
+    // Each stripe counts into its own tally, summed at the sweep join:
+    // the trace, the registry and the sweep records all see every
+    // update and every energy plane served, exactly once.
     MrfProblem p = denoisingProblem(20, 5);
     SolverConfig cfg = annealConfig(6, 11);
     cfg.threads = 4;
     cfg.stripes = 5;
     core::SoftwareSampler s;
     SolverTrace trace;
+    obs::TelemetryRecorder rec;
+    const test::RegistryCounts before = test::RegistryCounts::read();
+    obs::setActiveRecorder(&rec);
     CheckerboardGibbsSolver(cfg).run(p, s, &trace);
+    obs::setActiveRecorder(nullptr);
+    const test::RegistryCounts added = test::RegistryCounts::read() - before;
     EXPECT_EQ(trace.pixelUpdates, 6u * 20 * 20);
     ASSERT_EQ(trace.energyPerSweep.size(), 6u);
     EXPECT_GT(trace.labelChanges, 0u);
+    EXPECT_EQ(added.cleanHits + added.recomputed, 6u * 20 * 20);
+    test::expectSinksAgree(
+        test::recordsOf(rec, test::sweepStream(p, "checkerboard")), trace,
+        added);
 }
 
 TEST(ThreadedCheckerboard, StatisticallyEquivalentToSerial)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the observability layer: metrics-registry semantics
- * (register-or-lookup, histogram bucketing and merge associativity,
- * shard fold-back identical to serial updates), the telemetry
- * recorder's JSON/CSV sinks, and TelemetryScope installation.
+ * (register-or-lookup, histogram bucketing and merge associativity),
+ * the telemetry recorder's JSON/CSV sinks, and TelemetryScope
+ * installation.
  */
 
 #include <gtest/gtest.h>
@@ -101,42 +101,6 @@ TEST(Registry, HistogramMergeIsAssociative)
     EXPECT_EQ(left.count, right.count);
     EXPECT_DOUBLE_EQ(left.sum, right.sum);
     EXPECT_EQ(left.count, 6u);
-}
-
-TEST(Registry, ShardFoldBackEqualsSerialUpdates)
-{
-    // Serial reference: every update straight into the registry.
-    obs::Registry serial;
-    obs::MetricId sc = serial.counter("work");
-    for (int i = 0; i < 100; ++i)
-        serial.add(sc, static_cast<std::uint64_t>(i % 3));
-
-    // Sharded: the same updates split across four shards, folded at
-    // the end — the striped-solver decomposition.
-    obs::Registry sharded;
-    obs::MetricId pc = sharded.counter("work");
-    std::vector<obs::MetricShard> shards;
-    for (int k = 0; k < 4; ++k)
-        shards.push_back(sharded.makeShard());
-    for (int i = 0; i < 100; ++i)
-        shards[static_cast<std::size_t>(i % 4)].add(
-            pc, static_cast<std::uint64_t>(i % 3));
-    for (obs::MetricShard &shard : shards)
-        sharded.fold(shard);
-
-    EXPECT_EQ(sharded.counterValue(pc), serial.counterValue(sc));
-}
-
-TEST(Registry, FoldClearsShardForReuse)
-{
-    obs::Registry reg;
-    obs::MetricId c = reg.counter("c");
-    obs::MetricShard shard = reg.makeShard();
-    shard.add(c, 5);
-    reg.fold(shard);
-    shard.add(c, 7);
-    reg.fold(shard);
-    EXPECT_EQ(reg.counterValue(c), 12u);
 }
 
 TEST(Registry, ToJsonParsesAndContainsValues)

@@ -14,7 +14,7 @@
  * fast-path samplers, shared packed tables sized to their working
  * set (no draw depends on a table's history or size), rate bindings
  * (one per temperature for a run's clones, one in all for a sampler
- * nobody cloned), and the RaceMode::Auto selection rules.
+ * nobody cloned), and the race-mode wiring.
  */
 
 #include <gtest/gtest.h>
@@ -925,34 +925,6 @@ TEST(RateBinding, StripedStereoAnnealBuildsOneBindingPerTemperature)
 
 // -------------------------------------------------------- mode wiring
 
-TEST(RaceModeResolution, AutoPicksFastpathOnlyForExponentialOnlyModes)
-{
-    RsuConfig cfg = RsuConfig::newDesign(); // binned + Random tie
-    cfg.raceMode = RaceMode::Auto;
-    // Random tie-break draws a tie-resolution uniform inside the
-    // race, so Auto must keep the literal race.
-    EXPECT_FALSE(RsuSampler(cfg).usingFastPath());
-
-    cfg.tieBreak = TieBreak::First;
-    EXPECT_TRUE(RsuSampler(cfg).usingFastPath());
-
-    cfg = RsuConfig::newDesign();
-    cfg.timeQuant = TimeQuant::Float;
-    cfg.raceMode = RaceMode::Auto;
-    EXPECT_TRUE(RsuSampler(cfg).usingFastPath());
-
-    // Continuous rates defeat the table cache: unsupported, Auto
-    // falls back to the race.
-    cfg = RsuConfig::newDesign();
-    cfg.floatEnergy = true;
-    cfg.tieBreak = TieBreak::First;
-    cfg.raceMode = RaceMode::Auto;
-    EXPECT_FALSE(RsuSampler(cfg).usingFastPath());
-
-    cfg.raceMode = RaceMode::Race;
-    EXPECT_FALSE(RsuSampler(cfg).usingFastPath());
-}
-
 TEST(RaceModeResolution, ExplicitFastpathOnUnsupportedConfigIsFatal)
 {
     RsuConfig cfg = RsuConfig::newDesign();
@@ -971,6 +943,9 @@ TEST(RaceModeResolution, ModeRoundTripsThroughConfigStrings)
     EXPECT_NE(cfg.describe().find("fastpath"), std::string::npos);
     cfg.raceMode = RaceMode::Race;
     EXPECT_EQ(cfg.describe().find("race"), std::string::npos);
+    // The mode is race or fastpath: nothing else parses.
+    EXPECT_DEATH(RsuConfig::fromString("race_mode=auto"),
+                 "unknown race_mode 'auto'");
 }
 
 } // namespace

@@ -27,7 +27,9 @@
 #include "img/image.hh"
 #include "mrf/checkerboard.hh"
 #include "mrf/problem.hh"
+#include "obs/telemetry.hh"
 #include "shard/sharded_solver.hh"
+#include "support/sweep_records.hh"
 
 namespace {
 
@@ -76,13 +78,23 @@ expectLoopbackMatchesStriped(int threads)
         {"rsu-fastpath",
          [&] { return std::make_unique<core::RsuSampler>(fast); }},
     };
+    const std::string stream = test::sweepStream(problem, "checkerboard");
     for (const Input &in : inputs) {
         SCOPED_TRACE(in.name);
         mrf::SolverConfig run_cfg = cfg;
         mrf::SolverTrace refTrace;
         const std::unique_ptr<mrf::LabelSampler> refSampler = in.make();
+        obs::TelemetryRecorder refRec;
+        test::RegistryCounts before = test::RegistryCounts::read();
+        obs::setActiveRecorder(&refRec);
         img::LabelMap ref = mrf::CheckerboardGibbsSolver(run_cfg).run(
             problem, *refSampler, &refTrace);
+        obs::setActiveRecorder(nullptr);
+        const test::RegistryCounts refAdded =
+            test::RegistryCounts::read() - before;
+        const std::vector<test::Record> refRecords =
+            test::recordsOf(refRec, stream);
+        test::expectSinksAgree(refRecords, refTrace, refAdded);
 
         run_cfg.threads = threads;
         for (int shards : {2, 4}) {
@@ -94,13 +106,23 @@ expectLoopbackMatchesStriped(int threads)
             options.transport = shard::ShardOptions::Transport::Loopback;
             mrf::SolverTrace trace;
             const std::unique_ptr<mrf::LabelSampler> sampler = in.make();
+            obs::TelemetryRecorder rec;
+            before = test::RegistryCounts::read();
+            obs::setActiveRecorder(&rec);
             img::LabelMap got =
                 shard::ShardedCheckerboardSolver(run_cfg, options)
                     .run(problem, *sampler, &trace);
+            obs::setActiveRecorder(nullptr);
             EXPECT_EQ(got.data(), ref.data());
             EXPECT_EQ(trace.energyPerSweep, refTrace.energyPerSweep);
             EXPECT_EQ(trace.labelChanges, refTrace.labelChanges);
             EXPECT_EQ(trace.pixelUpdates, refTrace.pixelUpdates);
+            // The ranks' tallies, summed by rank 0, are the striped
+            // run's counts in every sink.
+            EXPECT_EQ(test::RegistryCounts::read() - before, refAdded);
+            test::expectSameRecords(refRecords,
+                                    test::recordsOf(rec, stream),
+                                    {"lut_hits", "lut_misses"});
         }
     }
 }

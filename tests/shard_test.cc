@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
 #include "img/image.hh"
 #include "mrf/checkerboard.hh"
@@ -31,10 +33,12 @@
 #include "mrf/checkpoint.hh"
 #include "mrf/problem.hh"
 #include "obs/metrics.hh"
+#include "obs/telemetry.hh"
 #include "shard/payload_codec.hh"
 #include "shard/sharded_solver.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
+#include "support/sweep_records.hh"
 #include "util/checkpoint.hh"
 #include "util/framing.hh"
 
@@ -515,16 +519,19 @@ TEST(ShardedSolver, OverlapWithMoreShardsThanStripes)
 
 TEST(SolverCounters, UntracedRunsCountEveryUpdate)
 {
-    // Every schedule adds its pixel updates and label changes to the
-    // registry, traced or not: 4 sweeps of 14x11 pixels is 616
-    // updates, and the untraced run's label changes are the traced
-    // run's.
+    // Every schedule counts its sweeps into three sinks: the trace,
+    // the registry (traced or not) and, with a recorder installed, one
+    // sweep record each.  4 sweeps of 14x11 pixels is 616 updates,
+    // each reading one energy plane, served clean or recomputed; the
+    // untraced run counts what the traced one does.  The striped and
+    // sharded schedules run one chain, so they record the same sweeps
+    // at any thread and shard count (the LambdaLut traffic aside: that
+    // cache is process state).
     const mrf::MrfProblem problem = makeProblem();
-    obs::Registry &reg = obs::Registry::global();
-    const obs::MetricId updates = reg.counter("mrf.solver.pixel_updates");
-    const obs::MetricId changes = reg.counter("mrf.solver.label_changes");
+    core::RsuConfig rsu = core::RsuConfig::newDesign();
+    rsu.raceMode = core::RaceMode::FastPath;
 
-    auto config = [](bool random_scan, int stripes) {
+    auto config = [](bool random_scan, int stripes, int threads) {
         mrf::SolverConfig cfg;
         cfg.annealing.t0 = 12.0;
         cfg.annealing.tEnd = 0.8;
@@ -532,55 +539,186 @@ TEST(SolverCounters, UntracedRunsCountEveryUpdate)
         cfg.seed = 99;
         cfg.randomScan = random_scan;
         cfg.stripes = stripes;
+        cfg.threads = threads;
         return cfg;
     };
+    auto loopback = [](int shards) {
+        shard::ShardOptions options;
+        options.shards = shards;
+        options.transport = shard::ShardOptions::Transport::Loopback;
+        return options;
+    };
+
+    using Run = std::function<void(mrf::SolverTrace *)>;
+    struct Schedule
+    {
+        const char *name;
+        const char *kind;
+        bool sameChainAsStriped;
+        Run run;
+    };
+    const std::vector<Schedule> schedules = {
+        {"raster", "gibbs", false,
+         [&](mrf::SolverTrace *trace) {
+             core::RsuSampler sampler(rsu);
+             mrf::GibbsSolver(config(false, 0, 1))
+                 .run(problem, sampler, trace);
+         }},
+        {"random-scan", "gibbs", false,
+         [&](mrf::SolverTrace *trace) {
+             core::RsuSampler sampler(rsu);
+             mrf::GibbsSolver(config(true, 0, 1))
+                 .run(problem, sampler, trace);
+         }},
+        {"serial checkerboard", "checkerboard", false,
+         [&](mrf::SolverTrace *trace) {
+             core::RsuSampler sampler(rsu);
+             mrf::CheckerboardGibbsSolver(config(false, 0, 1))
+                 .run(problem, sampler, trace);
+         }},
+        {"striped checkerboard", "checkerboard", true,
+         [&](mrf::SolverTrace *trace) {
+             core::RsuSampler sampler(rsu);
+             mrf::CheckerboardGibbsSolver(config(false, 4, 1))
+                 .run(problem, sampler, trace);
+         }},
+        {"striped checkerboard, 4 threads", "checkerboard", true,
+         [&](mrf::SolverTrace *trace) {
+             core::RsuSampler sampler(rsu);
+             mrf::CheckerboardGibbsSolver(config(false, 4, 4))
+                 .run(problem, sampler, trace);
+         }},
+        {"2-shard loopback", "checkerboard", true,
+         [&](mrf::SolverTrace *trace) {
+             core::RsuSampler sampler(rsu);
+             shard::ShardedCheckerboardSolver(config(false, 4, 1),
+                                              loopback(2))
+                 .run(problem, sampler, trace);
+         }},
+        {"3-shard loopback, 2 threads", "checkerboard", true,
+         [&](mrf::SolverTrace *trace) {
+             core::RsuSampler sampler(rsu);
+             shard::ShardedCheckerboardSolver(config(false, 4, 2),
+                                              loopback(3))
+                 .run(problem, sampler, trace);
+         }},
+    };
+    std::vector<test::Record> striped;
+    for (const Schedule &schedule : schedules) {
+        SCOPED_TRACE(schedule.name);
+        mrf::SolverTrace trace;
+        obs::TelemetryRecorder rec;
+        const test::RegistryCounts before = test::RegistryCounts::read();
+        obs::setActiveRecorder(&rec);
+        schedule.run(&trace);
+        obs::setActiveRecorder(nullptr);
+        const test::RegistryCounts traced =
+            test::RegistryCounts::read() - before;
+        ASSERT_EQ(trace.pixelUpdates, 616u);
+        const std::string stream =
+            test::sweepStream(problem, schedule.kind);
+        EXPECT_EQ(rec.lastValue(stream, "sweep"), 3.0);
+        const std::vector<test::Record> records =
+            test::recordsOf(rec, stream);
+        test::expectSinksAgree(records, trace, traced);
+
+        const test::RegistryCounts start = test::RegistryCounts::read();
+        schedule.run(nullptr);
+        const test::RegistryCounts untraced =
+            test::RegistryCounts::read() - start;
+        EXPECT_EQ(untraced.pixelUpdates, 616u);
+        EXPECT_EQ(untraced.labelChanges, trace.labelChanges);
+        EXPECT_EQ(untraced.cleanHits + untraced.recomputed, 616u);
+        EXPECT_EQ(untraced, traced);
+
+        if (!schedule.sameChainAsStriped)
+            continue;
+        if (striped.empty())
+            striped = records;
+        else
+            test::expectSameRecords(striped, records,
+                                    {"lut_hits", "lut_misses"});
+    }
+}
+
+TEST(SolverCounters, ResumedRunRecordsTheUninterruptedSweeps)
+{
+    // A run resumed from its sweep-3 snapshot records sweeps 3-5 as
+    // the uninterrupted run did: every rate counts that sweep's draws
+    // only, not the draws the snapshot restored.  The literal race's
+    // Random ties make tie_rate a real count.  The LambdaLut traffic
+    // (process state) and the energy-cache traffic (the resumed cache
+    // starts all-dirty) may differ.
+    const mrf::MrfProblem problem = makeProblem(16, 12, 6);
+    const core::RsuConfig rsu = core::RsuConfig::newDesign();
     shard::ShardOptions loopback;
     loopback.shards = 2;
     loopback.transport = shard::ShardOptions::Transport::Loopback;
 
-    using Run = std::function<void(mrf::SolverTrace *)>;
-    const std::vector<std::pair<const char *, Run>> schedules = {
-        {"raster",
-         [&](mrf::SolverTrace *trace) {
-             core::SoftwareSampler sampler;
-             mrf::GibbsSolver(config(false, 0))
-                 .run(problem, sampler, trace);
-         }},
-        {"random-scan",
-         [&](mrf::SolverTrace *trace) {
-             core::SoftwareSampler sampler;
-             mrf::GibbsSolver(config(true, 0)).run(problem, sampler, trace);
-         }},
-        {"serial checkerboard",
-         [&](mrf::SolverTrace *trace) {
-             core::SoftwareSampler sampler;
-             mrf::CheckerboardGibbsSolver(config(false, 0))
-                 .run(problem, sampler, trace);
-         }},
-        {"striped checkerboard",
-         [&](mrf::SolverTrace *trace) {
-             core::SoftwareSampler sampler;
-             mrf::CheckerboardGibbsSolver(config(false, 4))
-                 .run(problem, sampler, trace);
-         }},
-        {"2-shard loopback",
-         [&](mrf::SolverTrace *trace) {
-             core::SoftwareSampler sampler;
-             shard::ShardedCheckerboardSolver(config(false, 4), loopback)
-                 .run(problem, sampler, trace);
-         }},
-    };
-    for (const auto &[name, run] : schedules) {
+    using Run = std::function<void(const mrf::SolverConfig &)>;
+    const std::vector<std::tuple<const char *, const char *, int, Run>>
+        schedules = {
+            {"raster", "gibbs", 0,
+             [&](const mrf::SolverConfig &cfg) {
+                 core::RsuSampler sampler(rsu);
+                 mrf::GibbsSolver(cfg).run(problem, sampler);
+             }},
+            {"serial checkerboard", "checkerboard", 0,
+             [&](const mrf::SolverConfig &cfg) {
+                 core::RsuSampler sampler(rsu);
+                 mrf::CheckerboardGibbsSolver(cfg).run(problem, sampler);
+             }},
+            {"striped checkerboard", "checkerboard", 4,
+             [&](const mrf::SolverConfig &cfg) {
+                 core::RsuSampler sampler(rsu);
+                 mrf::CheckerboardGibbsSolver(cfg).run(problem, sampler);
+             }},
+            {"2-shard loopback", "checkerboard", 4,
+             [&](const mrf::SolverConfig &cfg) {
+                 core::RsuSampler sampler(rsu);
+                 shard::ShardedCheckerboardSolver(cfg, loopback)
+                     .run(problem, sampler);
+             }},
+        };
+    for (const auto &[name, kind, stripes, run] : schedules) {
         SCOPED_TRACE(name);
-        mrf::SolverTrace trace;
-        run(&trace);
-        ASSERT_EQ(trace.pixelUpdates, 616u);
-        const std::uint64_t updates0 = reg.counterValue(updates);
-        const std::uint64_t changes0 = reg.counterValue(changes);
-        run(nullptr);
-        EXPECT_EQ(reg.counterValue(updates) - updates0, 616u);
-        EXPECT_EQ(reg.counterValue(changes) - changes0,
-                  trace.labelChanges);
+        mrf::SolverConfig cfg;
+        cfg.annealing.t0 = 12.0;
+        cfg.annealing.tEnd = 0.8;
+        cfg.annealing.sweeps = 6;
+        cfg.seed = 99;
+        cfg.stripes = stripes;
+        cfg.checkpointEvery = 3;
+        Snapshot mid;
+        cfg.checkpointSink = [&mid](const mrf::SolverCheckpoint &cp) {
+            if (cp.sweepsDone == 3)
+                mid = std::make_shared<mrf::SolverCheckpoint>(cp);
+        };
+        const std::string stream = test::sweepStream(problem, kind);
+        obs::TelemetryRecorder whole;
+        obs::setActiveRecorder(&whole);
+        run(cfg);
+        obs::setActiveRecorder(nullptr);
+        ASSERT_NE(mid, nullptr);
+
+        cfg.resume = mid;
+        obs::TelemetryRecorder resumed;
+        obs::setActiveRecorder(&resumed);
+        run(cfg);
+        obs::setActiveRecorder(nullptr);
+
+        const std::vector<test::Record> want = test::recordsOf(whole, stream);
+        ASSERT_EQ(want.size(), 6u);
+        const std::vector<test::Record> got =
+            test::recordsOf(resumed, stream);
+        ASSERT_EQ(got.size(), 3u);
+        for (std::size_t i = 0; i < got.size(); ++i)
+            for (const char *field :
+                 {"sweep", "temperature", "energy", "pixel_updates",
+                  "label_changes", "accept_rate", "no_sample_rate",
+                  "tie_rate"})
+                EXPECT_EQ(got[i].at(field), want[3 + i].at(field))
+                    << "sweep " << 3 + i << ' ' << field;
     }
 }
 

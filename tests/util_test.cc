@@ -16,7 +16,6 @@
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
-#include "support/histogram.hh"
 
 namespace {
 
@@ -53,22 +52,6 @@ TEST(RunningStats, KnownMoments)
     EXPECT_DOUBLE_EQ(s.variance(), 4.0); // population
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(Histogram, BinningAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bin 0
-    h.add(9.99);  // bin 9
-    h.add(-1.0);  // clamps to bin 0
-    h.add(42.0);  // clamps to bin 9
-    h.add(5.0);   // bin 5
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binFraction(5), 0.2);
 }
 
 // ---------------------------------------------------------- fixed point
